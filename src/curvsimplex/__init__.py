@@ -15,18 +15,20 @@ from .domain import (
     CurvatureSpec,
     EdgeLengths,
     Geometry,
-    GramKind,
     GramMatrix,
     curved_gram,
     euclidean_gram,
     hull_inner_product,
     lift_to_model,
+    model_gram,
+    unit_model,
 )
 from .errors import (
     DegenerateDirection,
     DegenerateMinor,
     EmbeddingInconsistency,
     GeometryError,
+    GramOverflow,
     NotRealizableInput,
     OutsideLightCone,
     ProjectionDegenerate,
@@ -73,8 +75,8 @@ __all__ = [
     "EUCLIDEAN",
     "Geometry",
     "GeometryError",
-    "GramKind",
     "GramMatrix",
+    "GramOverflow",
     "HYPERBOLIC",
     "ModelSpace",
     "NotRealizableInput",
@@ -107,8 +109,10 @@ __all__ = [
     "hyperbolic_distance",
     "hyperbolic_project",
     "lift_to_model",
+    "model_gram",
     "project",
     "project_onto_subface",
     "spherical_distance",
     "spherical_project",
+    "unit_model",
 ]

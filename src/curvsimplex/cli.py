@@ -6,8 +6,9 @@ Subcommands operate on JSON simplex documents::
 
 and JSON point documents ``{"barycentric": [0.25, 0.25, 0.25, 0.25]}``.
 
-Exit codes: 0 success, 2 invalid input, 3 geometric verdict failure
-(degenerate / not realizable), 4 internal numerical failure.  All numeric
+Exit codes: 0 success, 2 invalid input (non-finite numbers included),
+3 geometric verdict failure (degenerate / not realizable), 4 numerical
+failure (inconsistent embedding, overflowing hyperbolic Gram).  All numeric
 logic lives in the library modules; this module only parses, dispatches, and
 formats.
 """
@@ -21,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .domain import BarycentricPoint, CurvatureSpec, EdgeLengths, curved_gram, euclidean_gram
-from .errors import EmbeddingInconsistency, GeometryError
+from .domain import BarycentricPoint, CurvatureSpec, EdgeLengths
+from .errors import EmbeddingInconsistency, GeometryError, GramOverflow
 from .metrics import distance
 from .oracle import embed
 from .projection import euclidean_face_volume, euclidean_volume, project
@@ -99,15 +100,10 @@ def cmd_check(args) -> int:
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
     report = check(e, c, args.tol)
-    if c.kappa == 0:
-        eig = euclidean_gram(e, apex=e.num_vertices).matrix.eigenvalues()
-    else:
-        scaled = e if abs(c.kappa) == 1 else e.scaled(c.scale)
-        eig = curved_gram(scaled, CurvatureSpec(-1.0 if c.kappa < 0 else 1.0)).matrix.eigenvalues()
     sig = report.signature
     print(f"verdict: {report.verdict.value}")
     print(f"signature: ({sig.n_plus},{sig.n_minus},{sig.n_zero})")
-    print("eigenvalues: " + " ".join(_sig(v) for v in sorted(eig, reverse=True)))
+    print("eigenvalues: " + " ".join(_sig(v) for v in sorted(report.eigenvalues, reverse=True)))
     print(f"detail: {report.detail}")
     return EXIT_OK if report.verdict is Verdict.REALIZABLE else EXIT_VERDICT
 
@@ -227,7 +223,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EmbeddingInconsistency as exc:
+    except (EmbeddingInconsistency, GramOverflow) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except GeometryError as exc:

@@ -3,21 +3,25 @@
 An n-simplex is described purely by the geodesic lengths of its edges.  The
 builders here turn those lengths into bilinear-form data: the apex-difference
 Gram matrix for flat simplices and the full vertex Gram matrix for curved
-ones.  All values are immutable and all functions are pure.
+ones; ``model_gram`` picks one per curvature, on the unit model.
+All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirection, OutsideLightCone, WrongModel
+from .errors import DegenerateDirection, GramOverflow, OutsideLightCone, WrongModel
 from .symmat import SymMatrix
 
 BARYCENTRIC_SUM_TOL = 1e-6
+# Largest cosh argument whose Gram entries survive the a + a^T symmetrization.
+COSH_ARG_MAX = math.log(sys.float_info.max)
 
 
 class Geometry(enum.Enum):
@@ -32,6 +36,10 @@ class CurvatureSpec:
     """A constant curvature value and its model classification."""
 
     kappa: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"curvature must be finite, got {self.kappa}")
 
     @property
     def classification(self) -> Geometry:
@@ -69,8 +77,10 @@ class EdgeLengths:
             raise ValueError(f"edge-length matrix must be square, got {g.shape}")
         if g.shape[0] < 2:
             raise ValueError("a simplex needs at least 2 vertices")
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if np.max(np.abs(g - g.T)) > 1e-9 * scale:
+        peak = float(np.max(np.abs(g)))
+        if not math.isfinite(peak):
+            raise ValueError("edge lengths must be finite")
+        if np.max(np.abs(g - g.T)) > 1e-9 * max(1.0, peak):
             raise ValueError("edge-length matrix must be symmetric")
         if np.any(np.abs(np.diag(g)) > 0):
             raise ValueError("diagonal entries must all be zero")
@@ -126,19 +136,18 @@ class BarycentricPoint:
     vectors (used by the model lift), which skip normalization entirely.
     """
 
-    __slots__ = ("coords", "normalized")
+    __slots__ = ("coords",)
 
     def __init__(self, coords) -> None:
         c = np.array(coords, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("coords must be a vector of length >= 2")
         s = float(c.sum())
-        if abs(s - 1.0) > BARYCENTRIC_SUM_TOL:
+        if not abs(s - 1.0) <= BARYCENTRIC_SUM_TOL:
             raise ValueError(f"barycentric coordinates sum to {s}, not 1")
         c = c / s
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
-        object.__setattr__(self, "normalized", True)
 
     def __setattr__(self, name, value):
         raise AttributeError("BarycentricPoint is immutable")
@@ -150,7 +159,6 @@ class BarycentricPoint:
         c = np.array(coords, dtype=float)
         c.setflags(write=False)
         object.__setattr__(obj, "coords", c)
-        object.__setattr__(obj, "normalized", False)
         return obj
 
     @classmethod
@@ -169,28 +177,19 @@ class BarycentricPoint:
         return f"BarycentricPoint({self.coords.tolist()!r})"
 
 
-class GramKind(enum.Enum):
-    EUCLIDEAN_APEX = "euclidean-apex"
-    CURVED_FULL = "curved-full"
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """A Gram matrix derived from edge lengths.
 
-    EUCLIDEAN_APEX: n x n matrix of apex-difference inner products; ``apex``
-    records which vertex sits at the origin.  CURVED_FULL: (n+1) x (n+1)
-    matrix of vertex position inner products in the curvature's model space.
+    Apex Gram (curvature 0, ``apex`` set): n x n matrix of apex-difference
+    inner products, with vertex ``apex`` at the origin.  Full vertex Gram
+    (nonzero curvature, ``apex`` None): (n+1) x (n+1) matrix of vertex
+    position inner products in the curvature's model space.
     """
 
     matrix: SymMatrix
-    kind: GramKind
     curvature: CurvatureSpec
-    apex: int | None = field(default=None)
-
-    def __post_init__(self):
-        if self.kind is GramKind.EUCLIDEAN_APEX and self.apex is None:
-            raise ValueError("apex index required for an apex Gram matrix")
+    apex: int | None = None
 
 
 def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
@@ -205,7 +204,7 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
     g = e.gamma
     col = g[others, apex - 1]
     q = 0.5 * (col[:, None] ** 2 + col[None, :] ** 2 - g[np.ix_(others, others)] ** 2)
-    return GramMatrix(SymMatrix(q), GramKind.EUCLIDEAN_APEX, EUCLIDEAN, apex=apex)
+    return GramMatrix(SymMatrix(q), EUCLIDEAN, apex=apex)
 
 
 def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
@@ -215,6 +214,7 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     kappa the radius-R model (R = 1/sqrt|kappa|) is used, so q_ij is
     (1/kappa) cos(sqrt(kappa) g_ij) for kappa > 0 and
     (1/kappa) cosh(sqrt(-kappa) g_ij) for kappa < 0; the diagonal is 1/kappa.
+    Raises GramOverflow when sqrt(-kappa) * max g_ij exceeds COSH_ARG_MAX.
     """
     kappa = c.kappa
     if kappa == 0:
@@ -223,13 +223,35 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     if kappa > 0:
         q = (1.0 / kappa) * np.cos(math.sqrt(kappa) * g)
     else:
-        q = (1.0 / kappa) * np.cosh(math.sqrt(-kappa) * g)
-    return GramMatrix(SymMatrix(q), GramKind.CURVED_FULL, c)
+        root, longest = math.sqrt(-kappa), float(g.max())
+        if root * longest > COSH_ARG_MAX:
+            raise GramOverflow(f"hyperbolic edge {longest} at kappa={kappa} overflows cosh")
+        q = (1.0 / kappa) * np.cosh(root * g)
+    return GramMatrix(SymMatrix(q), c)
+
+
+def unit_model(e: EdgeLengths, c: CurvatureSpec) -> tuple[EdgeLengths, CurvatureSpec]:
+    """Edges and curvature (0, -1 or +1) of the unit model: edges times sqrt(|kappa|).
+
+    Lengths there are sqrt(|kappa|) times those at c; barycentric coordinates agree.
+    """
+    kappa = c.kappa
+    if kappa == 0 or abs(kappa) == 1:
+        return e, c
+    return e.scaled(c.scale), HYPERBOLIC if kappa < 0 else SPHERICAL
+
+
+def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
+    """Apex Gram matrix at the last vertex for kappa = 0, else the unit-model vertex Gram."""
+    e, c = unit_model(e, c)
+    if c.kappa == 0:
+        return euclidean_gram(e, apex=e.num_vertices)
+    return curved_gram(e, c)
 
 
 def hull_inner_product(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """Model-space inner product <x, y> = x^T Q y of two hull points."""
-    if q.kind is not GramKind.CURVED_FULL:
+    if q.curvature.kappa == 0:
         raise WrongModel("hull inner product needs a full curved Gram matrix")
     m = q.matrix.data
     if x.coords.size != m.shape[0] or y.coords.size != m.shape[0]:

@@ -33,5 +33,9 @@ class ProjectionDegenerate(GeometryError):
     """Projection denominator vanished; the foot is not determined."""
 
 
+class GramOverflow(GeometryError):
+    """Hyperbolic edges too long for a finite cosh Gram matrix in float64."""
+
+
 class EmbeddingInconsistency(GeometryError):
     """Internal failure: factorization inconsistent with a Realizable verdict."""

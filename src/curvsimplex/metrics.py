@@ -17,11 +17,9 @@ from .domain import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
-    GramKind,
     GramMatrix,
-    curved_gram,
-    euclidean_gram,
     hull_inner_product,
+    model_gram,
 )
 from .errors import (
     DegenerateDirection,
@@ -36,7 +34,7 @@ CLAMP_BAND = 1e-12
 def euclidean_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
                        tol: float = 1e-9) -> float:
     """sqrt([x-y]^T Q [x-y]) with the apex coordinate dropped."""
-    if q.kind is not GramKind.EUCLIDEAN_APEX:
+    if q.apex is None:
         raise WrongModel("euclidean_distance needs an apex Gram matrix")
     m = q.matrix.data
     k = m.shape[0] + 1
@@ -89,17 +87,12 @@ def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,
              y: BarycentricPoint, tol: float = 1e-9) -> float:
     """Geodesic distance between x and y for any constant curvature.
 
-    Nonzero curvature rescales the edges onto the unit-curvature model,
-    computes the unit distance, and divides by sqrt(|kappa|).
+    Nonzero curvature measures on the unit-curvature model (``model_gram``)
+    and divides the unit distance by sqrt(|kappa|).
     """
-    kappa = c.kappa
-    if kappa == 0:
-        q = euclidean_gram(e, apex=e.num_vertices)
+    q = model_gram(e, c)
+    if c.kappa == 0:
         return euclidean_distance(q, x, y, tol)
-    scale = c.scale
-    scaled = e if abs(kappa) == 1 else e.scaled(scale)
-    unit = CurvatureSpec(-1.0 if kappa < 0 else 1.0)
-    q = curved_gram(scaled, unit)
-    if kappa < 0:
-        return hyperbolic_distance(q, x, y) / scale
-    return spherical_distance(q, x, y) / scale
+    if c.kappa < 0:
+        return hyperbolic_distance(q, x, y) / c.scale
+    return spherical_distance(q, x, y) / c.scale

@@ -1,9 +1,11 @@
 """Orthogonal projection of a vertex onto its opposite face, and volumes.
 
+One ``project`` body, with one realizability guard, serves every curvature;
+the per-model ``*_project`` functions are its unit-curvature cases.
 Euclidean feet come from signed-minor row sums of the apex Gram matrix; the
 signed-minor total doubles as the determinant of the face Gram matrix, which
-gives the altitude and the face volume for free.  Curved feet (hyperbolic and
-spherical) come from the first-row minors of the full vertex Gram matrix.
+gives the altitude and the face volume for free.  Curved feet come from the
+first-row minors of the unit-model vertex Gram matrix (``unit_model``).
 
 The hyperbolic foot must NOT be computed by projecting inside the convex hull
 of the vertices: the induced form there can fail to be positive definite.  The
@@ -21,12 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    EUCLIDEAN,
+    HYPERBOLIC,
+    SPHERICAL,
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
     curved_gram,
     euclidean_gram,
     lift_to_model,
+    unit_model,
 )
 from .errors import (
     DegenerateDirection,
@@ -34,8 +40,8 @@ from .errors import (
     OutsideLightCone,
     ProjectionDegenerate,
 )
-from .metrics import euclidean_distance, hyperbolic_distance, spherical_distance
-from .realizability import Verdict, check_euclidean, check_hyperbolic, check_spherical
+from .metrics import hyperbolic_distance, spherical_distance
+from .realizability import Verdict, check, check_euclidean
 from .symmat import DEFAULT_TOL
 
 INSIDE_TOL = 1e-12
@@ -68,29 +74,20 @@ def _signed_minor_rowsums(m: np.ndarray) -> tuple[np.ndarray, float]:
     return rows, float(rows.sum())
 
 
-def euclidean_project(e: EdgeLengths, vertex: int,
-                      tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Project ``vertex`` orthogonally onto the face spanned by the others.
+def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[np.ndarray, float]:
+    """Foot coordinates and altitude from the apex Gram matrix at ``vertex``.
 
     Coordinates of the foot are signed-minor row sums of the apex Gram matrix
     built at the projected vertex, normalized by their total (which equals
     the determinant of the face Gram matrix).  The altitude is
     sqrt(det(Q) / det(Q_face)).
     """
-    report = check_euclidean(e, tol)
-    if report.verdict is not Verdict.REALIZABLE:
-        raise NotRealizableInput(f"not a Euclidean simplex: {report.detail}")
-    q = euclidean_gram(e, apex=vertex)
-    m = q.matrix.data
+    m = euclidean_gram(e, apex=vertex).matrix.data
     rows, total = _signed_minor_rowsums(m)
     if total <= 0:
         raise ProjectionDegenerate(f"face Gram determinant {total} is not positive")
-    alpha = rows / total
-    coords = np.insert(alpha, vertex - 1, 0.0)
-    foot = BarycentricPoint(coords)
-    altitude = math.sqrt(max(float(np.linalg.det(m)) / total, 0.0))
-    inside = bool(np.all(coords >= -INSIDE_TOL))
-    return ProjectionResult(foot=foot, altitude=altitude, inside_face=inside)
+    coords = np.insert(rows / total, vertex - 1, 0.0)
+    return coords, math.sqrt(max(float(np.linalg.det(m)) / total, 0.0))
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
@@ -147,15 +144,30 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec, vertex: int) -> BarycentricPo
     return BarycentricPoint(coords)
 
 
-def _curved_project(e: EdgeLengths, c: CurvatureSpec, vertex: int) -> ProjectionResult:
-    foot = _curved_foot(e, c, vertex)
-    q = curved_gram(e, c)
+def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
+            tol: float = DEFAULT_TOL) -> ProjectionResult:
+    """Project ``vertex`` orthogonally onto the face spanned by the others.
+
+    The foot's barycentric coordinates are scale invariant, so everything is
+    computed on the unit model; the altitude is divided back by sqrt(|kappa|).
+    """
+    unit, unit_c = unit_model(e, c)
+    report = check(unit, unit_c, tol)
+    if report.verdict is not Verdict.REALIZABLE:
+        model = "Euclidean" if c.kappa == 0 else "hyperbolic" if c.kappa < 0 else "spherical"
+        raise NotRealizableInput(f"not a {model} simplex: {report.detail}")
+    if c.kappa == 0:
+        coords, altitude = _euclidean_foot(e, vertex)
+        return ProjectionResult(foot=BarycentricPoint(coords), altitude=altitude,
+                                inside_face=bool(np.all(coords >= -INSIDE_TOL)))
+    foot = _curved_foot(unit, unit_c, vertex)
+    q = curved_gram(unit, unit_c)
     inside = bool(np.all(foot.coords >= -INSIDE_TOL))
     apex_point = BarycentricPoint.vertex(vertex, e.num_vertices)
     dist_fn = hyperbolic_distance if c.kappa < 0 else spherical_distance
     try:
         foot_model = lift_to_model(q, foot)
-        altitude = dist_fn(q, apex_point, foot)
+        altitude = dist_fn(q, apex_point, foot) / c.scale
     except (OutsideLightCone, DegenerateDirection):
         # Feet far outside the face can leave the model's valid cone; they are
         # still reported (inside_face is False) but have no lift or altitude.
@@ -167,44 +179,22 @@ def _curved_project(e: EdgeLengths, c: CurvatureSpec, vertex: int) -> Projection
                             foot_model=foot_model)
 
 
+def euclidean_project(e: EdgeLengths, vertex: int,
+                      tol: float = DEFAULT_TOL) -> ProjectionResult:
+    """Project ``vertex`` onto its opposite face in the Euclidean metric."""
+    return project(e, EUCLIDEAN, vertex, tol)
+
+
 def hyperbolic_project(e: EdgeLengths, vertex: int,
                        tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project ``vertex`` onto its opposite face in the hyperbolic metric."""
-    report = check_hyperbolic(e, tol)
-    if report.verdict is not Verdict.REALIZABLE:
-        raise NotRealizableInput(f"not a hyperbolic simplex: {report.detail}")
-    return _curved_project(e, CurvatureSpec(-1.0), vertex)
+    return project(e, HYPERBOLIC, vertex, tol)
 
 
 def spherical_project(e: EdgeLengths, vertex: int,
                       tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project ``vertex`` onto its opposite face in the spherical metric."""
-    report = check_spherical(e, tol)
-    if report.verdict is not Verdict.REALIZABLE:
-        raise NotRealizableInput(f"not a spherical simplex: {report.detail}")
-    return _curved_project(e, CurvatureSpec(1.0), vertex)
-
-
-def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
-            tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Curvature-dispatching projection; general kappa rescales to the unit model.
-
-    The foot's barycentric coordinates are scale invariant; the altitude is
-    divided back by sqrt(|kappa|).
-    """
-    kappa = c.kappa
-    if kappa == 0:
-        return euclidean_project(e, vertex, tol)
-    scale = c.scale
-    scaled = e if abs(kappa) == 1 else e.scaled(scale)
-    if kappa < 0:
-        res = hyperbolic_project(scaled, vertex, tol)
-    else:
-        res = spherical_project(scaled, vertex, tol)
-    if scale == 1.0:
-        return res
-    return ProjectionResult(foot=res.foot, altitude=res.altitude / scale,
-                            inside_face=res.inside_face, foot_model=res.foot_model)
+    return project(e, SPHERICAL, vertex, tol)
 
 
 def project_onto_subface(e: EdgeLengths, c: CurvatureSpec, vertex: int, face,

@@ -32,6 +32,20 @@ class Signature:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero)
 
+    @classmethod
+    def of(cls, eig: np.ndarray, tol: float = DEFAULT_TOL) -> "Signature":
+        """Classify eigenvalues as positive/negative/zero.
+
+        An eigenvalue counts as zero when |lambda| <= tol * max(1, max|lambda|).
+        """
+        if tol < 0:
+            raise ValueError("tol must be nonnegative")
+        cutoff = tol * max(1.0, float(np.max(np.abs(eig))) if eig.size else 1.0)
+        n_zero = int(np.sum(np.abs(eig) <= cutoff))
+        n_plus = int(np.sum(eig > cutoff))
+        n_minus = int(np.sum(eig < -cutoff))
+        return cls(n_plus=n_plus, n_minus=n_minus, n_zero=n_zero)
+
 
 class SymMatrix:
     """Immutable dense symmetric matrix.
@@ -79,18 +93,8 @@ class SymMatrix:
         return np.linalg.eigvalsh(self.data)
 
     def signature(self, tol: float = DEFAULT_TOL) -> Signature:
-        """Classify eigenvalues as positive/negative/zero.
-
-        An eigenvalue counts as zero when |lambda| <= tol * max(1, max|lambda|).
-        """
-        if tol < 0:
-            raise ValueError("tol must be nonnegative")
-        eig = self.eigenvalues()
-        cutoff = tol * max(1.0, float(np.max(np.abs(eig))) if eig.size else 1.0)
-        n_zero = int(np.sum(np.abs(eig) <= cutoff))
-        n_plus = int(np.sum(eig > cutoff))
-        n_minus = int(np.sum(eig < -cutoff))
-        return Signature(n_plus=n_plus, n_minus=n_minus, n_zero=n_zero)
+        """Eigenvalue sign counts, classified by ``Signature.of``."""
+        return Signature.of(self.eigenvalues(), tol)
 
     def is_positive_definite(self, tol: float = DEFAULT_TOL) -> bool:
         return self.signature(tol).as_tuple() == (self.dim, 0, 0)

@@ -6,6 +6,7 @@ output against independently known values.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,53 @@ class TestInputErrors:
         code, _, err = run(capsys, ["dist", simplex_file, px, py])
         assert code == 2
         assert "coordinates" in err
+
+
+class TestNonFiniteInput:
+    def test_nan_edge_check(self, capsys, files):
+        path = files("nan.json", {"edge_lengths": [[0, math.nan, 1], [math.nan, 0, 1],
+                                                   [1, 1, 0]]})
+        code, out, err = run(capsys, ["check", path])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_point_dist(self, capsys, files, simplex_file):
+        px = files("p.json", {"barycentric": [math.nan, 0.25, 0.25, 0.25]})
+        py = files("q.json", {"barycentric": [0.25, 0.25, 0.25, 0.25]})
+        code, out, err = run(capsys, ["dist", simplex_file, px, py])
+        assert code == 2
+        assert out == ""
+        assert "barycentric" in err
+
+    def test_nan_curvature(self, capsys, simplex_file):
+        code, _, err = run(capsys, ["check", simplex_file, "--geometry", "kappa=nan"])
+        assert code == 2
+        assert "curvature" in err
+
+
+class TestHyperbolicOverflow:
+    @pytest.fixture
+    def long_triangle(self, files):
+        return files("long.json", {"edge_lengths": (720.0 * (1 - np.eye(3))).tolist()})
+
+    @pytest.mark.parametrize("extra", [["check"], ["project", "--vertex", "1"]])
+    def test_check_and_project(self, capsys, long_triangle, extra):
+        code, out, err = run(capsys, [extra[0], long_triangle, "--geometry", "hyperbolic",
+                                      *extra[1:]])
+        assert code == 4
+        assert out == ""
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "kappa=-4"])
+    def test_dist(self, capsys, files, long_triangle, geometry):
+        px = files("p.json", {"barycentric": [0.5, 0.5, 0.0]})
+        py = files("q.json", {"barycentric": [0.0, 0.5, 0.5]})
+        code, out, err = run(capsys, ["dist", long_triangle, px, py,
+                                      "--geometry", geometry])
+        assert code == 4
+        assert out == ""
+        assert "overflows" in err
 
 
 class TestDeterminism:

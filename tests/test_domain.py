@@ -13,6 +13,7 @@ from curvsimplex import (
     EdgeLengths,
     EUCLIDEAN,
     Geometry,
+    GramOverflow,
     HYPERBOLIC,
     OutsideLightCone,
     SPHERICAL,
@@ -22,6 +23,8 @@ from curvsimplex import (
     euclidean_gram,
     hull_inner_product,
     lift_to_model,
+    model_gram,
+    unit_model,
 )
 
 from conftest import TABLE_3SIMPLEX, random_hyperbolic, random_interior_point
@@ -44,6 +47,13 @@ class TestEdgeLengths:
     def test_rejects_nonpositive_edge(self):
         with pytest.raises(ValueError, match="positive"):
             EdgeLengths([[0.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EdgeLengths([[0.0, bad, 1.0], [bad, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            EdgeLengths([[bad, 1.0], [1.0, 0.0]])
 
     def test_scaled(self, table_simplex):
         assert table_simplex.scaled(2.0).length(1, 2) == 4.0
@@ -69,6 +79,11 @@ class TestCurvatureSpec:
     def test_classification(self, kappa, cls):
         assert CurvatureSpec(kappa).classification is cls
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CurvatureSpec(bad)
+
 
 class TestBarycentricPoint:
     def test_normalizes_small_deviation(self):
@@ -78,6 +93,12 @@ class TestBarycentricPoint:
     def test_rejects_large_deviation(self):
         with pytest.raises(ValueError, match="sum"):
             BarycentricPoint([0.5, 0.6])
+
+    @pytest.mark.parametrize("coords", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0],
+                                        [0.5, 0.5, -math.inf]])
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(ValueError, match="sum"):
+            BarycentricPoint(coords)
 
     def test_negative_flag(self):
         assert BarycentricPoint([1.5, -0.5]).has_negative
@@ -140,6 +161,42 @@ class TestCurvedGram:
     def test_kappa_zero_rejected(self, table_simplex):
         with pytest.raises(WrongModel):
             curved_gram(table_simplex, EUCLIDEAN)
+
+    @pytest.mark.parametrize("kappa,edge", [(-1.0, 720.0), (-4.0, 360.0), (-0.25, 1420.0)])
+    def test_hyperbolic_overflow_refused(self, kappa, edge):
+        e = EdgeLengths(edge * (1 - np.eye(3)))
+        with pytest.raises(GramOverflow):
+            curved_gram(e, CurvatureSpec(kappa))
+        with pytest.raises(GramOverflow):
+            model_gram(e, CurvatureSpec(kappa))
+
+    def test_hyperbolic_below_overflow_bound_is_finite(self):
+        e = EdgeLengths(709.0 * (1 - np.eye(3)))
+        assert np.all(np.isfinite(curved_gram(e, HYPERBOLIC).matrix.data))
+
+
+class TestModelGram:
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0])
+    def test_unit_curvatures_are_their_own_model(self, table_simplex, kappa):
+        c = CurvatureSpec(kappa)
+        assert unit_model(table_simplex, c) == (table_simplex, c)
+
+    def test_kappa_zero_is_apex_gram_at_last_vertex(self, table_simplex):
+        q = model_gram(table_simplex, EUCLIDEAN)
+        assert q.apex == table_simplex.num_vertices
+        assert np.array_equal(q.matrix.data, euclidean_gram(table_simplex, 4).matrix.data)
+
+    @pytest.mark.parametrize("kappa", [-4.0, -1.0, -0.3, 0.3, 1.0, 4.0])
+    def test_curved_is_unit_model_of_rescaled_edges(self, table_simplex, kappa):
+        q = model_gram(table_simplex, CurvatureSpec(kappa))
+        unit = HYPERBOLIC if kappa < 0 else SPHERICAL
+        scaled = table_simplex.scaled(math.sqrt(abs(kappa)))
+        unit_edges, unit_c = unit_model(table_simplex, CurvatureSpec(kappa))
+        assert unit_c == unit
+        assert np.array_equal(unit_edges.gamma, scaled.gamma)
+        assert q.apex is None
+        assert q.curvature == unit
+        assert np.array_equal(q.matrix.data, curved_gram(scaled, unit).matrix.data)
 
 
 class TestHullInnerProduct:

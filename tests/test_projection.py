@@ -36,6 +36,7 @@ from conftest import (
     random_euclidean,
     random_hyperbolic,
     random_interior_point,
+    random_simplex,
     random_spherical,
 )
 
@@ -295,6 +296,26 @@ class TestDispatchAndSubface:
         res = project(table_simplex, CurvatureSpec(-4.0), 1)
         assert np.allclose(res.foot.coords, res_unit.foot.coords)
         assert res.altitude == pytest.approx(res_unit.altitude / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [-4.0, -0.3, 0.3, 4.0])
+    def test_general_kappa_is_unit_model_of_rescaled_edges(self, kappa):
+        c = CurvatureSpec(kappa)
+        scale = math.sqrt(abs(kappa))
+        unit_project = hyperbolic_project if kappa < 0 else spherical_project
+        rng = np.random.default_rng(int(abs(kappa) * 10) + 1)
+        for n in (2, 3, 4):
+            e = random_simplex(rng, n, c)
+            for vertex in range(1, n + 2):
+                res = project(e, c, vertex)
+                unit = unit_project(e.scaled(scale), vertex)
+                assert np.array_equal(res.foot.coords, unit.foot.coords)
+                assert res.inside_face == unit.inside_face
+                if unit.foot_model is None:
+                    # a foot far outside its face has no lift and no altitude
+                    assert res.foot_model is None and math.isnan(res.altitude)
+                else:
+                    assert np.array_equal(res.foot_model.coords, unit.foot_model.coords)
+                    assert res.altitude == unit.altitude / scale
 
     def test_foot_sums_to_one(self):
         rng = np.random.default_rng(67)

@@ -1,5 +1,6 @@
 """Realizability verdict tests."""
 
+import json
 import math
 
 import numpy as np
@@ -18,12 +19,14 @@ from curvsimplex import (
     embed,
     euclidean_gram,
 )
+from curvsimplex.cli import main
 from curvsimplex.oracle import edge_lengths_of
 
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
     random_euclidean,
     random_hyperbolic,
+    random_simplex,
     random_spherical,
 )
 
@@ -121,6 +124,27 @@ class TestDispatch:
     def test_kappa_minus_four_matches_doubled_edges(self, table_simplex):
         assert check(table_simplex, CurvatureSpec(-4.0)).verdict is \
             check_hyperbolic(table_simplex.scaled(2.0)).verdict
+
+    @pytest.mark.parametrize("kappa", [-4.0, -0.3, 0.3, 4.0])
+    def test_general_kappa_is_unit_model_of_rescaled_edges(self, table_simplex, kappa,
+                                                            tmp_path, capsys):
+        c = CurvatureSpec(kappa)
+        unit_check = check_hyperbolic if kappa < 0 else check_spherical
+        rng = np.random.default_rng(int(abs(kappa) * 10))
+        cases = [table_simplex] + [random_simplex(rng, n, c) for n in (2, 3, 4)]
+        for e in cases:
+            report = check(e, c)
+            unit = unit_check(e.scaled(math.sqrt(abs(kappa))))
+            assert report.verdict is unit.verdict
+            assert report.signature == unit.signature
+            assert report.detail == unit.detail
+            assert np.array_equal(report.eigenvalues, unit.eigenvalues)
+
+            path = tmp_path / "simplex.json"
+            path.write_text(json.dumps({"edge_lengths": e.gamma.tolist()}))
+            main(["check", str(path), "--geometry", f"kappa={kappa}"])
+            expected = " ".join(f"{v:.12g}" for v in sorted(report.eigenvalues, reverse=True))
+            assert f"eigenvalues: {expected}" in capsys.readouterr().out.splitlines()
 
 
 class TestPermutationInvariance:
