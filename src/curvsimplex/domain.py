@@ -142,6 +142,8 @@ class BarycentricPoint:
         c = np.array(coords, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("coords must be a vector of length >= 2")
+        if not all(map(math.isfinite, c.tolist())):  # before the sum: inf - inf warns
+            raise ValueError("barycentric coordinates must be finite to sum to 1")
         s = float(c.sum())
         if not abs(s - 1.0) <= BARYCENTRIC_SUM_TOL:
             raise ValueError(f"barycentric coordinates sum to {s}, not 1")
@@ -234,10 +236,15 @@ def unit_model(e: EdgeLengths, c: CurvatureSpec) -> tuple[EdgeLengths, Curvature
     """Edges and curvature (0, -1 or +1) of the unit model: edges times sqrt(|kappa|).
 
     Lengths there are sqrt(|kappa|) times those at c; barycentric coordinates agree.
+    Raises GramOverflow when the longest rescaled edge is not finite in float64.
     """
     kappa = c.kappa
     if kappa == 0 or abs(kappa) == 1:
         return e, c
+    if c.scale > 1:  # a factor of at most 1 cannot overflow
+        longest = float(e.gamma.max())
+        if not math.isfinite(c.scale * longest):
+            raise GramOverflow(f"edge {longest} at kappa={kappa} overflows the unit-model rescale")
     return e.scaled(c.scale), HYPERBOLIC if kappa < 0 else SPHERICAL
 
 

@@ -34,7 +34,7 @@ class ProjectionDegenerate(GeometryError):
 
 
 class GramOverflow(GeometryError):
-    """Hyperbolic edges too long for a finite cosh Gram matrix in float64."""
+    """Edges too long for float64: a cosh Gram entry or a unit-model rescale overflows."""
 
 
 class EmbeddingInconsistency(GeometryError):

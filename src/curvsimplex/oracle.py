@@ -5,7 +5,9 @@ way: vertices are placed in Euclidean, Minkowski, or spherical model space by
 factoring the Gram matrix, distances come straight from the model metric, and
 projections from numerical minimization over the face.  The rest of the
 library never depends on this module; the test suite uses it as an
-independent second route to every quantity.
+independent second route to every quantity.  scipy is used only by
+``brute_project`` and is imported on its first call, so importing this
+module (and with it the package and the CLI) does not load scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .domain import (
     BarycentricPoint,
@@ -210,6 +211,9 @@ def brute_project(emb: Embedding, vertex: int) -> BarycentricPoint:
         return objective_full(alpha)
 
     if m > 1:
+        # Imported here so that importing curvsimplex never loads scipy.
+        from scipy.optimize import minimize
+
         res = minimize(objective_free, best[:-1], method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-15,
                                 "maxiter": 20_000, "maxfev": 20_000})

@@ -111,10 +111,15 @@ def euclidean_face_volume(e: EdgeLengths, vertex: int,
 
     Uses the identity that the signed-minor sum of the apex Gram matrix at
     ``vertex`` equals the determinant of the face's own Gram matrix, so only
-    one matrix is ever built.
+    one matrix is built unless that apex Gram is singular (a flat simplex),
+    where the face's own Gram determinant is taken instead.
     """
     q = euclidean_gram(e, apex=vertex)
-    _, total = _signed_minor_rowsums(q.matrix.data)
+    try:
+        _, total = _signed_minor_rowsums(q.matrix.data)
+    except np.linalg.LinAlgError:
+        face = e.restricted(v for v in range(1, e.num_vertices + 1) if v != vertex)
+        total = euclidean_gram(face, apex=face.num_vertices).matrix.determinant()
     scale = max(1.0, float(np.max(np.abs(q.matrix.data))) ** (e.n - 1))
     if total < 0:
         if total < -tol * scale:

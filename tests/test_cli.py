@@ -7,10 +7,15 @@ output against independently known values.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvsimplex
 from curvsimplex.cli import main
 
 from conftest import TABLE_3SIMPLEX, COLLINEAR_HYPERBOLIC_EDGES
@@ -128,6 +133,13 @@ class TestVolume:
         assert code == 0
         assert float(out) == 0.0
 
+    @pytest.mark.parametrize("vertex, length", [(1, 1.0), (2, 2.0), (3, 1.0)])
+    def test_flat_face_volume_is_edge_length(self, capsys, files, vertex, length):
+        path = files("flat.json", {"edge_lengths": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
+        code, out, _ = run(capsys, ["volume", path, "--face-opposite", str(vertex)])
+        assert code == 0
+        assert float(out) == length
+
 
 class TestEmbed:
     def test_embed_round_trip(self, capsys, simplex_file):
@@ -243,6 +255,64 @@ class TestHyperbolicOverflow:
         assert code == 4
         assert out == ""
         assert "overflows" in err
+
+
+class TestRescaleOverflow:
+    """Edges times sqrt(|kappa|) beyond float64 exit 4, not with a traceback."""
+
+    @pytest.fixture
+    def huge_triangle(self, files):
+        return files("huge.json", {"edge_lengths": (1e200 * (1 - np.eye(3))).tolist()})
+
+    @pytest.mark.parametrize("extra", [["check"], ["project", "--vertex", "1"]])
+    def test_check_and_project(self, capsys, huge_triangle, extra):
+        code, out, err = run(capsys, [extra[0], huge_triangle, "--geometry", "kappa=1e300",
+                                      *extra[1:]])
+        assert code == 4
+        assert out == ""
+        assert "overflows" in err
+
+    def test_dist(self, capsys, files, huge_triangle):
+        px = files("p.json", {"barycentric": [0.5, 0.5, 0.0]})
+        py = files("q.json", {"barycentric": [0.0, 0.5, 0.5]})
+        code, out, err = run(capsys, ["dist", huge_triangle, px, py,
+                                      "--geometry", "kappa=1e300"])
+        assert code == 4
+        assert out == ""
+        assert "overflows" in err
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this curvsimplex; return stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(curvsimplex.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return proc.stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+class TestLazyScipy:
+    """scipy is imported by oracle.brute_project alone, on its first call."""
+
+    def test_cli_import_loads_no_scipy(self):
+        out = _fresh_python(f"import sys, curvsimplex.cli; print({SCIPY_MODULES})")
+        assert out.strip() == "[]"
+
+    def test_brute_project_in_fresh_interpreter(self):
+        out = _fresh_python(
+            "import json, sys\n"
+            "from curvsimplex import HYPERBOLIC, EdgeLengths, brute_project, embed, project\n"
+            f"e = EdgeLengths({TABLE_3SIMPLEX!r})\n"
+            f"before = {SCIPY_MODULES}\n"
+            "brute = brute_project(embed(e, HYPERBOLIC), 1).coords.tolist()\n"
+            "closed = project(e, HYPERBOLIC, 1).foot.coords.tolist()\n"
+            "print(json.dumps([before, 'scipy.optimize' in sys.modules, brute, closed]))\n")
+        before, loaded, brute, closed = json.loads(out)
+        assert before == []
+        assert loaded
+        assert np.allclose(brute, closed, atol=1e-6)
 
 
 class TestDeterminism:

@@ -94,8 +94,9 @@ class TestBarycentricPoint:
         with pytest.raises(ValueError, match="sum"):
             BarycentricPoint([0.5, 0.6])
 
+    # inf + -inf would make numpy warn in the sum; RuntimeWarning is an error here.
     @pytest.mark.parametrize("coords", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0],
-                                        [0.5, 0.5, -math.inf]])
+                                        [0.5, 0.5, -math.inf], [math.inf, -math.inf, 1.0]])
     def test_rejects_non_finite(self, coords):
         with pytest.raises(ValueError, match="sum"):
             BarycentricPoint(coords)
@@ -197,6 +198,12 @@ class TestModelGram:
         assert q.apex is None
         assert q.curvature == unit
         assert np.array_equal(q.matrix.data, curved_gram(scaled, unit).matrix.data)
+
+    @pytest.mark.parametrize("kappa", [1e300, -1e300])
+    def test_overflowing_rescale_raises_gram_overflow(self, kappa):
+        e = EdgeLengths(1e200 * (1 - np.eye(3)))
+        with pytest.raises(GramOverflow, match="rescale"):
+            unit_model(e, CurvatureSpec(kappa))
 
 
 class TestHullInnerProduct:

@@ -33,6 +33,7 @@ from curvsimplex.projection import _signed_minor_rowsums
 
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
+    edges_from_points,
     random_euclidean,
     random_hyperbolic,
     random_interior_point,
@@ -161,6 +162,18 @@ class TestVolumes:
     def test_edge_face_volume_is_length(self):
         e = EdgeLengths([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         assert euclidean_face_volume(e, 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_flat_triangle_face_volumes_are_edge_lengths(self):
+        # Collinear 1 + 1 = 2: the apex Gram at every vertex is exactly singular.
+        e = EdgeLengths([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        assert [euclidean_face_volume(e, v) for v in (1, 2, 3)] == [1.0, 2.0, 1.0]
+
+    def test_flat_tetrahedron_face_volumes_are_triangle_areas(self):
+        # The 3 x 4 rectangle's corners: every face is a 3-4-5 right triangle.
+        pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [3.0, 4.0]])
+        e = edges_from_points(pts)
+        for vertex in range(1, 5):
+            assert euclidean_face_volume(e, vertex) == pytest.approx(6.0, rel=1e-12)
 
 
 class TestHyperbolicProject:
