@@ -8,9 +8,9 @@ and JSON point documents ``{"barycentric": [0.25, 0.25, 0.25, 0.25]}``.
 
 Exit codes: 0 success, 2 invalid input (non-finite numbers included),
 3 geometric verdict failure (degenerate / not realizable), 4 numerical
-failure (inconsistent embedding, overflowing hyperbolic Gram).  All numeric
-logic lives in the library modules; this module only parses, dispatches, and
-formats.
+failure (inconsistent embedding; edges, a Gram matrix or a volume outside
+float64).  All numeric logic lives in the library modules; this module only
+parses, dispatches, and formats.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--geometry", default="euclidean",
                        help="euclidean | hyperbolic | spherical | kappa=<v>")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="relative zero tolerance for eigenvalue classification")
+                       help="an eigenvalue counts as zero when |lambda| <= tol * max|lambda|")
 
     p = sub.add_parser("check", help="realizability verdict and signature")
     common(p)

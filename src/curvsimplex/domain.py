@@ -22,6 +22,8 @@ from .symmat import SymMatrix
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest cosh argument whose Gram entries survive the a + a^T symmetrization.
 COSH_ARG_MAX = math.log(sys.float_info.max)
+# Edge lengths whose squares are normal float64 numbers lie in [SQRT_MIN, SQRT_MAX].
+SQRT_MIN, SQRT_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
 
 
 class Geometry(enum.Enum):
@@ -66,10 +68,11 @@ class EdgeLengths:
     """Symmetric matrix of pairwise geodesic edge lengths of an n-simplex.
 
     The matrix is (n+1) x (n+1) with zero diagonal and positive off-diagonal
-    entries; vertices are numbered 1..n+1 in the public API.
+    entries; vertices are numbered 1..n+1 in the public API.  ``shortest`` and
+    ``longest`` are the extreme edge lengths found by the validation.
     """
 
-    __slots__ = ("gamma",)
+    __slots__ = ("gamma", "shortest", "longest")
 
     def __init__(self, gamma) -> None:
         g = np.array(gamma, dtype=float)
@@ -77,19 +80,21 @@ class EdgeLengths:
             raise ValueError(f"edge-length matrix must be square, got {g.shape}")
         if g.shape[0] < 2:
             raise ValueError("a simplex needs at least 2 vertices")
-        peak = float(np.max(np.abs(g)))
-        if not math.isfinite(peak):
+        longest = float(np.max(np.abs(g)))
+        if not math.isfinite(longest):
             raise ValueError("edge lengths must be finite")
-        if np.max(np.abs(g - g.T)) > 1e-9 * max(1.0, peak):
+        if np.max(np.abs(g - g.T)) > 1e-9 * max(1.0, longest):
             raise ValueError("edge-length matrix must be symmetric")
         if np.any(np.abs(np.diag(g)) > 0):
             raise ValueError("diagonal entries must all be zero")
-        off = g[~np.eye(g.shape[0], dtype=bool)]
-        if np.any(off <= 0):
+        shortest = float(g[~np.eye(g.shape[0], dtype=bool)].min())
+        if not shortest > 0:
             raise ValueError("off-diagonal edge lengths must be positive")
-        g = 0.5 * (g + g.T)
+        g = 0.5 * g + 0.5 * g.T  # halving first: g + g.T overflows past half the float max
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "shortest", shortest)
+        object.__setattr__(self, "longest", longest)
 
     def __setattr__(self, name, value):
         raise AttributeError("EdgeLengths is immutable")
@@ -198,10 +203,14 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
     """Apex-difference Gram matrix q_ij = (g_ia^2 + g_ja^2 - g_ij^2) / 2.
 
     Rows and columns run over the non-apex vertices in ascending order.
+    Raises GramOverflow when k * longest^2 overflows or shortest^2 is subnormal.
     """
     k = e.num_vertices
     if not 1 <= apex <= k:
         raise IndexError(f"apex {apex} out of range 1..{k}")
+    if not (SQRT_MIN <= e.shortest and e.longest * math.sqrt(k) <= SQRT_MAX):
+        raise GramOverflow(
+            f"squaring edges in [{e.shortest}, {e.longest}] overflows or underflows float64")
     others = [i for i in range(k) if i != apex - 1]
     g = e.gamma
     col = g[others, apex - 1]
@@ -225,9 +234,9 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     if kappa > 0:
         q = (1.0 / kappa) * np.cos(math.sqrt(kappa) * g)
     else:
-        root, longest = math.sqrt(-kappa), float(g.max())
-        if root * longest > COSH_ARG_MAX:
-            raise GramOverflow(f"hyperbolic edge {longest} at kappa={kappa} overflows cosh")
+        root = math.sqrt(-kappa)
+        if root * e.longest > COSH_ARG_MAX:
+            raise GramOverflow(f"hyperbolic edge {e.longest} at kappa={kappa} overflows cosh")
         q = (1.0 / kappa) * np.cosh(root * g)
     return GramMatrix(SymMatrix(q), c)
 
@@ -236,15 +245,14 @@ def unit_model(e: EdgeLengths, c: CurvatureSpec) -> tuple[EdgeLengths, Curvature
     """Edges and curvature (0, -1 or +1) of the unit model: edges times sqrt(|kappa|).
 
     Lengths there are sqrt(|kappa|) times those at c; barycentric coordinates agree.
-    Raises GramOverflow when the longest rescaled edge is not finite in float64.
+    Raises GramOverflow when a rescaled edge is infinite or below the smallest normal.
     """
     kappa = c.kappa
     if kappa == 0 or abs(kappa) == 1:
         return e, c
-    if c.scale > 1:  # a factor of at most 1 cannot overflow
-        longest = float(e.gamma.max())
-        if not math.isfinite(c.scale * longest):
-            raise GramOverflow(f"edge {longest} at kappa={kappa} overflows the unit-model rescale")
+    if not (sys.float_info.min <= e.shortest * c.scale and e.longest * c.scale < math.inf):
+        raise GramOverflow(f"the unit-model rescale of edges in [{e.shortest}, {e.longest}] "
+                           f"at kappa={kappa} overflows or underflows float64")
     return e.scaled(c.scale), HYPERBOLIC if kappa < 0 else SPHERICAL
 
 

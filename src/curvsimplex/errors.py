@@ -34,7 +34,7 @@ class ProjectionDegenerate(GeometryError):
 
 
 class GramOverflow(GeometryError):
-    """Edges too long for float64: a cosh Gram entry or a unit-model rescale overflows."""
+    """A cosh Gram entry, squared edge, unit-model rescale or volume leaves float64's range."""
 
 
 class EmbeddingInconsistency(GeometryError):

@@ -57,12 +57,18 @@ def _inner_products(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint):
     return sx, sy, sxy
 
 
+def _cosine(sx: float, sy: float, sxy: float) -> float:
+    """sxy / sqrt(sx * sy) for same-signed norms, without overflowing sx * sy."""
+    big = max(abs(sx), abs(sy))  # one ratio is then exactly 1: cos(x, x) stays 1
+    return (sxy / big) / math.sqrt((sx / big) * (sy / big))
+
+
 def hyperbolic_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """arccosh(-<x,y> / sqrt(<x,x><y,y>)) for timelike hull points."""
     sx, sy, sxy = _inner_products(q, x, y)
     if sx >= 0 or sy >= 0:
         raise OutsideLightCone(f"hull norms ({sx}, {sy}) must both be negative")
-    arg = -sxy / math.sqrt(sx * sy)
+    arg = -_cosine(sx, sy, sxy)
     if arg < 1.0:
         if arg < 1.0 - CLAMP_BAND:
             raise OutsideLightCone(f"arccosh argument {arg} below 1")
@@ -75,7 +81,7 @@ def spherical_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) 
     sx, sy, sxy = _inner_products(q, x, y)
     if sx <= 0 or sy <= 0:
         raise DegenerateDirection(f"hull norms ({sx}, {sy}) must both be positive")
-    arg = sxy / math.sqrt(sx * sy)
+    arg = _cosine(sx, sy, sxy)
     if abs(arg) > 1.0:
         if abs(arg) > 1.0 + CLAMP_BAND:
             raise DegenerateDirection(f"arccos argument {arg} outside [-1, 1]")

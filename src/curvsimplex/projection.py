@@ -2,10 +2,12 @@
 
 One ``project`` body, with one realizability guard, serves every curvature;
 the per-model ``*_project`` functions are its unit-curvature cases.
-Euclidean feet come from signed-minor row sums of the apex Gram matrix; the
-signed-minor total doubles as the determinant of the face Gram matrix, which
-gives the altitude and the face volume for free.  Curved feet come from the
-first-row minors of the unit-model vertex Gram matrix (``unit_model``).
+A Euclidean foot comes from one solve w = m^-1 1 on the apex Gram matrix m at
+the projected vertex: the foot is w / (1^T w) and the altitude 1 / sqrt(1^T w).
+A Euclidean volume is prod sqrt(lambda) / n! over the apex Gram eigenvalues that
+its realizability report already holds, and a face volume is the volume of the
+face's own edges.  Curved feet come from the first-row minors of the
+unit-model vertex Gram matrix (``unit_model``).
 
 The hyperbolic foot must NOT be computed by projecting inside the convex hull
 of the vertices: the induced form there can fail to be positive definite.  The
@@ -36,6 +38,7 @@ from .domain import (
 )
 from .errors import (
     DegenerateDirection,
+    GramOverflow,
     NotRealizableInput,
     OutsideLightCone,
     ProjectionDegenerate,
@@ -61,71 +64,49 @@ class ProjectionResult:
     foot_model: BarycentricPoint | None = None
 
 
-def _cofactor_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix of signed minors (-1)^(i+j) M_ij for an invertible matrix."""
-    det = np.linalg.det(m)
-    return det * np.linalg.inv(m).T
-
-
-def _signed_minor_rowsums(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Row sums of (-1)^(i+j) M_ij and their total."""
-    cof = _cofactor_matrix(m)
-    rows = cof.sum(axis=1)
-    return rows, float(rows.sum())
-
-
 def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[np.ndarray, float]:
-    """Foot coordinates and altitude from the apex Gram matrix at ``vertex``.
+    """Foot coordinates and altitude from the apex Gram matrix m at ``vertex``.
 
-    Coordinates of the foot are signed-minor row sums of the apex Gram matrix
-    built at the projected vertex, normalized by their total (which equals
-    the determinant of the face Gram matrix).  The altitude is
-    sqrt(det(Q) / det(Q_face)).
+    The foot h satisfies <p_i, h> = |h|^2 for every face vertex p_i, so its
+    coordinates are w / (1^T w) with w = m^-1 1, and |h|^2 = 1 / (1^T w).
     """
     m = euclidean_gram(e, apex=vertex).matrix.data
-    rows, total = _signed_minor_rowsums(m)
-    if total <= 0:
-        raise ProjectionDegenerate(f"face Gram determinant {total} is not positive")
-    coords = np.insert(rows / total, vertex - 1, 0.0)
-    return coords, math.sqrt(max(float(np.linalg.det(m)) / total, 0.0))
+    w = np.linalg.solve(m, np.ones(e.n))
+    total = float(w.sum())
+    if not 0 < total < math.inf:
+        raise ProjectionDegenerate(f"1^T m^-1 1 = {total} is not positive")
+    return np.insert(w / total, vertex - 1, 0.0), 1.0 / math.sqrt(total)
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
-    """n-dimensional volume sqrt(det(Q)) / n! (zero for flat configurations)."""
+    """prod sqrt(lambda) / n! over the apex Gram eigenvalues ``check_euclidean`` classified.
+
+    Degenerate (flat) edge sets have volume 0.0; GramOverflow if it leaves float64.
+    """
     report = check_euclidean(e, tol)
     if report.verdict is Verdict.NOT_REALIZABLE:
         raise NotRealizableInput(f"not a Euclidean edge set: {report.detail}")
-    q = euclidean_gram(e, apex=e.num_vertices)
-    det = q.matrix.determinant()
-    scale = max(1.0, float(np.max(np.abs(q.matrix.data))) ** e.n)
-    if det < 0:
-        if det < -tol * scale:
-            raise NotRealizableInput(f"negative Gram determinant {det}")
-        det = 0.0
-    return math.sqrt(det) / math.factorial(e.n)
+    if report.verdict is Verdict.DEGENERATE:
+        return 0.0
+    volume = math.prod(np.sqrt(report.eigenvalues).tolist()) / math.factorial(e.n)
+    if not 0 < volume < math.inf:
+        raise GramOverflow(f"volume of edges in [{e.shortest}, {e.longest}] "
+                           "overflows or underflows float64")
+    return volume
 
 
 def euclidean_face_volume(e: EdgeLengths, vertex: int,
                           tol: float = DEFAULT_TOL) -> float:
-    """Volume of the face opposite ``vertex``: sqrt of the signed-minor sum.
+    """Volume of the face opposite ``vertex``: ``euclidean_volume`` of its edges.
 
-    Uses the identity that the signed-minor sum of the apex Gram matrix at
-    ``vertex`` equals the determinant of the face's own Gram matrix, so only
-    one matrix is built unless that apex Gram is singular (a flat simplex),
-    where the face's own Gram determinant is taken instead.
+    The face of a 2-vertex simplex is a point, of volume 1.0.
     """
-    q = euclidean_gram(e, apex=vertex)
-    try:
-        _, total = _signed_minor_rowsums(q.matrix.data)
-    except np.linalg.LinAlgError:
-        face = e.restricted(v for v in range(1, e.num_vertices + 1) if v != vertex)
-        total = euclidean_gram(face, apex=face.num_vertices).matrix.determinant()
-    scale = max(1.0, float(np.max(np.abs(q.matrix.data))) ** (e.n - 1))
-    if total < 0:
-        if total < -tol * scale:
-            raise NotRealizableInput(f"negative face Gram determinant {total}")
-        total = 0.0
-    return math.sqrt(total) / math.factorial(e.n - 1)
+    k = e.num_vertices
+    if not 1 <= vertex <= k:
+        raise IndexError(f"vertex {vertex} out of range 1..{k}")
+    if k == 2:
+        return 1.0
+    return euclidean_volume(e.restricted(v for v in range(1, k + 1) if v != vertex), tol)
 
 
 def _curved_foot(e: EdgeLengths, c: CurvatureSpec, vertex: int) -> BarycentricPoint:

@@ -58,7 +58,7 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
         verdict = Verdict.NOT_REALIZABLE
         detail = f"signature {sig.as_tuple()} incompatible with target ({plus},{minus},0)"
     # Edge lengths on the unit sphere are the edges times sqrt(kappa).
-    if c.kappa > 0 and float(e.gamma.max()) * c.scale >= math.pi / 2:
+    if c.kappa > 0 and e.longest * c.scale >= math.pi / 2:
         verdict, detail = Verdict.NOT_REALIZABLE, "edge >= pi/2"
     return RealizabilityReport(verdict, sig, detail, eig)
 

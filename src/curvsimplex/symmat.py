@@ -36,11 +36,12 @@ class Signature:
     def of(cls, eig: np.ndarray, tol: float = DEFAULT_TOL) -> "Signature":
         """Classify eigenvalues as positive/negative/zero.
 
-        An eigenvalue counts as zero when |lambda| <= tol * max(1, max|lambda|).
+        An eigenvalue counts as zero when |lambda| <= tol * max|lambda|, so the
+        verdict does not change when the matrix is scaled.
         """
         if tol < 0:
             raise ValueError("tol must be nonnegative")
-        cutoff = tol * max(1.0, float(np.max(np.abs(eig))) if eig.size else 1.0)
+        cutoff = tol * (float(np.abs(eig).max()) if eig.size else 0.0)
         n_zero = int(np.sum(np.abs(eig) <= cutoff))
         n_plus = int(np.sum(eig > cutoff))
         n_minus = int(np.sum(eig < -cutoff))

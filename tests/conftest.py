@@ -108,3 +108,13 @@ COLLINEAR_HYPERBOLIC_EDGES = [
     [math.acosh(math.sqrt(2)), 0.0, math.acosh(math.sqrt(10) - 2)],
     [math.acosh(math.sqrt(5)), math.acosh(math.sqrt(10) - 2), 0.0],
 ]
+
+# Vertex 5 is at distance 1 from every vertex of the face opposite it, whose apex
+# Gram matrix has signature (1, 2, 0): that face is no Euclidean tetrahedron.
+NON_EUCLIDEAN_FACE_EDGES = [
+    [0.0, 1.075, 2.966, 1.702, 1.0],
+    [1.075, 0.0, 1.594, 0.604, 1.0],
+    [2.966, 1.594, 0.0, 0.701, 1.0],
+    [1.702, 0.604, 0.701, 0.0, 1.0],
+    [1.0, 1.0, 1.0, 1.0, 0.0],
+]

@@ -5,20 +5,25 @@ Each test writes small JSON documents to a temp directory, invokes
 output against independently known values.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import curvsimplex
 from curvsimplex.cli import main
 
-from conftest import TABLE_3SIMPLEX, COLLINEAR_HYPERBOLIC_EDGES
+from conftest import TABLE_3SIMPLEX, COLLINEAR_HYPERBOLIC_EDGES, NON_EUCLIDEAN_FACE_EDGES
 
 
 @pytest.fixture
@@ -139,6 +144,12 @@ class TestVolume:
         code, out, _ = run(capsys, ["volume", path, "--face-opposite", str(vertex)])
         assert code == 0
         assert float(out) == length
+
+    def test_not_realizable_face_exit_3(self, capsys, files):
+        path = files("five.json", {"edge_lengths": NON_EUCLIDEAN_FACE_EDGES})
+        code, out, err = run(capsys, ["volume", path, "--face-opposite", "5"])
+        assert (code, out) == (3, "")
+        assert "not a Euclidean edge set" in err
 
 
 class TestEmbed:
@@ -282,6 +293,47 @@ class TestRescaleOverflow:
         assert "overflows" in err
 
 
+class TestFloatRange:
+    """Edges at the ends of float64: exit 4 when their squares, their unit-model
+    rescale or the volume leave its range, and a right answer otherwise."""
+
+    def test_squared_edges_overflow(self, capsys, files):
+        path = files("huge.json", {"edge_lengths": (1e200 * (1 - np.eye(4))).tolist()})
+        px = files("p.json", {"barycentric": [0.25] * 4})
+        py = files("q.json", {"barycentric": [1 / 3, 1 / 3, 1 / 3, 0.0]})
+        for argv in (["check", path], ["dist", path, px, py], ["volume", path]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (4, "")
+            assert "overflows" in err
+
+    @pytest.mark.parametrize("edge", [1e-157, 1e150])
+    def test_volume_out_of_range(self, capsys, files, edge):
+        path = files("t.json", {"edge_lengths": (edge * (1 - np.eye(4))).tolist()})
+        code, out, err = run(capsys, ["volume", path])
+        assert (code, out) == (4, "")
+        assert "overflows or underflows" in err
+
+    def test_underflowing_rescale(self, capsys, files):
+        path = files("tiny.json", {"edge_lengths": (1e-200 * (1 - np.eye(3))).tolist()})
+        code, out, err = run(capsys, ["check", path, "--geometry", "kappa=1e-300"])
+        assert (code, out) == (4, "")
+        assert "rescale" in err
+
+    def test_large_volume(self, capsys, files):
+        path = files("t.json", {"edge_lengths": (1e60 * (1 - np.eye(4))).tolist()})
+        code, out, _ = run(capsys, ["volume", path])
+        assert code == 0
+        assert float(out) == pytest.approx(math.sqrt(2) / 12 * 1e180, rel=1e-11)
+
+    def test_long_hyperbolic_edges_dist(self, capsys, files):
+        path = files("long.json", {"edge_lengths": (500.0 * (1 - np.eye(3))).tolist()})
+        px = files("p.json", {"barycentric": [0.5, 0.5, 0.0]})
+        py = files("q.json", {"barycentric": [0.0, 0.5, 0.5]})
+        code, out, _ = run(capsys, ["dist", path, px, py, "--geometry", "hyperbolic"])
+        assert code == 0
+        assert out.strip() == "0.962423650119"
+
+
 def _fresh_python(code: str) -> str:
     """Run ``code`` in a new interpreter that imports this curvsimplex; return stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(curvsimplex.__file__).parent.parent))
@@ -321,3 +373,48 @@ class TestDeterminism:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+NON_FINITE_WORD = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@st.composite
+def cli_calls(draw):
+    """A CLI call on a point-built simplex (one edge sometimes inflated) at any scale."""
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.normal(size=(k, k - 1))
+    gamma = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    if draw(st.booleans()):
+        gamma[0, 1] = gamma[1, 0] = 3.0 * gamma[0, 1]
+    gamma *= 10.0 ** draw(st.floats(-200, 200))
+    sign = draw(st.sampled_from([0.0, -1.0, 1.0]))
+    kappa = sign * 10.0 ** draw(st.floats(-300, 300))
+    command = draw(st.sampled_from(["check", "dist", "project", "volume"]))
+    return gamma, kappa, command, draw(st.integers(0, k)), rng.uniform(0.01, 1, size=(2, k))
+
+
+class TestFuzz:
+    @given(cli_calls())
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_codes_and_finite_output(self, tmp_path, call):
+        gamma, kappa, command, vertex, weights = call
+        simplex = tmp_path / "simplex.json"
+        simplex.write_text(json.dumps({"edge_lengths": gamma.tolist()}))
+        argv = [command, str(simplex)]
+        if command != "volume":
+            argv += ["--geometry", f"kappa={kappa!r}"]
+        if command == "dist":
+            for name, w in zip(("x.json", "y.json"), weights):
+                (tmp_path / name).write_text(json.dumps({"barycentric": (w / w.sum()).tolist()}))
+                argv.append(str(tmp_path / name))
+        elif command == "project":
+            argv += ["--vertex", str(max(vertex, 1))]
+        elif command == "volume" and vertex:  # else the volume of the whole simplex
+            argv += ["--face-opposite", str(vertex)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert not NON_FINITE_WORD.search(out.getvalue()), out.getvalue()

@@ -55,6 +55,15 @@ class TestEdgeLengths:
         with pytest.raises(ValueError, match="finite"):
             EdgeLengths([[bad, 1.0], [1.0, 0.0]])
 
+    def test_shortest_and_longest(self, table_simplex):
+        assert (table_simplex.shortest, table_simplex.longest) == (2.0, 5.0)
+
+    def test_edges_past_half_the_float_max(self):
+        # Symmetrizing as g + g^T would overflow (and warn) here.
+        e = EdgeLengths(1.7e308 * (1 - np.eye(3)))
+        assert e.longest == 1.7e308
+        assert np.all(e.gamma[~np.eye(3, dtype=bool)] == 1.7e308)
+
     def test_scaled(self, table_simplex):
         assert table_simplex.scaled(2.0).length(1, 2) == 4.0
 
@@ -142,6 +151,21 @@ class TestEuclideanGram:
                     table_simplex.length(v, apex) ** 2)
 
 
+    @pytest.mark.parametrize("k, edge", [(4, 1e200), (11, 9e153), (4, 1e-157)])
+    def test_squared_edges_outside_float_range_raise(self, k, edge):
+        # k * edge^2 overflows, or edge^2 is subnormal.
+        e = EdgeLengths(edge * (1 - np.eye(k)))
+        with pytest.raises(GramOverflow, match="squaring"):
+            euclidean_gram(e, apex=1)
+        with pytest.raises(GramOverflow):
+            model_gram(e, EUCLIDEAN)
+
+    @pytest.mark.parametrize("edge", [1e150, 1e-150])
+    def test_squared_edges_inside_float_range(self, edge):
+        q = euclidean_gram(EdgeLengths(edge * (1 - np.eye(4))), apex=1).matrix.data
+        assert np.allclose(q, 0.5 * edge ** 2 * (1 + np.eye(3)), rtol=1e-15, atol=0)
+
+
 class TestCurvedGram:
     def test_reference_hyperbolic(self, table_simplex):
         q = curved_gram(table_simplex, HYPERBOLIC)
@@ -202,6 +226,13 @@ class TestModelGram:
     @pytest.mark.parametrize("kappa", [1e300, -1e300])
     def test_overflowing_rescale_raises_gram_overflow(self, kappa):
         e = EdgeLengths(1e200 * (1 - np.eye(3)))
+        with pytest.raises(GramOverflow, match="rescale"):
+            unit_model(e, CurvatureSpec(kappa))
+
+    @pytest.mark.parametrize("kappa", [1e-300, -1e-300])
+    def test_underflowing_rescale_raises_gram_overflow(self, kappa):
+        # sqrt(1e-300) * 1e-200 = 1e-350 rounds to zero.
+        e = EdgeLengths(1e-200 * (1 - np.eye(3)))
         with pytest.raises(GramOverflow, match="rescale"):
             unit_model(e, CurvatureSpec(kappa))
 

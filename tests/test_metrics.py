@@ -84,6 +84,22 @@ class TestHyperbolicDistance:
             hyperbolic_distance(g, x, x)
 
 
+    @pytest.mark.parametrize("x, y, reference", [
+        ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], 0.962423650119207),
+        ([1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0], 0.549306144334055),
+        ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], 0.532502090002618),
+    ])
+    def test_long_edges_match_high_precision_reference(self, x, y, reference):
+        # Regular triangle with edge 500: the hull norms are about cosh(500) / 2,
+        # so their product overflows float64.  References: mpmath at 60 digits.
+        e = EdgeLengths(500.0 * (1 - np.eye(3)))
+        x, y = BarycentricPoint(x), BarycentricPoint(y)
+        assert distance(e, HYPERBOLIC, x, y) == pytest.approx(reference, rel=1e-11)
+        assert distance(e.scaled(0.5), CurvatureSpec(-4.0), x, y) == pytest.approx(
+            reference / 2, rel=1e-11)
+        assert distance(e, HYPERBOLIC, x, x) == 0.0
+
+
 class TestSphericalDistance:
     def test_edge_recovery(self):
         rng = np.random.default_rng(17)

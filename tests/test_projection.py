@@ -9,9 +9,11 @@ from curvsimplex import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
+    GramOverflow,
     HYPERBOLIC,
     NotRealizableInput,
     SPHERICAL,
+    Verdict,
     brute_distance,
     brute_project,
     check_euclidean,
@@ -29,10 +31,10 @@ from curvsimplex import (
     project_onto_subface,
     spherical_project,
 )
-from curvsimplex.projection import _signed_minor_rowsums
 
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
+    NON_EUCLIDEAN_FACE_EDGES,
     edges_from_points,
     random_euclidean,
     random_hyperbolic,
@@ -84,6 +86,25 @@ class TestEuclideanProject:
         assert not res.inside_face
         assert res.foot.has_negative
 
+    @pytest.mark.parametrize("s", [1e-100, 1e-5, 1e5, 1e100])
+    def test_scaling_keeps_verdict_and_scales_volume_and_altitude(self, s):
+        rng = np.random.default_rng(23)
+        for n in (2, 3):
+            e = random_euclidean(rng, n)
+            big = e.scaled(s)
+            assert check_euclidean(big).verdict is Verdict.REALIZABLE
+            assert euclidean_volume(big) == pytest.approx(
+                s ** n * euclidean_volume(e), rel=1e-12)
+            for vertex in range(1, n + 2):
+                res, res_big = euclidean_project(e, vertex), euclidean_project(big, vertex)
+                assert res_big.altitude == pytest.approx(s * res.altitude, rel=1e-12)
+                assert np.allclose(res_big.foot.coords, res.foot.coords, rtol=0, atol=1e-12)
+        flat = EdgeLengths([[0, 1, 2], [1, 0, 1], [2, 1, 0]]).scaled(s)
+        assert check_euclidean(flat).verdict is Verdict.DEGENERATE
+        assert euclidean_volume(flat) == 0.0
+        bad = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]]).scaled(s)
+        assert check_euclidean(bad).verdict is Verdict.NOT_REALIZABLE
+
     def test_minimizes_distance_over_face(self, table_simplex):
         rng = np.random.default_rng(13)
         g = euclidean_gram(table_simplex, apex=1)
@@ -95,6 +116,12 @@ class TestEuclideanProject:
             assert res.altitude <= euclidean_distance(g, v1, y) + 1e-9
 
 
+def signed_minor_sum(q):
+    """Sum of the signed minors (-1)^(i+j) M_ij over every entry of q."""
+    return sum((-1.0) ** (i + j) * q.minor(i, j)
+               for i in range(1, q.dim + 1) for j in range(1, q.dim + 1))
+
+
 class TestDeterminantIdentities:
     def test_lemma_altitude_identity(self):
         rng = np.random.default_rng(19)
@@ -104,7 +131,7 @@ class TestDeterminantIdentities:
             vertex = int(rng.integers(1, n + 2))
             q = euclidean_gram(e, apex=vertex).matrix
             res = euclidean_project(e, vertex)
-            _, face_det = _signed_minor_rowsums(q.data)
+            face_det = signed_minor_sum(q)
             lhs = q.determinant()
             rhs = res.altitude ** 2 * face_det
             assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -116,7 +143,7 @@ class TestDeterminantIdentities:
             e = random_euclidean(rng, n)
             vertex = int(rng.integers(1, n + 2))
             q = euclidean_gram(e, apex=vertex).matrix
-            _, total = _signed_minor_rowsums(q.data)
+            total = signed_minor_sum(q)
             face = [v for v in range(1, n + 2) if v != vertex]
             face_edges = e.restricted(face)
             face_apex = int(rng.integers(1, n + 1))
@@ -158,6 +185,49 @@ class TestVolumes:
             s = (a + b + c) / 2
             heron = math.sqrt(s * (s - a) * (s - b) * (s - c))
             assert euclidean_face_volume(e, vertex) == pytest.approx(heron, rel=1e-10)
+
+    def test_volume_agrees_with_verdict(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            if rng.random() < 0.2:  # collinear points: a flat simplex
+                t = rng.uniform(0, 3, size=n + 1)
+                g = np.abs(t[:, None] - t[None, :])
+            else:
+                g = np.triu(rng.uniform(0.2, 2.0, size=(n + 1, n + 1)), 1)
+                g = g + g.T
+            e = EdgeLengths(g)
+            verdict = check_euclidean(e).verdict
+            seen.add(verdict)
+            if verdict is Verdict.NOT_REALIZABLE:
+                with pytest.raises(NotRealizableInput):
+                    euclidean_volume(e)
+            elif verdict is Verdict.DEGENERATE:
+                assert euclidean_volume(e) == 0.0
+            else:
+                assert 0 < euclidean_volume(e) < math.inf
+        assert seen == set(Verdict)
+
+    def test_not_realizable_face_rejected(self):
+        with pytest.raises(NotRealizableInput):
+            euclidean_face_volume(EdgeLengths(NON_EUCLIDEAN_FACE_EDGES), 5)
+
+    def test_large_edge_volumes(self):
+        e = EdgeLengths(1e60 * (1 - np.eye(4)))
+        assert euclidean_volume(e) == pytest.approx(math.sqrt(2) / 12 * 1e180, rel=1e-12)
+        assert euclidean_face_volume(e, 2) == pytest.approx(math.sqrt(3) / 4 * 1e120, rel=1e-12)
+        with pytest.raises(GramOverflow):
+            euclidean_volume(EdgeLengths(1e150 * (1 - np.eye(4))))
+
+    def test_face_vertex_out_of_range(self, table_simplex):
+        for vertex in (0, 5):
+            with pytest.raises(IndexError):
+                euclidean_face_volume(table_simplex, vertex)
+
+    def test_point_face_of_an_edge(self):
+        e = EdgeLengths([[0, 2.5], [2.5, 0]])
+        assert [euclidean_face_volume(e, v) for v in (1, 2)] == [1.0, 1.0]
 
     def test_edge_face_volume_is_length(self):
         e = EdgeLengths([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
