@@ -178,19 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol_help="an eigenvalue counts as zero when |lambda| <= tol * max|lambda|"):
         p.add_argument("simplex", help="JSON simplex document")
         p.add_argument("--geometry", default="euclidean",
                        help="euclidean | hyperbolic | spherical | kappa=<v>")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="an eigenvalue counts as zero when |lambda| <= tol * max|lambda|")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=tol_help)
 
     p = sub.add_parser("check", help="realizability verdict and signature")
     common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("dist", help="distance between two barycentric points")
-    common(p)
+    common(p, tol_help="euclidean only: a negative squared distance above -tol is "
+                       "clamped to 0, below it exits 3; unused for curved geometries")
     p.add_argument("point_x", help="JSON point document")
     p.add_argument("point_y", help="JSON point document")
     p.set_defaults(func=cmd_dist)

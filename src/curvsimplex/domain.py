@@ -70,6 +70,12 @@ class EdgeLengths:
     The matrix is (n+1) x (n+1) with zero diagonal and positive off-diagonal
     entries; vertices are numbered 1..n+1 in the public API.  ``shortest`` and
     ``longest`` are the extreme edge lengths found by the validation.
+
+    ``EdgeLengths(gamma)`` validates and symmetrizes its input.  ``scaled``,
+    ``permuted`` and ``restricted`` do not: a scaled, relabeled or restricted
+    valid edge set is valid, so they check only what their own arguments can
+    break (the factor and the range of the scaled extremes, the vertex
+    numbers) and carry the read-only matrix and its extremes over.
     """
 
     __slots__ = ("gamma", "shortest", "longest")
@@ -111,23 +117,47 @@ class EdgeLengths:
     def length(self, i: int, j: int) -> float:
         return float(self.gamma[i - 1, j - 1])
 
+    @classmethod
+    def _derived(cls, gamma: np.ndarray, shortest: float, longest: float) -> "EdgeLengths":
+        """Edge set of an exactly symmetric matrix derived from a validated one."""
+        obj = object.__new__(cls)
+        gamma.setflags(write=False)
+        object.__setattr__(obj, "gamma", gamma)
+        object.__setattr__(obj, "shortest", shortest)
+        object.__setattr__(obj, "longest", longest)
+        return obj
+
     def scaled(self, factor: float) -> "EdgeLengths":
         """New edge set with every length multiplied by factor > 0."""
-        if factor <= 0:
+        if not factor > 0:
             raise ValueError("scale factor must be positive")
-        return EdgeLengths(self.gamma * factor)
+        shortest, longest = float(self.shortest * factor), float(self.longest * factor)
+        if not longest < math.inf:
+            raise ValueError("edge lengths must be finite")
+        if not shortest > 0:
+            raise ValueError("off-diagonal edge lengths must be positive")
+        return self._derived(self.gamma * factor, shortest, longest)
 
     def permuted(self, order) -> "EdgeLengths":
         """Relabel vertices so new vertex k is old vertex order[k] (1-based)."""
         idx = np.asarray(order, dtype=int) - 1
         if sorted(idx.tolist()) != list(range(self.num_vertices)):
             raise ValueError("order must be a permutation of 1..num_vertices")
-        return EdgeLengths(self.gamma[np.ix_(idx, idx)])
+        return self._derived(self.gamma[np.ix_(idx, idx)], self.shortest, self.longest)
 
     def restricted(self, vertices) -> "EdgeLengths":
         """Sub-simplex spanned by the given vertices (1-based, >= 2 of them)."""
-        idx = np.asarray(sorted(set(vertices)), dtype=int) - 1
-        return EdgeLengths(self.gamma[np.ix_(idx, idx)])
+        keep = sorted(set(vertices))
+        k = self.num_vertices
+        for v in keep:
+            if not 1 <= v <= k:
+                raise IndexError(f"vertex {v} out of range 1..{k}")
+        if len(keep) < 2:
+            raise ValueError("a simplex needs at least 2 vertices")
+        idx = np.asarray(keep, dtype=int) - 1
+        g = self.gamma[np.ix_(idx, idx)]
+        off = g[~np.eye(len(keep), dtype=bool)]
+        return self._derived(g, float(off.min()), float(off.max()))
 
     def __repr__(self) -> str:
         return f"EdgeLengths({self.gamma.tolist()!r})"
@@ -264,14 +294,19 @@ def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     return curved_gram(e, c)
 
 
-def hull_inner_product(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """Model-space inner product <x, y> = x^T Q y of two hull points."""
+def _vertex_gram_data(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> np.ndarray:
+    """The full vertex Gram array, once q is curved and both points match its size."""
     if q.curvature.kappa == 0:
         raise WrongModel("hull inner product needs a full curved Gram matrix")
     m = q.matrix.data
     if x.coords.size != m.shape[0] or y.coords.size != m.shape[0]:
         raise ValueError("coordinate length does not match Gram dimension")
-    return float(x.coords @ m @ y.coords)
+    return m
+
+
+def hull_inner_product(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
+    """Model-space inner product <x, y> = x^T Q y of two hull points."""
+    return float(x.coords @ _vertex_gram_data(q, x, y) @ y.coords)
 
 
 def lift_to_model(q: GramMatrix, x: BarycentricPoint) -> BarycentricPoint:

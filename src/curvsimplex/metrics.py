@@ -18,7 +18,7 @@ from .domain import (
     CurvatureSpec,
     EdgeLengths,
     GramMatrix,
-    hull_inner_product,
+    _vertex_gram_data,
     model_gram,
 )
 from .errors import (
@@ -50,11 +50,13 @@ def euclidean_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
 
 
 def _inner_products(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint):
-    """(<x,x>, <y,y>, <x,y>) through the vertex Gram matrix."""
-    sx = hull_inner_product(q, x, x)
-    sy = hull_inner_product(q, y, y)
-    sxy = hull_inner_product(q, x, y)
-    return sx, sy, sxy
+    """(<x,x>, <y,y>, <x,y>) through the vertex Gram matrix, forming x^T Q once.
+
+    Each product is (x^T Q) y, associated as in ``hull_inner_product``.
+    """
+    m = _vertex_gram_data(q, x, y)
+    xq = x.coords @ m
+    return float(xq @ x.coords), float(y.coords @ m @ y.coords), float(xq @ y.coords)
 
 
 def _cosine(sx: float, sy: float, sxy: float) -> float:

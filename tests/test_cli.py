@@ -95,6 +95,16 @@ class TestDist:
         assert code == 0
         assert float(out) == pytest.approx(0.63997, abs=1e-4)
 
+    def test_tol_help_names_the_clamp_floor(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["dist", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "clamped to 0" in out and "unused for curved geometries" in out
+        assert "eigenvalue" not in out
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert "eigenvalue counts as zero" in " ".join(capsys.readouterr().out.split())
+
 
 class TestProject:
     def test_euclidean_foot_json(self, capsys, simplex_file):

@@ -27,7 +27,12 @@ from curvsimplex import (
     unit_model,
 )
 
-from conftest import TABLE_3SIMPLEX, random_hyperbolic, random_interior_point
+from conftest import (
+    TABLE_3SIMPLEX,
+    random_hyperbolic,
+    random_interior_point,
+    random_simplex,
+)
 
 
 class TestEdgeLengths:
@@ -75,6 +80,17 @@ class TestEdgeLengths:
         sub = table_simplex.restricted([2, 3, 4])
         assert sub.n == 2
         assert sub.length(1, 2) == table_simplex.length(2, 3)
+
+    @pytest.mark.parametrize("vertices, bad", [([0, 2], 0), ([2, 4], 4), ([-1, 2], -1)])
+    def test_restricted_vertex_out_of_range(self, vertices, bad):
+        e = EdgeLengths([row[:3] for row in TABLE_3SIMPLEX[:3]])
+        with pytest.raises(IndexError, match=rf"vertex {bad} out of range 1\.\.3"):
+            e.restricted(vertices)
+
+    @pytest.mark.parametrize("vertices", [[], [2], [2, 2]])
+    def test_restricted_needs_two_vertices(self, table_simplex, vertices):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            table_simplex.restricted(vertices)
 
 
 class TestCurvatureSpec:
@@ -235,6 +251,100 @@ class TestModelGram:
         e = EdgeLengths(1e-200 * (1 - np.eye(3)))
         with pytest.raises(GramOverflow, match="rescale"):
             unit_model(e, CurvatureSpec(kappa))
+
+
+DERIVED_KAPPAS = [0.0, -1.0, 1.0, -0.3, 0.3]
+DERIVED_SIZES = [2, 3, 10, 40]
+
+
+@pytest.fixture(scope="module")
+def derived_grid():
+    """Seeded realizable simplices over the curvature x dimension grid."""
+    rng = np.random.default_rng(20261018)
+    return [(kappa, random_simplex(rng, n, CurvatureSpec(kappa)))
+            for kappa in DERIVED_KAPPAS for n in DERIVED_SIZES]
+
+
+def assert_same_edge_set(derived, validated):
+    assert np.array_equal(derived.gamma, validated.gamma)
+    assert (derived.shortest, derived.longest) == (validated.shortest, validated.longest)
+    assert not derived.gamma.flags.writeable
+
+
+class TestDerivedEdgeLengths:
+    """scaled / permuted / restricted skip validation but equal a validated build."""
+
+    @pytest.mark.parametrize("factor", [1e-3, 0.3, 1.0, 1.7, math.sqrt(0.3), 1e5])
+    def test_scaled_equals_validated(self, derived_grid, factor):
+        for _, e in derived_grid:
+            assert_same_edge_set(e.scaled(factor), EdgeLengths(e.gamma * factor))
+
+    def test_permuted_equals_validated(self, derived_grid):
+        rng = np.random.default_rng(1)
+        for _, e in derived_grid:
+            order = rng.permutation(e.num_vertices) + 1
+            idx = order - 1
+            assert_same_edge_set(e.permuted(order), EdgeLengths(e.gamma[np.ix_(idx, idx)]))
+
+    def test_restricted_equals_validated(self, derived_grid):
+        rng = np.random.default_rng(2)
+        for _, e in derived_grid:
+            for size in {2, max(2, e.num_vertices // 2), e.num_vertices}:
+                keep = np.sort(rng.choice(e.num_vertices, size=size, replace=False))
+                sub = e.restricted((keep + 1).tolist())
+                assert_same_edge_set(sub, EdgeLengths(e.gamma[np.ix_(keep, keep)]))
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, -math.inf])
+    def test_scaled_rejects_bad_factor(self, table_simplex, factor):
+        with pytest.raises(ValueError, match="positive"):
+            table_simplex.scaled(factor)
+
+    @pytest.mark.parametrize("edge, factor", [(2.0, 1e308), (1.0, math.inf)])
+    def test_scaled_rejects_overflow(self, edge, factor):
+        with pytest.raises(ValueError, match="finite"):
+            EdgeLengths(edge * (1 - np.eye(3))).scaled(factor)
+
+    def test_scaled_rejects_underflow(self):
+        with pytest.raises(ValueError, match="positive"):
+            EdgeLengths(1e-200 * (1 - np.eye(3))).scaled(1e-200)
+
+
+def raw_euclidean_gram(e, apex):
+    """The apex Gram formula, before any symmetrization."""
+    others = [i for i in range(e.num_vertices) if i != apex - 1]
+    g = e.gamma
+    col = g[others, apex - 1]
+    return 0.5 * (col[:, None] ** 2 + col[None, :] ** 2 - g[np.ix_(others, others)] ** 2)
+
+
+def raw_curved_gram(e, kappa):
+    """The vertex Gram formula, before any symmetrization."""
+    if kappa > 0:
+        return (1.0 / kappa) * np.cos(math.sqrt(kappa) * e.gamma)
+    return (1.0 / kappa) * np.cosh(math.sqrt(-kappa) * e.gamma)
+
+
+def assert_symmetrization_is_exact(raw, data):
+    """raw is exactly symmetric, so the builder stored it bit for bit, read-only."""
+    assert np.array_equal(raw, raw.T)
+    assert np.array_equal(data, raw)
+    assert not data.flags.writeable
+
+
+class TestGramsAreExactlySymmetric:
+    """Grams built from a symmetric edge matrix need no symmetrization."""
+
+    def test_euclidean_gram_every_apex(self, derived_grid):
+        for _, e in derived_grid:
+            for apex in range(1, e.num_vertices + 1):
+                assert_symmetrization_is_exact(raw_euclidean_gram(e, apex),
+                                               euclidean_gram(e, apex).matrix.data)
+
+    def test_curved_gram(self, derived_grid):
+        for kappa, e in derived_grid:
+            if kappa != 0:
+                assert_symmetrization_is_exact(raw_curved_gram(e, kappa),
+                                               curved_gram(e, CurvatureSpec(kappa)).matrix.data)
 
 
 class TestHullInnerProduct:

@@ -19,9 +19,11 @@ from curvsimplex import (
     embed,
     euclidean_distance,
     euclidean_gram,
+    hull_inner_product,
     hyperbolic_distance,
     spherical_distance,
 )
+from curvsimplex.metrics import _inner_products
 
 from conftest import (
     random_euclidean,
@@ -153,6 +155,23 @@ class TestDistanceDispatch:
         d_flat = distance(table_simplex, EUCLIDEAN, p, q)
         d_nearly_flat = distance(table_simplex, CurvatureSpec(-1e-6), p, q)
         assert d_nearly_flat == pytest.approx(d_flat, abs=1e-4)
+
+
+class TestInnerProducts:
+    """The curved distance kernels evaluate the public hull inner products."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    def test_inner_products_are_hull_inner_products(self, n):
+        rng = np.random.default_rng(100 + n)
+        for e, c in ((random_hyperbolic(rng, n), HYPERBOLIC),
+                     (random_spherical(rng, n), SPHERICAL)):
+            q = curved_gram(e, c)
+            for _ in range(5):
+                x = BarycentricPoint(random_interior_point(rng, n + 1))
+                y = BarycentricPoint(random_interior_point(rng, n + 1))
+                assert _inner_products(q, x, y) == (
+                    hull_inner_product(q, x, x), hull_inner_product(q, y, y),
+                    hull_inner_product(q, x, y))
 
 
 class TestInvariants:
