@@ -14,7 +14,6 @@ from .domain import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
-    Geometry,
     GramMatrix,
     curved_gram,
     euclidean_gram,
@@ -50,7 +49,6 @@ from .projection import (
     euclidean_volume,
     hyperbolic_project,
     project,
-    project_onto_subface,
     spherical_project,
 )
 from .realizability import (
@@ -73,7 +71,6 @@ __all__ = [
     "Embedding",
     "EmbeddingInconsistency",
     "EUCLIDEAN",
-    "Geometry",
     "GeometryError",
     "GramMatrix",
     "GramOverflow",
@@ -111,7 +108,6 @@ __all__ = [
     "lift_to_model",
     "model_gram",
     "project",
-    "project_onto_subface",
     "spherical_distance",
     "spherical_project",
     "unit_model",

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .domain import BarycentricPoint, CurvatureSpec, EdgeLengths
 from .errors import EmbeddingInconsistency, GeometryError, GramOverflow
-from .metrics import distance
+from .metrics import SQUARED_DISTANCE_FLOOR, distance
 from .oracle import embed
 from .projection import euclidean_face_volume, euclidean_volume, project
 from .realizability import Verdict, check
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "clamped to 0, below it exits 3; unused for curved geometries")
     p.add_argument("point_x", help="JSON point document")
     p.add_argument("point_y", help="JSON point document")
-    p.set_defaults(func=cmd_dist)
+    p.set_defaults(func=cmd_dist, tol=SQUARED_DISTANCE_FLOOR)
 
     p = sub.add_parser("project", help="orthogonal projection of a vertex onto its opposite face")
     common(p)
@@ -219,6 +219,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.tol < np.inf:
+            raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

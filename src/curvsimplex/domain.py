@@ -9,7 +9,6 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -20,38 +19,24 @@ from .errors import DegenerateDirection, GramOverflow, OutsideLightCone, WrongMo
 from .symmat import SymMatrix
 
 BARYCENTRIC_SUM_TOL = 1e-6
-# Largest cosh argument whose Gram entries survive the a + a^T symmetrization.
+# Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
+EDGE_SYMMETRY_TOL = 1e-9
+# Largest unit-model cosh argument whose Gram entries survive SymMatrix's a + a^T
+# symmetrization; at -1 < kappa < 0 the entries are cosh / |kappa|, so ln|kappa| less.
 COSH_ARG_MAX = math.log(sys.float_info.max)
 # Edge lengths whose squares are normal float64 numbers lie in [SQRT_MIN, SQRT_MAX].
 SQRT_MIN, SQRT_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
 
 
-class Geometry(enum.Enum):
-    EUCLIDEAN = "euclidean"
-    HYPERBOLIC = "hyperbolic"
-    SPHERICAL = "spherical"
-    GENERAL = "general"
-
-
 @dataclass(frozen=True)
 class CurvatureSpec:
-    """A constant curvature value and its model classification."""
+    """A finite constant curvature value."""
 
     kappa: float
 
     def __post_init__(self):
         if not math.isfinite(self.kappa):
             raise ValueError(f"curvature must be finite, got {self.kappa}")
-
-    @property
-    def classification(self) -> Geometry:
-        if self.kappa == 0:
-            return Geometry.EUCLIDEAN
-        if self.kappa == -1:
-            return Geometry.HYPERBOLIC
-        if self.kappa == 1:
-            return Geometry.SPHERICAL
-        return Geometry.GENERAL
 
     @property
     def scale(self) -> float:
@@ -68,8 +53,9 @@ class EdgeLengths:
     """Symmetric matrix of pairwise geodesic edge lengths of an n-simplex.
 
     The matrix is (n+1) x (n+1) with zero diagonal and positive off-diagonal
-    entries; vertices are numbered 1..n+1 in the public API.  ``shortest`` and
-    ``longest`` are the extreme edge lengths found by the validation.
+    entries; vertices are numbered 1..n+1 in the public API.  ``shortest`` is
+    the shortest stored edge and ``longest`` the largest |input entry|, which
+    bounds every stored edge.
 
     ``EdgeLengths(gamma)`` validates and symmetrizes its input.  ``scaled``,
     ``permuted`` and ``restricted`` do not: a scaled, relabeled or restricted
@@ -89,14 +75,15 @@ class EdgeLengths:
         longest = float(np.max(np.abs(g)))
         if not math.isfinite(longest):
             raise ValueError("edge lengths must be finite")
-        if np.max(np.abs(g - g.T)) > 1e-9 * max(1.0, longest):
+        half = 0.5 * g  # halving first: g + g.T and g - g.T overflow past half the float max
+        if np.max(np.abs(half - half.T)) > 0.5 * EDGE_SYMMETRY_TOL * max(1.0, longest):
             raise ValueError("edge-length matrix must be symmetric")
         if np.any(np.abs(np.diag(g)) > 0):
             raise ValueError("diagonal entries must all be zero")
+        g = half + half.T  # the stored edges: halving rounds subnormal ones
         shortest = float(g[~np.eye(g.shape[0], dtype=bool)].min())
         if not shortest > 0:
             raise ValueError("off-diagonal edge lengths must be positive")
-        g = 0.5 * g + 0.5 * g.T  # halving first: g + g.T overflows past half the float max
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "shortest", shortest)
@@ -166,9 +153,10 @@ class EdgeLengths:
 class BarycentricPoint:
     """Coordinate vector over the simplex vertices, normalized to sum 1.
 
-    Inputs whose sum deviates from 1 by more than 1e-6 are rejected; smaller
-    deviations are renormalized.  ``hull`` builds raw hull-frame coefficient
-    vectors (used by the model lift), which skip normalization entirely.
+    Inputs whose sum deviates from 1 by more than ``BARYCENTRIC_SUM_TOL`` are
+    rejected; smaller deviations are renormalized.  ``hull`` builds raw
+    hull-frame coefficient vectors (used by the model lift), which skip
+    normalization entirely.
     """
 
     __slots__ = ("coords",)
@@ -204,11 +192,6 @@ class BarycentricPoint:
         c = np.zeros(num_vertices)
         c[i - 1] = 1.0
         return cls(c)
-
-    @property
-    def has_negative(self) -> bool:
-        """True when some coordinate is negative (point outside the closed simplex)."""
-        return bool(np.any(self.coords < 0))
 
     def __repr__(self) -> str:
         return f"BarycentricPoint({self.coords.tolist()!r})"
@@ -255,7 +238,8 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     kappa the radius-R model (R = 1/sqrt|kappa|) is used, so q_ij is
     (1/kappa) cos(sqrt(kappa) g_ij) for kappa > 0 and
     (1/kappa) cosh(sqrt(-kappa) g_ij) for kappa < 0; the diagonal is 1/kappa.
-    Raises GramOverflow when sqrt(-kappa) * max g_ij exceeds COSH_ARG_MAX.
+    Raises GramOverflow when sqrt(-kappa) * max g_ij exceeds COSH_ARG_MAX, less
+    ln|kappa| at -1 < kappa < 0.
     """
     kappa = c.kappa
     if kappa == 0:
@@ -265,8 +249,9 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
         q = (1.0 / kappa) * np.cos(math.sqrt(kappa) * g)
     else:
         root = math.sqrt(-kappa)
-        if root * e.longest > COSH_ARG_MAX:
-            raise GramOverflow(f"hyperbolic edge {e.longest} at kappa={kappa} overflows cosh")
+        if root * e.longest > COSH_ARG_MAX + min(0.0, math.log(-kappa)):
+            raise GramOverflow(
+                f"hyperbolic edge {e.longest} at kappa={kappa} overflows the Gram matrix")
         q = (1.0 / kappa) * np.cosh(root * g)
     return GramMatrix(SymMatrix(q), c)
 

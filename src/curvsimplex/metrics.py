@@ -28,11 +28,14 @@ from .errors import (
     WrongModel,
 )
 
+# How far past 1 an arccosh / arccos argument may round and still be clamped to 1.
 CLAMP_BAND = 1e-12
+# How far below 0 a squared Euclidean distance may round and still be clamped to 0.
+SQUARED_DISTANCE_FLOOR = 1e-9
 
 
 def euclidean_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
-                       tol: float = 1e-9) -> float:
+                       tol: float = SQUARED_DISTANCE_FLOOR) -> float:
     """sqrt([x-y]^T Q [x-y]) with the apex coordinate dropped."""
     if q.apex is None:
         raise WrongModel("euclidean_distance needs an apex Gram matrix")
@@ -92,11 +95,14 @@ def spherical_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) 
 
 
 def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,
-             y: BarycentricPoint, tol: float = 1e-9) -> float:
+             y: BarycentricPoint, tol: float = SQUARED_DISTANCE_FLOOR) -> float:
     """Geodesic distance between x and y for any constant curvature.
 
     Nonzero curvature measures on the unit-curvature model (``model_gram``)
-    and divides the unit distance by sqrt(|kappa|).
+    and divides the unit distance by sqrt(|kappa|).  No realizability check
+    runs (it would add an eigendecomposition to every call), so callers run
+    ``check`` first: on edges it does not call Realizable the result is still
+    a finite float or a ``GeometryError``, but it is no distance.
     """
     q = model_gram(e, c)
     if c.kappa == 0:

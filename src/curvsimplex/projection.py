@@ -47,6 +47,7 @@ from .metrics import hyperbolic_distance, spherical_distance
 from .realizability import Verdict, check, check_euclidean
 from .symmat import DEFAULT_TOL
 
+# A foot counts as inside its face when every coordinate is >= -INSIDE_TOL.
 INSIDE_TOL = 1e-12
 
 
@@ -181,19 +182,3 @@ def spherical_project(e: EdgeLengths, vertex: int,
                       tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project ``vertex`` onto its opposite face in the spherical metric."""
     return project(e, SPHERICAL, vertex, tol)
-
-
-def project_onto_subface(e: EdgeLengths, c: CurvatureSpec, vertex: int, face,
-                         tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Convenience wrapper: project onto a lower-dimensional sub-simplex.
-
-    Restricts the simplex to ``vertex`` plus the face vertices and projects
-    there; the returned coordinates refer to the restricted vertex set in
-    ascending original order.
-    """
-    face = sorted(set(face))
-    if vertex in face:
-        raise ValueError("vertex must not belong to the target face")
-    keep = sorted(face + [vertex])
-    sub = e.restricted(keep)
-    return project(sub, c, keep.index(vertex) + 1, tol)

@@ -35,9 +35,6 @@ class RealizabilityReport:
     detail: str
     eigenvalues: np.ndarray = field(compare=False)
 
-    def __bool__(self) -> bool:
-        return self.verdict is Verdict.REALIZABLE
-
 
 def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> RealizabilityReport:
     """Compare the model Gram signature with the target, then gate long spherical edges."""

@@ -25,10 +25,6 @@ class Signature:
     n_minus: int
     n_zero: int
 
-    @property
-    def dim(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero)
 
@@ -39,8 +35,8 @@ class Signature:
         An eigenvalue counts as zero when |lambda| <= tol * max|lambda|, so the
         verdict does not change when the matrix is scaled.
         """
-        if tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 <= tol < np.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {tol}")
         cutoff = tol * (float(np.abs(eig).max()) if eig.size else 0.0)
         n_zero = int(np.sum(np.abs(eig) <= cutoff))
         n_plus = int(np.sum(eig > cutoff))

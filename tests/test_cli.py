@@ -230,6 +230,20 @@ class TestInputErrors:
         assert code == 2
         assert "coordinates" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["check", "dist", "project", "volume", "embed"])
+    def test_bad_tol(self, capsys, files, command, tol):
+        path = files("unit.json", {"edge_lengths": (1 - np.eye(3)).tolist()})
+        argv = [command, path, f"--tol={tol}"]
+        if command == "dist":
+            argv += [files("p.json", {"barycentric": [0.5, 0.5, 0.0]}),
+                     files("q.json", {"barycentric": [0.0, 0.5, 0.5]})]
+        elif command == "project":
+            argv += ["--vertex", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tol")
+
 
 class TestNonFiniteInput:
     def test_nan_edge_check(self, capsys, files):
@@ -301,6 +315,20 @@ class TestRescaleOverflow:
         assert code == 4
         assert out == ""
         assert "overflows" in err
+
+
+class TestGeneralKappaOverflow:
+    """At -1 < kappa < 0 the Gram entries are cosh / |kappa|: embed exits 4 once they
+    overflow, while check, on the unit model, still answers."""
+
+    @pytest.mark.parametrize("edge", [1417.0, 1419.0])
+    def test_embed(self, capsys, files, edge):
+        path = files("long.json", {"edge_lengths": (edge * (1 - np.eye(3))).tolist()})
+        code, out, err = run(capsys, ["embed", path, "--geometry", "kappa=-0.25"])
+        assert (code, out) == (4, "")
+        assert "overflows" in err
+        code, _, _ = run(capsys, ["check", path, "--geometry", "kappa=-0.25"])
+        assert code == 0
 
 
 class TestFloatRange:
@@ -400,8 +428,10 @@ def cli_calls(draw):
     gamma *= 10.0 ** draw(st.floats(-200, 200))
     sign = draw(st.sampled_from([0.0, -1.0, 1.0]))
     kappa = sign * 10.0 ** draw(st.floats(-300, 300))
-    command = draw(st.sampled_from(["check", "dist", "project", "volume"]))
-    return gamma, kappa, command, draw(st.integers(0, k)), rng.uniform(0.01, 1, size=(2, k))
+    command = draw(st.sampled_from(["check", "dist", "project", "volume", "embed"]))
+    tol = draw(st.sampled_from([None, 0.0, 1e-3, -1.0, math.nan, math.inf]))
+    return (gamma, kappa, command, tol, draw(st.integers(0, k)),
+            rng.uniform(0.01, 1, size=(2, k)))
 
 
 class TestFuzz:
@@ -409,12 +439,14 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exit_codes_and_finite_output(self, tmp_path, call):
-        gamma, kappa, command, vertex, weights = call
+        gamma, kappa, command, tol, vertex, weights = call
         simplex = tmp_path / "simplex.json"
         simplex.write_text(json.dumps({"edge_lengths": gamma.tolist()}))
         argv = [command, str(simplex)]
         if command != "volume":
             argv += ["--geometry", f"kappa={kappa!r}"]
+        if tol is not None:  # else the subcommand's default
+            argv.append(f"--tol={tol!r}")
         if command == "dist":
             for name, w in zip(("x.json", "y.json"), weights):
                 (tmp_path / name).write_text(json.dumps({"barycentric": (w / w.sum()).tolist()}))

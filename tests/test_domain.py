@@ -1,6 +1,7 @@
 """Domain types and Gram-builder tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from curvsimplex import (
     CurvatureSpec,
     EdgeLengths,
     EUCLIDEAN,
-    Geometry,
     GramOverflow,
     HYPERBOLIC,
     OutsideLightCone,
@@ -69,6 +69,23 @@ class TestEdgeLengths:
         assert e.longest == 1.7e308
         assert np.all(e.gamma[~np.eye(3, dtype=bool)] == 1.7e308)
 
+    @pytest.mark.parametrize("edge", [1e308, -1e308])
+    def test_mixed_signs_near_the_float_max(self, edge):
+        # g - g^T would overflow (and warn) here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="symmetric"):
+                EdgeLengths([[0.0, edge], [-edge, 0.0]])
+
+    def test_subnormal_edge_stored_as_zero_rejected(self):
+        # Halving 5e-324 rounds it to 0, so the stored edge would be 0.
+        with pytest.raises(ValueError, match="positive"):
+            EdgeLengths([[0.0, 5e-324], [5e-324, 0.0]])
+
+    def test_shortest_is_the_stored_edge(self):
+        e = EdgeLengths([[0.0, 1.5e-323], [1.5e-323, 0.0]])
+        assert e.shortest == e.gamma[0, 1] == e.length(2, 1)
+
     def test_scaled(self, table_simplex):
         assert table_simplex.scaled(2.0).length(1, 2) == 4.0
 
@@ -94,16 +111,6 @@ class TestEdgeLengths:
 
 
 class TestCurvatureSpec:
-    @pytest.mark.parametrize("kappa,cls", [
-        (0.0, Geometry.EUCLIDEAN),
-        (-1.0, Geometry.HYPERBOLIC),
-        (1.0, Geometry.SPHERICAL),
-        (-0.25, Geometry.GENERAL),
-        (4.0, Geometry.GENERAL),
-    ])
-    def test_classification(self, kappa, cls):
-        assert CurvatureSpec(kappa).classification is cls
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -125,10 +132,6 @@ class TestBarycentricPoint:
     def test_rejects_non_finite(self, coords):
         with pytest.raises(ValueError, match="sum"):
             BarycentricPoint(coords)
-
-    def test_negative_flag(self):
-        assert BarycentricPoint([1.5, -0.5]).has_negative
-        assert not BarycentricPoint([0.5, 0.5]).has_negative
 
     def test_vertex(self):
         v = BarycentricPoint.vertex(2, 4)
@@ -210,6 +213,19 @@ class TestCurvedGram:
             curved_gram(e, CurvatureSpec(kappa))
         with pytest.raises(GramOverflow):
             model_gram(e, CurvatureSpec(kappa))
+
+    @pytest.mark.parametrize("edge", [1417.0, 1419.0])
+    def test_entries_past_the_float_max_refused(self, edge):
+        # At kappa = -0.25 the entries are 4 cosh(edge / 2): past the bound
+        # ln(float max) + ln 0.25 their symmetrization (1417) or they (1419) overflow.
+        e = EdgeLengths(edge * (1 - np.eye(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GramOverflow):
+                curved_gram(e, CurvatureSpec(-0.25))
+            assert np.all(np.isfinite(model_gram(e, CurvatureSpec(-0.25)).matrix.data))
+            assert np.all(np.isfinite(
+                curved_gram(e.scaled(1416.0 / edge), CurvatureSpec(-0.25)).matrix.data))
 
     def test_hyperbolic_below_overflow_bound_is_finite(self):
         e = EdgeLengths(709.0 * (1 - np.eye(3)))

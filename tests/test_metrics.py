@@ -11,9 +11,12 @@ from curvsimplex import (
     EdgeLengths,
     EUCLIDEAN,
     HYPERBOLIC,
+    GeometryError,
     OutsideLightCone,
     SPHERICAL,
+    Verdict,
     brute_distance,
+    check,
     curved_gram,
     distance,
     embed,
@@ -29,6 +32,7 @@ from conftest import (
     random_euclidean,
     random_hyperbolic,
     random_interior_point,
+    random_simplex,
     random_spherical,
 )
 
@@ -227,3 +231,34 @@ class TestInvariants:
                 y = BarycentricPoint(random_interior_point(rng, k))
                 assert distance(e, c, x, y) == pytest.approx(
                     brute_distance(emb, x, y), abs=1e-8)
+
+
+class TestUnrealizableEdges:
+    """``distance`` runs no realizability check.  On an edge set with one edge
+    inflated it returns a finite float or raises a GeometryError; where ``check``
+    still finds the set Realizable it is the oracle's distance."""
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0, -0.3, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_finite_or_geometry_error(self, n, kappa):
+        rng = np.random.default_rng(round(1000 * (n + kappa)))
+        c = CurvatureSpec(kappa)
+        verdicts = set()
+        for _ in range(30):
+            g = random_simplex(rng, n, c).gamma.copy()
+            i, j = rng.choice(n + 1, size=2, replace=False)
+            g[i, j] = g[j, i] = g[i, j] * rng.choice([1.001, 1.01, 1.5, 3.0])
+            e = EdgeLengths(g)
+            x, y = (BarycentricPoint(random_interior_point(rng, n + 1)) for _ in range(2))
+            verdict = check(e, c).verdict
+            verdicts.add(verdict)
+            if verdict is Verdict.REALIZABLE:
+                assert distance(e, c, x, y) == pytest.approx(
+                    brute_distance(embed(e, c), x, y), abs=1e-8)
+                continue
+            try:
+                d = distance(e, c, x, y)
+            except GeometryError:
+                continue
+            assert math.isfinite(d)
+        assert {Verdict.REALIZABLE, Verdict.NOT_REALIZABLE} <= verdicts

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvsimplex import DegenerateMinor, SingularFace, SymMatrix
+from curvsimplex import DegenerateMinor, Signature, SingularFace, SymMatrix
 from curvsimplex.domain import EdgeLengths, curved_gram, euclidean_gram, HYPERBOLIC
 
 from conftest import TABLE_3SIMPLEX
@@ -107,6 +107,11 @@ class TestSignature:
         # 1e-3 is small relative to 1e9 under tol 1e-9 * 1e9 = 1.
         assert m.signature(1e-9).as_tuple() == (1, 0, 1)
         assert m.signature(1e-15).as_tuple() == (2, 0, 0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            Signature.of(np.array([1.0, -1.0]), tol)
 
     @given(symmetric_matrices(max_dim=5), st.permutations(range(5)))
     @settings(max_examples=30, deadline=None)
