@@ -164,8 +164,11 @@ def cmd_embed(args) -> int:
     emb = embed(e, c, args.tol)
     text = _format_embedding_json(emb.model.value, c.kappa, emb.vertices)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text)
     return EXIT_OK
@@ -189,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("dist", help="distance between two barycentric points")
-    common(p, tol_help="euclidean only: a negative squared distance above -tol is "
-                       "clamped to 0, below it exits 3; unused for curved geometries")
+    common(p, tol_help="a squared chord (on the unit model) up to tol outside its "
+                       "range is clamped into it, one further out exits 3")
     p.add_argument("point_x", help="JSON point document")
     p.add_argument("point_y", help="JSON point document")
     p.set_defaults(func=cmd_dist, tol=SQUARED_DISTANCE_FLOOR)

@@ -189,6 +189,8 @@ class BarycentricPoint:
     @classmethod
     def vertex(cls, i: int, num_vertices: int) -> "BarycentricPoint":
         """The i-th vertex (1-based) as a barycentric point."""
+        if not 1 <= i <= num_vertices:
+            raise IndexError(f"vertex {i} out of range 1..{num_vertices}")
         c = np.zeros(num_vertices)
         c[i - 1] = 1.0
         return cls(c)

@@ -1,10 +1,13 @@
-"""Distances between barycentric points, one formula per curvature class.
+"""Distances between barycentric points: one chord kernel for every curvature.
 
-Euclidean distances come from the apex Gram quadratic form; hyperbolic and
-spherical distances from normalized vertex-Gram inner products.  The
-arccosh/arccos arguments are clamped at their boundary inside a small guard
-band; beyond the band on the invalid side the input is rejected rather than
-silently clamped.
+A distance is measured on the unit model as the arc over the chord between
+the two points.  At kappa = 0 the chord is the apex Gram quadratic form.  At
+kappa != 0 the points are lifted radially onto the unit model and the chord is
+formed from <x,x>, <y,y> and <x-y, x-y> alone, so short distances keep their
+digits and no product of hull norms is formed; the arc is 2 asinh(chord / 2)
+on the hyperboloid and 2 asin(chord / 2) on the sphere.  A squared chord that
+rounds at most ``tol`` outside its range is clamped into it; beyond that the
+input is rejected.
 """
 
 from __future__ import annotations
@@ -28,70 +31,64 @@ from .errors import (
     WrongModel,
 )
 
-# How far past 1 an arccosh / arccos argument may round and still be clamped to 1.
-CLAMP_BAND = 1e-12
-# How far below 0 a squared Euclidean distance may round and still be clamped to 0.
+# How far outside its range a squared chord may round and still be clamped into it.
 SQUARED_DISTANCE_FLOOR = 1e-9
+
+# What each model raises for a point or chord outside it, by the sign of kappa.
+_MODEL_ERROR = {0.0: NotRealizableInput, -1.0: OutsideLightCone, 1.0: DegenerateDirection}
+
+
+def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
+              sign: float, tol: float) -> float:
+    """Unit-model distance of x and y; ``sign`` is kappa's sign, 0.0, -1.0 or 1.0.
+
+    With s = <x,x>, n = sqrt|s| and sign * s > 0 for both points, the squared
+    chord between the lifts x/n_x and y/n_y is
+    (<x-y, x-y> - sign * ((s_x - s_y) / (n_x + n_y))^2) / (n_x n_y),
+    which lies in [0, 4] on the sphere and in [0, inf) otherwise.
+    """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if sign == 0:
+        if q.apex is None:
+            raise WrongModel("euclidean_distance needs an apex Gram matrix")
+        m = q.matrix.data
+        if x.coords.size != m.shape[0] + 1 or y.coords.size != m.shape[0] + 1:
+            raise ValueError("coordinate length does not match the simplex")
+        diff = np.delete(x.coords - y.coords, q.apex - 1)
+        chord2 = float(diff @ m @ diff)
+    else:
+        z = np.array((x.coords, y.coords, x.coords - y.coords))
+        sx, sy, delta2 = (z @ _vertex_gram_data(q, x, y) * z).sum(axis=1).tolist()
+        if not (sign * sx > 0 and sign * sy > 0):
+            side = "negative" if sign < 0 else "positive"
+            raise _MODEL_ERROR[sign](f"hull norms ({sx}, {sy}) must both be {side}")
+        nx, ny = math.sqrt(abs(sx)), math.sqrt(abs(sy))
+        chord2 = (delta2 - sign * ((sx - sy) / (nx + ny)) ** 2) / (nx * ny)
+    top = 4.0 if sign > 0 else math.inf
+    if not 0 <= chord2 <= top:
+        if not -tol <= chord2 <= top + tol:
+            raise _MODEL_ERROR[sign](f"squared chord {chord2} outside [0, {top}]")
+        chord2 = min(max(chord2, 0.0), top)
+    if sign == 0:
+        return math.sqrt(chord2)
+    return 2.0 * (math.asin if sign > 0 else math.asinh)(math.sqrt(chord2) / 2.0)
 
 
 def euclidean_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
                        tol: float = SQUARED_DISTANCE_FLOOR) -> float:
     """sqrt([x-y]^T Q [x-y]) with the apex coordinate dropped."""
-    if q.apex is None:
-        raise WrongModel("euclidean_distance needs an apex Gram matrix")
-    m = q.matrix.data
-    k = m.shape[0] + 1
-    if x.coords.size != k or y.coords.size != k:
-        raise ValueError("coordinate length does not match the simplex")
-    diff = np.delete(x.coords - y.coords, q.apex - 1)
-    val = float(diff @ m @ diff)
-    if val < 0:
-        if val < -tol:
-            raise NotRealizableInput(f"negative squared distance {val}")
-        val = 0.0
-    return math.sqrt(val)
-
-
-def _inner_products(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint):
-    """(<x,x>, <y,y>, <x,y>) through the vertex Gram matrix, forming x^T Q once.
-
-    Each product is (x^T Q) y, associated as in ``hull_inner_product``.
-    """
-    m = _vertex_gram_data(q, x, y)
-    xq = x.coords @ m
-    return float(xq @ x.coords), float(y.coords @ m @ y.coords), float(xq @ y.coords)
-
-
-def _cosine(sx: float, sy: float, sxy: float) -> float:
-    """sxy / sqrt(sx * sy) for same-signed norms, without overflowing sx * sy."""
-    big = max(abs(sx), abs(sy))  # one ratio is then exactly 1: cos(x, x) stays 1
-    return (sxy / big) / math.sqrt((sx / big) * (sy / big))
+    return _geodesic(q, x, y, 0.0, tol)
 
 
 def hyperbolic_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """arccosh(-<x,y> / sqrt(<x,x><y,y>)) for timelike hull points."""
-    sx, sy, sxy = _inner_products(q, x, y)
-    if sx >= 0 or sy >= 0:
-        raise OutsideLightCone(f"hull norms ({sx}, {sy}) must both be negative")
-    arg = -_cosine(sx, sy, sxy)
-    if arg < 1.0:
-        if arg < 1.0 - CLAMP_BAND:
-            raise OutsideLightCone(f"arccosh argument {arg} below 1")
-        arg = 1.0
-    return math.acosh(arg)
+    """2 asinh(chord / 2) between the lifts of timelike hull points onto the hyperboloid."""
+    return _geodesic(q, x, y, -1.0, SQUARED_DISTANCE_FLOOR)
 
 
 def spherical_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """arccos(<x,y> / sqrt(<x,x><y,y>)) for positive-norm hull points."""
-    sx, sy, sxy = _inner_products(q, x, y)
-    if sx <= 0 or sy <= 0:
-        raise DegenerateDirection(f"hull norms ({sx}, {sy}) must both be positive")
-    arg = _cosine(sx, sy, sxy)
-    if abs(arg) > 1.0:
-        if abs(arg) > 1.0 + CLAMP_BAND:
-            raise DegenerateDirection(f"arccos argument {arg} outside [-1, 1]")
-        arg = math.copysign(1.0, arg)
-    return math.acos(arg)
+    """2 asin(chord / 2) between the lifts of positive-norm hull points onto the sphere."""
+    return _geodesic(q, x, y, 1.0, SQUARED_DISTANCE_FLOOR)
 
 
 def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,
@@ -99,14 +96,13 @@ def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,
     """Geodesic distance between x and y for any constant curvature.
 
     Nonzero curvature measures on the unit-curvature model (``model_gram``)
-    and divides the unit distance by sqrt(|kappa|).  No realizability check
-    runs (it would add an eigendecomposition to every call), so callers run
-    ``check`` first: on edges it does not call Realizable the result is still
-    a finite float or a ``GeometryError``, but it is no distance.
+    and divides the unit distance by sqrt(|kappa|).  ``tol`` is how far a
+    squared chord (on the unit model) may round outside its range and still
+    be clamped into it.  No realizability check runs (it would add an
+    eigendecomposition to every call), so callers run ``check`` first: on
+    edges it does not call Realizable the result is still a finite float or a
+    ``GeometryError``, but it is no distance.
     """
     q = model_gram(e, c)
-    if c.kappa == 0:
-        return euclidean_distance(q, x, y, tol)
-    if c.kappa < 0:
-        return hyperbolic_distance(q, x, y) / c.scale
-    return spherical_distance(q, x, y) / c.scale
+    d = _geodesic(q, x, y, q.curvature.kappa, tol)
+    return d / c.scale if c.kappa else d

@@ -19,11 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    HYPERBOLIC,
+    SPHERICAL,
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
     curved_gram,
     euclidean_gram,
+    unit_model,
 )
 from .errors import (
     DegenerateDirection,
@@ -83,8 +86,9 @@ def _embed_euclidean(e: EdgeLengths) -> np.ndarray:
     return np.vstack([lower, np.zeros(q.shape[0])])
 
 
-def _embed_minkowski(e: EdgeLengths, c: CurvatureSpec) -> np.ndarray:
-    q = curved_gram(e, c).matrix.data
+def _embed_minkowski(e: EdgeLengths) -> np.ndarray:
+    """Vertex coordinates of the unit model's edges e."""
+    q = curved_gram(e, HYPERBOLIC).matrix.data
     eigvals, eigvecs = np.linalg.eigh(q)
     if np.sum(eigvals < 0) != 1:
         raise EmbeddingInconsistency("expected exactly one negative eigenvalue")
@@ -101,8 +105,9 @@ def _embed_minkowski(e: EdgeLengths, c: CurvatureSpec) -> np.ndarray:
     return verts
 
 
-def _embed_sphere(e: EdgeLengths, c: CurvatureSpec) -> np.ndarray:
-    q = curved_gram(e, c).matrix.data
+def _embed_sphere(e: EdgeLengths) -> np.ndarray:
+    """Vertex coordinates of the unit model's edges e."""
+    q = curved_gram(e, SPHERICAL).matrix.data
     try:
         lower = np.linalg.cholesky(q)
     except np.linalg.LinAlgError as exc:
@@ -113,18 +118,20 @@ def _embed_sphere(e: EdgeLengths, c: CurvatureSpec) -> np.ndarray:
 def embed(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Embedding:
     """Place the vertices in the model space of curvature ``c``.
 
-    The configuration is only determined up to model isometry; consumers
-    should rely on pairwise distances and inner products, not positions.
+    Curved simplices are embedded on the unit model (``unit_model``) and their
+    coordinates divided by sqrt(|kappa|).  The configuration is only
+    determined up to model isometry; consumers should rely on pairwise
+    distances and inner products, not positions.
     """
     report = check(e, c, tol)
     if report.verdict is not Verdict.REALIZABLE:
         raise NotRealizableInput(f"cannot embed: {report.detail}")
-    kappa = c.kappa
-    if kappa == 0:
+    if c.kappa == 0:
         return Embedding(ModelSpace.EUCLIDEAN, _embed_euclidean(e), c)
-    if kappa < 0:
-        return Embedding(ModelSpace.MINKOWSKI, _embed_minkowski(e, c), c)
-    return Embedding(ModelSpace.SPHERE, _embed_sphere(e, c), c)
+    unit, _ = unit_model(e, c)
+    if c.kappa < 0:
+        return Embedding(ModelSpace.MINKOWSKI, _embed_minkowski(unit) / c.scale, c)
+    return Embedding(ModelSpace.SPHERE, _embed_sphere(unit) / c.scale, c)
 
 
 def _hull_point(emb: Embedding, x: BarycentricPoint) -> np.ndarray:

@@ -43,7 +43,7 @@ from .errors import (
     OutsideLightCone,
     ProjectionDegenerate,
 )
-from .metrics import hyperbolic_distance, spherical_distance
+from .metrics import SQUARED_DISTANCE_FLOOR, _geodesic
 from .realizability import Verdict, check, check_euclidean
 from .symmat import DEFAULT_TOL
 
@@ -138,6 +138,9 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
     The foot's barycentric coordinates are scale invariant, so everything is
     computed on the unit model; the altitude is divided back by sqrt(|kappa|).
     """
+    k = e.num_vertices
+    if not 1 <= vertex <= k:
+        raise IndexError(f"vertex {vertex} out of range 1..{k}")
     unit, unit_c = unit_model(e, c)
     report = check(unit, unit_c, tol)
     if report.verdict is not Verdict.REALIZABLE:
@@ -150,11 +153,10 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
     foot = _curved_foot(unit, unit_c, vertex)
     q = curved_gram(unit, unit_c)
     inside = bool(np.all(foot.coords >= -INSIDE_TOL))
-    apex_point = BarycentricPoint.vertex(vertex, e.num_vertices)
-    dist_fn = hyperbolic_distance if c.kappa < 0 else spherical_distance
+    apex_point = BarycentricPoint.vertex(vertex, k)
     try:
         foot_model = lift_to_model(q, foot)
-        altitude = dist_fn(q, apex_point, foot) / c.scale
+        altitude = _geodesic(q, apex_point, foot, unit_c.kappa, SQUARED_DISTANCE_FLOOR) / c.scale
     except (OutsideLightCone, DegenerateDirection):
         # Feet far outside the face can leave the model's valid cone; they are
         # still reported (inside_face is False) but have no lift or altitude.

@@ -99,7 +99,7 @@ class TestDist:
         with pytest.raises(SystemExit):
             main(["dist", "--help"])
         out = " ".join(capsys.readouterr().out.split())
-        assert "clamped to 0" in out and "unused for curved geometries" in out
+        assert "squared chord" in out and "clamped" in out
         assert "eigenvalue" not in out
         with pytest.raises(SystemExit):
             main(["check", "--help"])
@@ -184,6 +184,12 @@ class TestEmbed:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["model"] == "euclidean"
+
+    def test_embed_to_unwritable_path(self, capsys, tmp_path, simplex_file):
+        out_path = tmp_path / "missing" / "emb.json"
+        code, out, err = run(capsys, ["embed", simplex_file, "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_path}")
 
     def test_not_realizable_exit(self, capsys, files):
         path = files("bad.json", {"edge_lengths": [[0, 1, 1], [1, 0, 3], [1, 3, 0]]})
@@ -318,17 +324,27 @@ class TestRescaleOverflow:
 
 
 class TestGeneralKappaOverflow:
-    """At -1 < kappa < 0 the Gram entries are cosh / |kappa|: embed exits 4 once they
-    overflow, while check, on the unit model, still answers."""
+    """At -1 < kappa < 0 the Gram entries at kappa are cosh / |kappa| and overflow
+    first; embed, like check, works on the unit model, so it answers wherever
+    check does and prints finite coordinates."""
+
+    def embed_where_check_answers(self, capsys, path, kappa):
+        code, _, _ = run(capsys, ["check", path, "--geometry", f"kappa={kappa}"])
+        assert code == 0
+        code, out, err = run(capsys, ["embed", path, "--geometry", f"kappa={kappa}"])
+        assert (code, err) == (0, "")
+        vertices = np.asarray(json.loads(out)["vertices"])
+        assert vertices.shape == (3, 3) and np.all(np.isfinite(vertices))
 
     @pytest.mark.parametrize("edge", [1417.0, 1419.0])
     def test_embed(self, capsys, files, edge):
         path = files("long.json", {"edge_lengths": (edge * (1 - np.eye(3))).tolist()})
-        code, out, err = run(capsys, ["embed", path, "--geometry", "kappa=-0.25"])
-        assert (code, out) == (4, "")
-        assert "overflows" in err
-        code, _, _ = run(capsys, ["check", path, "--geometry", "kappa=-0.25"])
-        assert code == 0
+        self.embed_where_check_answers(capsys, path, "-0.25")
+
+    def test_embed_at_tiny_kappa(self, capsys, files):
+        # Unit-model edge 20; at kappa itself cosh(20) / 1e-300 overflows.
+        path = files("wide.json", {"edge_lengths": (2e151 * (1 - np.eye(3))).tolist()})
+        self.embed_where_check_answers(capsys, path, "-1e-300")
 
 
 class TestFloatRange:

@@ -137,6 +137,11 @@ class TestBarycentricPoint:
         v = BarycentricPoint.vertex(2, 4)
         assert np.allclose(v.coords, [0, 1, 0, 0])
 
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_vertex_out_of_range(self, i):
+        with pytest.raises(IndexError, match=f"vertex {i} out of range 1..3"):
+            BarycentricPoint.vertex(i, 3)
+
     @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_sum_one_after_normalization(self, weights):

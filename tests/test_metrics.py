@@ -12,6 +12,7 @@ from curvsimplex import (
     EUCLIDEAN,
     HYPERBOLIC,
     GeometryError,
+    NotRealizableInput,
     OutsideLightCone,
     SPHERICAL,
     Verdict,
@@ -26,7 +27,6 @@ from curvsimplex import (
     hyperbolic_distance,
     spherical_distance,
 )
-from curvsimplex.metrics import _inner_products
 
 from conftest import (
     random_euclidean,
@@ -105,6 +105,22 @@ class TestHyperbolicDistance:
             reference / 2, rel=1e-11)
         assert distance(e, HYPERBOLIC, x, x) == 0.0
 
+    def test_edges_near_the_gram_bound(self):
+        # Edge 709.7 is just inside the unit-model bound ln(float max) = 709.78.
+        # Midpoint-to-midpoint and centroid-to-midpoint distances there equal
+        # their ideal-triangle limits, 2 asinh(1/2) and ln(3) / 2, to within e^-709.
+        big = 709.7
+        e = EdgeLengths(big * (1 - np.eye(3)))
+        v1, v2 = BarycentricPoint.vertex(1, 3), BarycentricPoint.vertex(2, 3)
+        m12, m13 = BarycentricPoint([0.5, 0.5, 0.0]), BarycentricPoint([0.5, 0.0, 0.5])
+        centroid = BarycentricPoint([1 / 3] * 3)
+        assert distance(e, HYPERBOLIC, v1, v2) == pytest.approx(big, rel=1e-12)
+        assert distance(e, HYPERBOLIC, v1, m12) == pytest.approx(big / 2, rel=1e-12)
+        assert distance(e, HYPERBOLIC, m12, m13) == pytest.approx(2 * math.asinh(0.5), rel=1e-12)
+        assert distance(e, HYPERBOLIC, centroid, m12) == pytest.approx(math.log(3) / 2, rel=1e-12)
+        x, y = point_along_edge(big, -1.0, 1.0), point_along_edge(big, -1.0, 1.0 + 1e-9)
+        assert distance(e, HYPERBOLIC, x, y) == pytest.approx(1e-9, rel=1e-5)
+
 
 class TestSphericalDistance:
     def test_edge_recovery(self):
@@ -135,6 +151,50 @@ class TestSphericalDistance:
         assert spherical_distance(g, x, y) == pytest.approx(expected, abs=1e-12)
 
 
+def point_along_edge(length: float, kappa: float, a: float) -> BarycentricPoint:
+    """The point at arc length a from vertex 1 on edge 1-2 (of the given length) of a triangle.
+
+    Its hull coordinates are proportional to (f(s (length - a)), f(s a), 0) with
+    s = sqrt|kappa| and f = sinh, sin or (at kappa = 0) the identity.
+    """
+    s = math.sqrt(abs(kappa))
+    f = math.sinh if kappa < 0 else math.sin if kappa > 0 else (lambda t: t)
+    w1, w2 = (f(s * (length - a)), f(s * a)) if kappa else (length - a, a)
+    return BarycentricPoint([w1 / (w1 + w2), w2 / (w1 + w2), 0.0])
+
+
+class TestShortDistances:
+    """Points h apart along an edge are h apart: the chord keeps the digits that
+    an arccos/arccosh of a normalized inner product near 1 loses."""
+
+    @pytest.mark.parametrize("h, rel", [(1e-6, 1e-6), (1e-9, 1e-5)])
+    @pytest.mark.parametrize("length", [1.0, 2.0])
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0, -0.3, 0.3, 0.0])
+    def test_matches_arc_length_along_an_edge(self, kappa, length, h, rel):
+        e = EdgeLengths(length * (1 - np.eye(3)))
+        a = 0.3 * length
+        x, y = point_along_edge(length, kappa, a), point_along_edge(length, kappa, a + h)
+        assert distance(e, CurvatureSpec(kappa), x, y) == pytest.approx(h, rel=rel)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_bad_tol_rejected(self, table_simplex, pq, kappa, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            distance(table_simplex, CurvatureSpec(kappa), *pq, tol=tol)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_bad_tol_rejected_before_clamping(self, tol):
+        # The default rejects this unrealizable pair's squared distance of -1.25.
+        e = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+        x, y = BarycentricPoint([0.5, 0.0, 0.5]), BarycentricPoint.vertex(2, 3)
+        with pytest.raises(NotRealizableInput):
+            distance(e, EUCLIDEAN, x, y)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            euclidean_distance(euclidean_gram(e, apex=3), x, y, tol=tol)
+
+
 class TestDistanceDispatch:
     def test_hyperbolic_agrees_exactly(self, table_simplex):
         rng = np.random.default_rng(23)
@@ -159,23 +219,6 @@ class TestDistanceDispatch:
         d_flat = distance(table_simplex, EUCLIDEAN, p, q)
         d_nearly_flat = distance(table_simplex, CurvatureSpec(-1e-6), p, q)
         assert d_nearly_flat == pytest.approx(d_flat, abs=1e-4)
-
-
-class TestInnerProducts:
-    """The curved distance kernels evaluate the public hull inner products."""
-
-    @pytest.mark.parametrize("n", [2, 3, 10, 40])
-    def test_inner_products_are_hull_inner_products(self, n):
-        rng = np.random.default_rng(100 + n)
-        for e, c in ((random_hyperbolic(rng, n), HYPERBOLIC),
-                     (random_spherical(rng, n), SPHERICAL)):
-            q = curved_gram(e, c)
-            for _ in range(5):
-                x = BarycentricPoint(random_interior_point(rng, n + 1))
-                y = BarycentricPoint(random_interior_point(rng, n + 1))
-                assert _inner_products(q, x, y) == (
-                    hull_inner_product(q, x, x), hull_inner_product(q, y, y),
-                    hull_inner_product(q, x, y))
 
 
 class TestInvariants:

@@ -65,7 +65,7 @@ class TestEmbedRoundTrip:
 
     def test_general_curvature(self):
         rng = np.random.default_rng(14)
-        for kappa in (-4.0, -0.25, 0.25, 4.0):
+        for kappa in (-4.0, -0.25, 0.25, 0.3, 4.0):
             c = CurvatureSpec(kappa)
             e = random_simplex(rng, 3, c)
             emb = embed(e, c)

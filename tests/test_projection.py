@@ -399,6 +399,13 @@ class TestDispatchAndSubface:
                     assert np.array_equal(res.foot_model.coords, unit.foot_model.coords)
                     assert res.altitude == unit.altitude / scale
 
+    @pytest.mark.parametrize("vertex", [0, -1, 5])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0, -0.3])
+    def test_vertex_out_of_range(self, table_simplex, kappa, vertex):
+        e = table_simplex if kappa <= 0 else table_simplex.scaled(0.3)
+        with pytest.raises(IndexError, match=f"vertex {vertex} out of range 1..4"):
+            project(e, CurvatureSpec(kappa), vertex)
+
     def test_foot_sums_to_one(self):
         rng = np.random.default_rng(67)
         for _ in range(10):
