@@ -4,7 +4,8 @@ An n-simplex is described purely by the geodesic lengths of its edges.  The
 builders here turn those lengths into bilinear-form data: the apex-difference
 Gram matrix for flat simplices and the full vertex Gram matrix for curved
 ones; ``model_gram`` picks one per curvature, on the unit model.
-All values are immutable and all functions are pure.
+All values are immutable and all functions are pure; the one cache is the
+verdict a checked ``EdgeLengths`` keeps (see its docstring).
 """
 
 from __future__ import annotations
@@ -62,12 +63,21 @@ class EdgeLengths:
     valid edge set is valid, so they check only what their own arguments can
     break (the factor and the range of the scaled extremes, the vertex
     numbers) and carry the read-only matrix and its extremes over.
+
+    A checked edge set keeps its last verdict: ``check`` stores the curvature,
+    the model Gram matrix, its eigenvalues and the report in one private
+    entry, which later ``check`` and ``model_gram`` calls at that curvature
+    read instead of rebuilding.  ``model_gram`` (and so ``distance``) never
+    writes it.  Derived edge sets, copies and unpickled ones start unchecked.
     """
 
-    __slots__ = ("gamma", "shortest", "longest")
+    __slots__ = ("gamma", "shortest", "longest", "_memo")
 
     def __init__(self, gamma) -> None:
-        g = np.array(gamma, dtype=float)
+        try:
+            g = np.array(gamma, dtype=float)
+        except OverflowError as exc:  # an int past the float max
+            raise ValueError("edge lengths must be finite") from exc
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"edge-length matrix must be square, got {g.shape}")
         if g.shape[0] < 2:
@@ -78,19 +88,24 @@ class EdgeLengths:
         half = 0.5 * g  # halving first: g + g.T and g - g.T overflow past half the float max
         if np.max(np.abs(half - half.T)) > 0.5 * EDGE_SYMMETRY_TOL * max(1.0, longest):
             raise ValueError("edge-length matrix must be symmetric")
-        if np.any(np.abs(np.diag(g)) > 0):
+        if g.diagonal().any():
             raise ValueError("diagonal entries must all be zero")
         g = half + half.T  # the stored edges: halving rounds subnormal ones
-        shortest = float(g[~np.eye(g.shape[0], dtype=bool)].min())
+        shortest = float(_off_diagonal(g).min())
         if not shortest > 0:
             raise ValueError("off-diagonal edge lengths must be positive")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "shortest", shortest)
         object.__setattr__(self, "longest", longest)
+        object.__setattr__(self, "_memo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EdgeLengths is immutable")
+
+    def __reduce__(self):
+        # Copies and unpickled edge sets keep the stored matrix and extremes, unchecked.
+        return type(self)._derived, (self.gamma, self.shortest, self.longest)
 
     @property
     def n(self) -> int:
@@ -112,6 +127,7 @@ class EdgeLengths:
         object.__setattr__(obj, "gamma", gamma)
         object.__setattr__(obj, "shortest", shortest)
         object.__setattr__(obj, "longest", longest)
+        object.__setattr__(obj, "_memo", None)
         return obj
 
     def scaled(self, factor: float) -> "EdgeLengths":
@@ -143,11 +159,21 @@ class EdgeLengths:
             raise ValueError("a simplex needs at least 2 vertices")
         idx = np.asarray(keep, dtype=int) - 1
         g = self.gamma[np.ix_(idx, idx)]
-        off = g[~np.eye(len(keep), dtype=bool)]
+        off = _off_diagonal(g)
         return self._derived(g, float(off.min()), float(off.max()))
 
     def __repr__(self) -> str:
         return f"EdgeLengths({self.gamma.tolist()!r})"
+
+
+def _off_diagonal(g: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a k x k matrix as k - 1 rows of k (a view if g is contiguous).
+
+    Dropping the first of the k^2 entries leaves rows of k + 1 that each end
+    on a diagonal entry.
+    """
+    k = g.shape[0]
+    return g.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k]
 
 
 class BarycentricPoint:
@@ -162,7 +188,10 @@ class BarycentricPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords) -> None:
-        c = np.array(coords, dtype=float)
+        try:
+            c = np.array(coords, dtype=float)
+        except OverflowError as exc:  # an int past the float max
+            raise ValueError("barycentric coordinates must be finite to sum to 1") from exc
         if c.ndim != 1 or c.size < 2:
             raise ValueError("coords must be a vector of length >= 2")
         if not all(map(math.isfinite, c.tolist())):  # before the sum: inf - inf warns
@@ -176,6 +205,9 @@ class BarycentricPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("BarycentricPoint is immutable")
+
+    def __reduce__(self):
+        return type(self).hull, (self.coords,)
 
     @classmethod
     def hull(cls, coords) -> "BarycentricPoint":
@@ -274,7 +306,13 @@ def unit_model(e: EdgeLengths, c: CurvatureSpec) -> tuple[EdgeLengths, Curvature
 
 
 def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
-    """Apex Gram matrix at the last vertex for kappa = 0, else the unit-model vertex Gram."""
+    """Apex Gram matrix at the last vertex for kappa = 0, else the unit-model vertex Gram.
+
+    An edge set checked at c returns the Gram matrix its check stored.
+    """
+    memo = e._memo
+    if memo is not None and memo[0] == c.kappa:
+        return memo[1]
     e, c = unit_model(e, c)
     if c.kappa == 0:
         return euclidean_gram(e, apex=e.num_vertices)

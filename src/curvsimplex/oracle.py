@@ -141,22 +141,28 @@ def _hull_point(emb: Embedding, x: BarycentricPoint) -> np.ndarray:
 
 
 def _model_distance(emb: Embedding, px: np.ndarray, py: np.ndarray) -> float:
-    """Geodesic distance between hull points, lifted to the model surface."""
+    """Geodesic distance between hull points, lifted to the model surface.
+
+    Curved distances are measured on the unit model's coordinates (px and py
+    times sqrt|kappa|) and divided by sqrt|kappa|: squaring coordinates of
+    size 1/sqrt|kappa| overflows at tiny |kappa|.
+    """
     if emb.model is ModelSpace.EUCLIDEAN:
         return float(np.linalg.norm(px - py))
+    scale = emb.curvature.scale
+    px, py = px * scale, py * scale
     sx = emb.form(px, px)
     sy = emb.form(py, py)
     sxy = emb.form(px, py)
-    radius = emb.radius
     if emb.model is ModelSpace.MINKOWSKI:
         if sx >= 0 or sy >= 0:
             raise OutsideLightCone("hull point outside the light cone")
         arg = max(-sxy / math.sqrt(sx * sy), 1.0)
-        return radius * math.acosh(arg)
+        return math.acosh(arg) / scale
     if sx <= 0 or sy <= 0:
         raise DegenerateDirection("hull point with non-positive norm")
     arg = min(max(sxy / math.sqrt(sx * sy), -1.0), 1.0)
-    return radius * math.acos(arg)
+    return math.acos(arg) / scale
 
 
 def brute_distance(emb: Embedding, x: BarycentricPoint, y: BarycentricPoint) -> float:

@@ -141,8 +141,7 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
     k = e.num_vertices
     if not 1 <= vertex <= k:
         raise IndexError(f"vertex {vertex} out of range 1..{k}")
-    unit, unit_c = unit_model(e, c)
-    report = check(unit, unit_c, tol)
+    report = check(e, c, tol)
     if report.verdict is not Verdict.REALIZABLE:
         model = "Euclidean" if c.kappa == 0 else "hyperbolic" if c.kappa < 0 else "spherical"
         raise NotRealizableInput(f"not a {model} simplex: {report.detail}")
@@ -150,6 +149,7 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
         coords, altitude = _euclidean_foot(e, vertex)
         return ProjectionResult(foot=BarycentricPoint(coords), altitude=altitude,
                                 inside_face=bool(np.all(coords >= -INSIDE_TOL)))
+    unit, unit_c = unit_model(e, c)
     foot = _curved_foot(unit, unit_c, vertex)
     q = curved_gram(unit, unit_c)
     inside = bool(np.all(foot.coords >= -INSIDE_TOL))

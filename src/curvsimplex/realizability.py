@@ -37,10 +37,21 @@ class RealizabilityReport:
 
 
 def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> RealizabilityReport:
-    """Compare the model Gram signature with the target, then gate long spherical edges."""
-    q = model_gram(e, c)
-    eig = q.matrix.eigenvalues()
-    eig.setflags(write=False)
+    """Compare the model Gram signature with the target, then gate long spherical edges.
+
+    The result is stored on ``e``: a later call at the same curvature and
+    ``tol`` returns it, and one with another ``tol`` re-classifies its
+    eigenvalues.
+    """
+    memo = e._memo
+    if memo is not None and memo[0] == c.kappa:
+        _, q, eig, memo_tol, report = memo
+        if memo_tol == tol:
+            return report
+    else:
+        q = model_gram(e, c)
+        eig = q.matrix.eigenvalues()
+        eig.setflags(write=False)
     sig = Signature.of(eig, tol)
     minus = 1 if c.kappa < 0 else 0
     plus = q.matrix.dim - minus
@@ -57,7 +68,9 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
     # Edge lengths on the unit sphere are the edges times sqrt(kappa).
     if c.kappa > 0 and e.longest * c.scale >= math.pi / 2:
         verdict, detail = Verdict.NOT_REALIZABLE, "edge >= pi/2"
-    return RealizabilityReport(verdict, sig, detail, eig)
+    report = RealizabilityReport(verdict, sig, detail, eig)
+    object.__setattr__(e, "_memo", (c.kappa, q, eig, tol, report))
+    return report
 
 
 def check_euclidean(e: EdgeLengths, tol: float = DEFAULT_TOL) -> RealizabilityReport:

@@ -8,6 +8,7 @@ storage is 0-based numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,22 @@ class Signature:
         An eigenvalue counts as zero when |lambda| <= tol * max|lambda|, so the
         verdict does not change when the matrix is scaled.
         """
-        if not 0 <= tol < np.inf:
+        if not 0 <= tol < math.inf:
             raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-        cutoff = tol * (float(np.abs(eig).max()) if eig.size else 0.0)
-        n_zero = int(np.sum(np.abs(eig) <= cutoff))
-        n_plus = int(np.sum(eig > cutoff))
-        n_minus = int(np.sum(eig < -cutoff))
+        values = eig.tolist()  # plain floats: a few values classify faster than numpy reduces
+        cutoff = tol * max(map(abs, values), default=0.0)
+        n_plus = n_minus = n_zero = 0
+        for v in values:
+            if v > cutoff:
+                n_plus += 1
+            elif v < -cutoff:
+                n_minus += 1
+            elif abs(v) <= cutoff:
+                n_zero += 1
+        if n_plus + n_minus + n_zero < len(values):
+            # A NaN eigenvalue, which no branch counts, makes max|lambda| and the
+            # cutoff NaN, so no eigenvalue is classified (Python's max may skip it).
+            return cls(n_plus=0, n_minus=0, n_zero=0)
         return cls(n_plus=n_plus, n_minus=n_minus, n_zero=n_zero)
 
 

@@ -206,6 +206,14 @@ class TestInputErrors:
         assert code == 2
         assert "malformed JSON" in err
 
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps({"edge_lengths": TABLE_3SIMPLEX}).encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        code, out, err = run(capsys, ["check", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
     def test_missing_field(self, capsys, files):
         path = files("nofield.json", {"rows": [[0, 1], [1, 0]]})
         code, _, err = run(capsys, ["check", path])
@@ -267,6 +275,18 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert "barycentric" in err
+
+    @pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400)], ids=["plus", "minus"])
+    def test_int_past_the_float_max(self, capsys, files, simplex_file, big):
+        edges = files("big.json", {"edge_lengths": [[0, big, 1], [big, 0, 1], [1, 1, 0]]})
+        px = files("p.json", {"barycentric": [big, 0.25, 0.25, 0.25]})
+        py = files("q.json", {"barycentric": [0.25, 0.25, 0.25, 0.25]})
+        for argv, field in ((["check", edges], "edge_lengths"),
+                            (["dist", edges, py, py], "edge_lengths"),
+                            (["dist", simplex_file, px, py], "barycentric")):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert f"field '{field}'" in err and "finite" in err
 
     def test_nan_curvature(self, capsys, simplex_file):
         code, _, err = run(capsys, ["check", simplex_file, "--geometry", "kappa=nan"])

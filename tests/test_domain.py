@@ -1,6 +1,8 @@
 """Domain types and Gram-builder tests."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from curvsimplex import (
     OutsideLightCone,
     SPHERICAL,
     WrongModel,
+    check,
     curved_gram,
     distance,
     euclidean_gram,
@@ -59,6 +62,11 @@ class TestEdgeLengths:
             EdgeLengths([[0.0, bad, 1.0], [bad, 0.0, 1.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             EdgeLengths([[bad, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400)], ids=["plus", "minus"])
+    def test_rejects_int_past_the_float_max(self, big):
+        with pytest.raises(ValueError, match="finite"):
+            EdgeLengths([[0, big], [big, 0]])
 
     def test_shortest_and_longest(self, table_simplex):
         assert (table_simplex.shortest, table_simplex.longest) == (2.0, 5.0)
@@ -132,6 +140,10 @@ class TestBarycentricPoint:
     def test_rejects_non_finite(self, coords):
         with pytest.raises(ValueError, match="sum"):
             BarycentricPoint(coords)
+
+    def test_rejects_int_past_the_float_max(self):
+        with pytest.raises(ValueError, match="finite"):
+            BarycentricPoint([10 ** 400, 0, 1])
 
     def test_vertex(self):
         v = BarycentricPoint.vertex(2, 4)
@@ -272,6 +284,74 @@ class TestModelGram:
         e = EdgeLengths(1e-200 * (1 - np.eye(3)))
         with pytest.raises(GramOverflow, match="rescale"):
             unit_model(e, CurvatureSpec(kappa))
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+class TestCopyAndPickle:
+    def test_edge_lengths_keep_their_bits(self, round_trip):
+        # Asymmetric input: the stored edges are averages, and longest is the
+        # largest input entry, not the largest stored edge.
+        e = EdgeLengths([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5e-323], [2.0 + 1e-9, 1.5e-323, 0.0]])
+        assert e.longest > e.gamma.max()
+        twin = round_trip(e)
+        assert type(twin) is EdgeLengths
+        assert twin.gamma.tobytes() == e.gamma.tobytes()
+        assert (twin.shortest, twin.longest) == (e.shortest, e.longest)
+        assert not twin.gamma.flags.writeable
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 0.3])
+    def test_a_copy_of_a_checked_set_starts_unchecked(self, table_simplex, round_trip, kappa):
+        c = CurvatureSpec(kappa)
+        report = check(table_simplex, c)
+        twin = round_trip(table_simplex)
+        twin_report = check(twin, c)
+        assert twin_report == report
+        assert twin_report is not report
+        assert twin_report.eigenvalues.tobytes() == report.eigenvalues.tobytes()
+        assert model_gram(twin, c) is not model_gram(table_simplex, c)
+
+    def test_barycentric_point_keeps_its_bits(self, round_trip):
+        p = BarycentricPoint([0.1, 0.2, 0.7 + 3e-7])  # renormalized: the sum is not 1
+        twin = round_trip(p)
+        assert type(twin) is BarycentricPoint
+        assert twin.coords.tobytes() == p.coords.tobytes()
+        assert not twin.coords.flags.writeable
+
+
+class TestModelGramMemo:
+    """model_gram reads the Gram matrix a check stored and never writes one."""
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0, -0.3, 0.3])
+    def test_checked_set_returns_the_stored_gram(self, table_simplex, kappa):
+        c = CurvatureSpec(kappa)
+        fresh = model_gram(EdgeLengths(TABLE_3SIMPLEX), c)
+        check(table_simplex, c)
+        q = model_gram(table_simplex, c)
+        assert q is model_gram(table_simplex, c)
+        assert (q.apex, q.curvature) == (fresh.apex, fresh.curvature)
+        assert q.matrix.data.tobytes() == fresh.matrix.data.tobytes()
+
+    def test_other_curvature_builds_its_own(self, table_simplex):
+        check(table_simplex, HYPERBOLIC)
+        q = model_gram(table_simplex, SPHERICAL)
+        assert q.curvature == SPHERICAL
+        built = curved_gram(table_simplex, SPHERICAL)
+        assert q.matrix.data.tobytes() == built.matrix.data.tobytes()
+        assert model_gram(table_simplex, SPHERICAL) is not q
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, -0.3])
+    def test_distance_alone_stores_nothing(self, table_simplex, kappa):
+        c = CurvatureSpec(kappa)
+        x, y = BarycentricPoint.vertex(1, 4), BarycentricPoint([0.25] * 4)
+        distance(table_simplex, c, x, y)
+        assert model_gram(table_simplex, c) is not model_gram(table_simplex, c)
 
 
 DERIVED_KAPPAS = [0.0, -1.0, 1.0, -0.3, 0.3]

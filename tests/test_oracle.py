@@ -23,6 +23,7 @@ from curvsimplex import (
     SPHERICAL,
     brute_distance,
     brute_project,
+    distance,
     edge_lengths_of,
     embed,
 )
@@ -70,6 +71,24 @@ class TestEmbedRoundTrip:
             e = random_simplex(rng, 3, c)
             emb = embed(e, c)
             assert np.max(np.abs(edge_lengths_of(emb).gamma - e.gamma)) < 1e-8
+
+
+class TestTinyCurvature:
+    """Coordinates of size 1/sqrt|kappa| are measured on the unit model."""
+
+    def test_distances_of_a_wide_triangle(self):
+        # Unit-model edge 20 at kappa = -1e-300; the coordinates reach 1.3e154,
+        # so squaring them overflows.  Their unit-model <p, p> = -1 rounds by
+        # about 6e-8 at size 1.3e4, which bounds every distance to ~3e-9.
+        e = EdgeLengths(2e151 * (1 - np.eye(3)))
+        c = CurvatureSpec(-1e-300)
+        emb = embed(e, c)
+        vertex, mid = BarycentricPoint.vertex(1, 3), BarycentricPoint([0.5, 0.5, 0.0])
+        assert brute_distance(emb, vertex, mid) == pytest.approx(1e151, rel=1e-8)
+        assert brute_distance(emb, vertex, mid) == pytest.approx(
+            distance(e, c, vertex, mid), rel=1e-8)
+        recovered = edge_lengths_of(emb).gamma
+        assert np.allclose(recovered, e.gamma, rtol=1e-8, atol=0.0)
 
 
 class TestModelConstraints:

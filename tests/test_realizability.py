@@ -7,17 +7,28 @@ import numpy as np
 import pytest
 
 from curvsimplex import (
+    BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
+    Embedding,
+    GeometryError,
+    GramMatrix,
     HYPERBOLIC,
+    ProjectionResult,
+    RealizabilityReport,
     Verdict,
     check,
     check_euclidean,
     check_hyperbolic,
     check_spherical,
     curved_gram,
+    distance,
     embed,
+    euclidean_face_volume,
     euclidean_gram,
+    euclidean_volume,
+    model_gram,
+    project,
 )
 from curvsimplex.cli import main
 from curvsimplex.oracle import edge_lengths_of
@@ -175,3 +186,106 @@ class TestOracleAgreement:
             emb = embed(e, c)
             recovered = edge_lengths_of(emb)
             assert np.max(np.abs(recovered.gamma - e.gamma)) < 1e-8
+
+
+def _bits(value):
+    """A result with every float replaced by its bytes, so == means bit-identical."""
+    if isinstance(value, RealizabilityReport):
+        return (value.verdict, value.signature, value.detail, value.eigenvalues.tobytes())
+    if isinstance(value, ProjectionResult):
+        lift = None if value.foot_model is None else value.foot_model.coords.tobytes()
+        return (value.foot.coords.tobytes(), _bits(value.altitude), value.inside_face, lift)
+    if isinstance(value, Embedding):
+        return (value.model, value.vertices.tobytes(), value.curvature)
+    if isinstance(value, GramMatrix):
+        return (value.matrix.data.tobytes(), value.curvature, value.apex)
+    return np.float64(value).tobytes()
+
+
+def outcome(call, e):
+    """call(e) as bits, or the type and message of the GeometryError it raised."""
+    try:
+        return _bits(call(e))
+    except GeometryError as exc:
+        return (type(exc), str(exc))
+
+
+def public_calls(c, k):
+    """Every public result of one edge set at curvature c, in a fixed order."""
+    mid = BarycentricPoint([0.5, 0.5] + [0.0] * (k - 2))
+    centroid = BarycentricPoint([1.0 / k] * k)
+    first, last = BarycentricPoint.vertex(1, k), BarycentricPoint.vertex(k, k)
+    calls = [
+        lambda e: check(e, c),
+        lambda e: check(e, c, 1e-3),
+        lambda e: check(e, c),
+        lambda e: model_gram(e, c),
+        lambda e: distance(e, c, first, last),
+        lambda e: distance(e, c, mid, centroid),
+        lambda e: distance(e, c, centroid, centroid),
+        lambda e: embed(e, c),
+    ]
+    calls += [lambda e, v=v: project(e, c, v) for v in range(1, k + 1)]
+    if c.kappa == 0:
+        calls += [euclidean_volume, lambda e: euclidean_face_volume(e, k)]
+    return calls
+
+
+def inflated(e):
+    """The edge set with edge 1-2 longer than the path through vertex 3."""
+    g = np.array(e.gamma)
+    g[0, 1] = g[1, 0] = 1.5 * (g[0, 2] + g[1, 2])
+    return g
+
+
+class TestCheckedEdgeSetMemo:
+    """A checked edge set answers every public call as an unchecked one would."""
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0, -0.3, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_checked_equals_fresh(self, kappa, n):
+        c = CurvatureSpec(kappa)
+        rng = np.random.default_rng(int(1000 * abs(kappa)) + 10 * n + (kappa < 0))
+        realizable = random_simplex(rng, n, c)
+        for g, verdict in ((realizable.gamma, Verdict.REALIZABLE),
+                           (inflated(realizable), Verdict.NOT_REALIZABLE)):
+            checked = EdgeLengths(g)
+            assert check(checked, c).verdict is verdict
+            for call in public_calls(c, n + 1):
+                assert outcome(call, checked) == outcome(call, EdgeLengths(g))
+
+    # A flat triangle: Realizable at tol 1e-9 but Degenerate at 1e-3 for these kappas.
+    FLAT = [[0.0, 2.0, math.hypot(1, 1e-2)], [2.0, 0.0, math.hypot(1, 1e-2)],
+            [math.hypot(1, 1e-2), math.hypot(1, 1e-2), 0.0]]
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 0.3, -0.3])
+    def test_interleaved_calls_see_no_stale_entry(self, kappa):
+        c, flipped, other = (CurvatureSpec(kappa), CurvatureSpec(-kappa),
+                             CurvatureSpec(kappa - 0.5))
+        x, y = BarycentricPoint([0.2, 0.3, 0.5]), BarycentricPoint.vertex(2, 3)
+        steps = [
+            lambda e: check(e, c),
+            lambda e: check(e, flipped),
+            lambda e: check(e, c, 1e-9),
+            lambda e: check(e, c, 1e-3),
+            lambda e: check(e, c, 1e-9),
+            lambda e: distance(e, other, x, y),
+            lambda e: check(e, flipped, 1e-3),
+            lambda e: distance(e, c, x, y),
+            lambda e: project(e, c, 3),
+        ]
+        e = EdgeLengths(self.FLAT)
+        got = [outcome(step, e) for step in steps]
+        assert got == [outcome(step, EdgeLengths(self.FLAT)) for step in steps]
+        assert got[2][0] is Verdict.REALIZABLE and got[3][0] is Verdict.DEGENERATE
+
+    def test_bad_tol_is_rejected_after_a_check(self, table_simplex):
+        check(table_simplex, HYPERBOLIC)
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+                check(table_simplex, HYPERBOLIC, tol)
+
+    def test_same_curvature_and_tol_returns_the_stored_report(self, table_simplex):
+        report = check(table_simplex, HYPERBOLIC)
+        assert check(table_simplex, CurvatureSpec(-1.0)) is report
+        assert check(table_simplex, HYPERBOLIC, 1e-3) is not report

@@ -113,6 +113,36 @@ class TestSignature:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             Signature.of(np.array([1.0, -1.0]), tol)
 
+    @staticmethod
+    def numpy_signature(eig, tol):
+        """The classification as numpy reductions over the whole array."""
+        cutoff = tol * (float(np.abs(eig).max()) if eig.size else 0.0)
+        return (int(np.sum(eig > cutoff)), int(np.sum(eig < -cutoff)),
+                int(np.sum(np.abs(eig) <= cutoff)))
+
+    @given(st.data(), st.floats(0, 1e3, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_reductions(self, data, tol):
+        values = data.draw(st.lists(st.one_of(
+            st.floats(allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf])), max_size=12))
+        if values and data.draw(st.booleans()):
+            # Plant values exactly at +-cutoff, where <= and < must agree with numpy.
+            top = max(map(abs, values))
+            cutoff = tol * top
+            if not math.isnan(cutoff):
+                values += [cutoff, -cutoff]
+        eig = np.array(values, dtype=float)
+        assert Signature.of(eig, tol).as_tuple() == self.numpy_signature(eig, tol)
+
+    @pytest.mark.parametrize("values", [[], [0.0], [-0.0, 0.0], [math.nan], [1.0, math.nan],
+                                        [math.nan, 1.0, -1.0], [2.0, -2.0, 0.0],
+                                        [1e-300, -1e-300, 1.0]])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5, 1.0])
+    def test_edge_cases_match_numpy_reductions(self, values, tol):
+        eig = np.array(values, dtype=float)
+        assert Signature.of(eig, tol).as_tuple() == self.numpy_signature(eig, tol)
+
     @given(symmetric_matrices(max_dim=5), st.permutations(range(5)))
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariance(self, m, perm):
