@@ -71,6 +71,7 @@ class EdgeLengths:
     writes it.  Derived edge sets, copies and unpickled ones start unchecked.
     """
 
+    # _memo is None or (kappa, model Gram, eigenvalues, tol, report), written by check.
     __slots__ = ("gamma", "shortest", "longest", "_memo")
 
     def __init__(self, gamma) -> None:

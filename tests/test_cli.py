@@ -208,8 +208,8 @@ class TestInputErrors:
 
     def test_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
-        path.write_bytes(json.dumps({"edge_lengths": TABLE_3SIMPLEX}).encode("utf-16"))
-        assert path.read_bytes()[:2] == b"\xff\xfe"
+        text = json.dumps({"edge_lengths": TABLE_3SIMPLEX})
+        path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))  # UTF-16 with its BOM
         code, out, err = run(capsys, ["check", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: not UTF-8 text: ")

@@ -120,14 +120,15 @@ class TestSignature:
         return (int(np.sum(eig > cutoff)), int(np.sum(eig < -cutoff)),
                 int(np.sum(np.abs(eig) <= cutoff)))
 
-    @given(st.data(), st.floats(0, 1e3, allow_nan=False, allow_infinity=False))
+    @given(st.data(), st.floats(0, 1))
     @settings(max_examples=300, deadline=None)
     def test_matches_numpy_reductions(self, data, tol):
         values = data.draw(st.lists(st.one_of(
             st.floats(allow_infinity=False),
             st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf])), max_size=12))
         if values and data.draw(st.booleans()):
-            # Plant values exactly at +-cutoff, where <= and < must agree with numpy.
+            # Plant values exactly at +-cutoff (tol <= 1 keeps max|lambda|), where
+            # <= and < must agree with numpy.
             top = max(map(abs, values))
             cutoff = tol * top
             if not math.isnan(cutoff):
