@@ -3,7 +3,8 @@
 An n-simplex is described purely by the geodesic lengths of its edges.  The
 builders here turn those lengths into bilinear-form data: the apex-difference
 Gram matrix for flat simplices and the full vertex Gram matrix for curved
-ones; ``model_gram`` picks one per curvature, on the unit model.
+ones, which stores the unit model and carries its curvature; ``model_gram``
+picks one per curvature.
 All values are immutable and all functions are pure; the one cache is the
 verdict a checked ``EdgeLengths`` keeps (see its docstring).
 """
@@ -23,7 +24,7 @@ BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
 EDGE_SYMMETRY_TOL = 1e-9
 # Largest unit-model cosh argument whose Gram entries survive SymMatrix's a + a^T
-# symmetrization; at -1 < kappa < 0 the entries are cosh / |kappa|, so ln|kappa| less.
+# symmetrization.
 COSH_ARG_MAX = math.log(sys.float_info.max)
 # Edge lengths whose squares are normal float64 numbers lie in [SQRT_MIN, SQRT_MAX].
 SQRT_MIN, SQRT_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
@@ -65,13 +66,13 @@ class EdgeLengths:
     numbers) and carry the read-only matrix and its extremes over.
 
     A checked edge set keeps its last verdict: ``check`` stores the curvature,
-    the model Gram matrix, its eigenvalues and the report in one private
-    entry, which later ``check`` and ``model_gram`` calls at that curvature
-    read instead of rebuilding.  ``model_gram`` (and so ``distance``) never
-    writes it.  Derived edge sets, copies and unpickled ones start unchecked.
+    the model Gram matrix, the tolerance and the report (which holds the
+    eigenvalues) in one private entry, which later ``check`` and
+    ``model_gram`` calls at that curvature read instead of rebuilding.
+    ``model_gram`` (and so ``distance``) never writes it.  Derived edge sets, copies and unpickled ones start unchecked.
     """
 
-    # _memo is None or (kappa, model Gram, eigenvalues, tol, report), written by check.
+    # _memo is None or (kappa, model Gram, tol, report), written by check.
     __slots__ = ("gamma", "shortest", "longest", "_memo")
 
     def __init__(self, gamma) -> None:
@@ -239,7 +240,8 @@ class GramMatrix:
     Apex Gram (curvature 0, ``apex`` set): n x n matrix of apex-difference
     inner products, with vertex ``apex`` at the origin.  Full vertex Gram
     (nonzero curvature, ``apex`` None): (n+1) x (n+1) matrix of vertex
-    position inner products in the curvature's model space.
+    position inner products on the unit model; a form or length at
+    ``curvature`` is that of the unit model over |kappa| or sqrt(|kappa|).
     """
 
     matrix: SymMatrix
@@ -267,27 +269,23 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
 
 
 def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
-    """Full vertex Gram matrix for a nonzero constant curvature.
+    """Full vertex Gram matrix of the unit model, carrying the nonzero curvature c.
 
-    kappa = -1: q_ij = -cosh(g_ij); kappa = +1: q_ij = cos(g_ij).  For other
-    kappa the radius-R model (R = 1/sqrt|kappa|) is used, so q_ij is
-    (1/kappa) cos(sqrt(kappa) g_ij) for kappa > 0 and
-    (1/kappa) cosh(sqrt(-kappa) g_ij) for kappa < 0; the diagonal is 1/kappa.
-    Raises GramOverflow when sqrt(-kappa) * max g_ij exceeds COSH_ARG_MAX, less
-    ln|kappa| at -1 < kappa < 0.
+    The edges are rescaled onto the unit model (``unit_model``) and
+    q_ij = cos(g_ij) for kappa > 0, -cosh(g_ij) for kappa < 0, on the
+    rescaled edges g; ``curvature`` stays c.  Raises GramOverflow when a
+    rescaled edge exceeds COSH_ARG_MAX at kappa < 0.
     """
-    kappa = c.kappa
-    if kappa == 0:
+    if c.kappa == 0:
         raise WrongModel("curvature 0 has no full vertex Gram; use euclidean_gram")
-    g = e.gamma
-    if kappa > 0:
-        q = (1.0 / kappa) * np.cos(math.sqrt(kappa) * g)
+    unit, unit_c = unit_model(e, c)
+    if unit_c.kappa > 0:
+        q = np.cos(unit.gamma)
     else:
-        root = math.sqrt(-kappa)
-        if root * e.longest > COSH_ARG_MAX + min(0.0, math.log(-kappa)):
+        if unit.longest > COSH_ARG_MAX:
             raise GramOverflow(
-                f"hyperbolic edge {e.longest} at kappa={kappa} overflows the Gram matrix")
-        q = (1.0 / kappa) * np.cosh(root * g)
+                f"hyperbolic edge {unit.longest} at kappa={unit_c.kappa} overflows the Gram matrix")
+        q = -np.cosh(unit.gamma)
     return GramMatrix(SymMatrix(q), c)
 
 
@@ -307,14 +305,13 @@ def unit_model(e: EdgeLengths, c: CurvatureSpec) -> tuple[EdgeLengths, Curvature
 
 
 def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
-    """Apex Gram matrix at the last vertex for kappa = 0, else the unit-model vertex Gram.
+    """Apex Gram matrix at the last vertex for kappa = 0, else ``curved_gram``.
 
     An edge set checked at c returns the Gram matrix its check stored.
     """
     memo = e._memo
     if memo is not None and memo[0] == c.kappa:
         return memo[1]
-    e, c = unit_model(e, c)
     if c.kappa == 0:
         return euclidean_gram(e, apex=e.num_vertices)
     return curved_gram(e, c)
@@ -331,24 +328,27 @@ def _vertex_gram_data(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -
 
 
 def hull_inner_product(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """Model-space inner product <x, y> = x^T Q y of two hull points."""
-    return float(x.coords @ _vertex_gram_data(q, x, y) @ y.coords)
+    """Inner product <x, y> of two hull points in the model of curvature kappa.
+
+    That is x^T Q y / |kappa| on the stored unit-model matrix Q.
+    """
+    return float(x.coords @ _vertex_gram_data(q, x, y) @ y.coords) / abs(q.curvature.kappa)
 
 
 def lift_to_model(q: GramMatrix, x: BarycentricPoint) -> BarycentricPoint:
     """Radial projection of a hull point onto the model surface <p, p> = 1/kappa.
 
-    Returns hull-frame coefficients (they no longer sum to 1).  For negative
-    curvature the point must be timelike (<x, x> < 0); for positive curvature
-    it must have positive norm.
+    Returns hull-frame coefficients (they no longer sum to 1).  They are
+    x / sqrt|x^T Q x| on the stored unit-model matrix Q, the same at every
+    kappa of one sign.  For negative curvature the point must be timelike
+    (<x, x> < 0); for positive curvature it must have positive norm.
     """
-    kappa = q.curvature.kappa
-    s = hull_inner_product(q, x, x)
-    if kappa < 0:
+    s = float(x.coords @ _vertex_gram_data(q, x, x) @ x.coords)
+    if q.curvature.kappa < 0:
         if s >= 0:
             raise OutsideLightCone(f"<x,x> = {s} is not negative")
     else:
         if s <= 0:
             raise DegenerateDirection(f"<x,x> = {s} is not positive")
-    factor = 1.0 / math.sqrt(abs(kappa) * abs(s))
+    factor = 1.0 / math.sqrt(abs(s))
     return BarycentricPoint.hull(x.coords * factor)

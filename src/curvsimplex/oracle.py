@@ -19,14 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    HYPERBOLIC,
-    SPHERICAL,
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
     curved_gram,
     euclidean_gram,
-    unit_model,
 )
 from .errors import (
     DegenerateDirection,
@@ -77,18 +74,15 @@ class Embedding:
         return float(u @ v)
 
 
-def _embed_euclidean(e: EdgeLengths) -> np.ndarray:
-    q = euclidean_gram(e, apex=e.num_vertices).matrix.data
+def _cholesky(q: np.ndarray) -> np.ndarray:
     try:
-        lower = np.linalg.cholesky(q)
+        return np.linalg.cholesky(q)
     except np.linalg.LinAlgError as exc:
         raise EmbeddingInconsistency("Cholesky failed on a Realizable input") from exc
-    return np.vstack([lower, np.zeros(q.shape[0])])
 
 
-def _embed_minkowski(e: EdgeLengths) -> np.ndarray:
-    """Vertex coordinates of the unit model's edges e."""
-    q = curved_gram(e, HYPERBOLIC).matrix.data
+def _embed_minkowski(q: np.ndarray) -> np.ndarray:
+    """Vertex coordinates of the unit-model vertex Gram matrix q of signature (n, 1)."""
     eigvals, eigvecs = np.linalg.eigh(q)
     if np.sum(eigvals < 0) != 1:
         raise EmbeddingInconsistency("expected exactly one negative eigenvalue")
@@ -105,33 +99,25 @@ def _embed_minkowski(e: EdgeLengths) -> np.ndarray:
     return verts
 
 
-def _embed_sphere(e: EdgeLengths) -> np.ndarray:
-    """Vertex coordinates of the unit model's edges e."""
-    q = curved_gram(e, SPHERICAL).matrix.data
-    try:
-        lower = np.linalg.cholesky(q)
-    except np.linalg.LinAlgError as exc:
-        raise EmbeddingInconsistency("Cholesky failed on a Realizable input") from exc
-    return lower
-
-
 def embed(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Embedding:
     """Place the vertices in the model space of curvature ``c``.
 
-    Curved simplices are embedded on the unit model (``unit_model``) and their
-    coordinates divided by sqrt(|kappa|).  The configuration is only
-    determined up to model isometry; consumers should rely on pairwise
-    distances and inner products, not positions.
+    Euclidean vertices come from a Cholesky factor of the apex Gram matrix,
+    with the apex at the origin.  Curved ones come from the unit-model cos /
+    cosh Gram matrix (``curved_gram``), divided by sqrt(|kappa|).  The
+    configuration is only determined up to model isometry; consumers should
+    rely on pairwise distances and inner products, not positions.
     """
     report = check(e, c, tol)
     if report.verdict is not Verdict.REALIZABLE:
         raise NotRealizableInput(f"cannot embed: {report.detail}")
     if c.kappa == 0:
-        return Embedding(ModelSpace.EUCLIDEAN, _embed_euclidean(e), c)
-    unit, _ = unit_model(e, c)
+        q = euclidean_gram(e, apex=e.num_vertices).matrix.data
+        return Embedding(ModelSpace.EUCLIDEAN, np.vstack([_cholesky(q), np.zeros(q.shape[0])]), c)
+    q = curved_gram(e, c).matrix.data
     if c.kappa < 0:
-        return Embedding(ModelSpace.MINKOWSKI, _embed_minkowski(unit) / c.scale, c)
-    return Embedding(ModelSpace.SPHERE, _embed_sphere(unit) / c.scale, c)
+        return Embedding(ModelSpace.MINKOWSKI, _embed_minkowski(q) / c.scale, c)
+    return Embedding(ModelSpace.SPHERE, _cholesky(q) / c.scale, c)
 
 
 def _hull_point(emb: Embedding, x: BarycentricPoint) -> np.ndarray:

@@ -6,8 +6,9 @@ A Euclidean foot comes from one solve w = m^-1 1 on the apex Gram matrix m at
 the projected vertex: the foot is w / (1^T w) and the altitude 1 / sqrt(1^T w).
 A Euclidean volume is prod sqrt(lambda) / n! over the apex Gram eigenvalues that
 its realizability report already holds, and a face volume is the volume of the
-face's own edges.  Curved feet come from the first-row minors of the
-unit-model vertex Gram matrix (``unit_model``).
+face's own edges.  Curved feet come from the first-row minors of the vertex
+Gram matrix, which ``curved_gram`` builds on the unit model; barycentric
+coordinates are the same at every curvature of one sign.
 
 The hyperbolic foot must NOT be computed by projecting inside the convex hull
 of the vertices: the induced form there can fail to be positive definite.  The
@@ -34,7 +35,6 @@ from .domain import (
     curved_gram,
     euclidean_gram,
     lift_to_model,
-    unit_model,
 )
 from .errors import (
     DegenerateDirection,
@@ -135,8 +135,9 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
             tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project ``vertex`` orthogonally onto the face spanned by the others.
 
-    The foot's barycentric coordinates are scale invariant, so everything is
-    computed on the unit model; the altitude is divided back by sqrt(|kappa|).
+    The foot's barycentric coordinates are scale invariant, so curved feet
+    are computed on the unit-model Gram matrix carrying kappa, whose
+    distances are already lengths at kappa.
     """
     k = e.num_vertices
     if not 1 <= vertex <= k:
@@ -149,14 +150,13 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
         coords, altitude = _euclidean_foot(e, vertex)
         return ProjectionResult(foot=BarycentricPoint(coords), altitude=altitude,
                                 inside_face=bool(np.all(coords >= -INSIDE_TOL)))
-    unit, unit_c = unit_model(e, c)
-    foot = _curved_foot(unit, unit_c, vertex)
-    q = curved_gram(unit, unit_c)
+    foot = _curved_foot(e, c, vertex)
+    q = curved_gram(e, c)
     inside = bool(np.all(foot.coords >= -INSIDE_TOL))
     apex_point = BarycentricPoint.vertex(vertex, k)
     try:
         foot_model = lift_to_model(q, foot)
-        altitude = _geodesic(q, apex_point, foot, unit_c.kappa, SQUARED_DISTANCE_FLOOR) / c.scale
+        altitude = _geodesic(q, apex_point, foot, SQUARED_DISTANCE_FLOOR)
     except (OutsideLightCone, DegenerateDirection):
         # Feet far outside the face can leave the model's valid cone; they are
         # still reported (inside_face is False) but have no lift or altitude.

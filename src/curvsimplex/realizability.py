@@ -40,18 +40,15 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
     """Compare the model Gram signature with the target, then gate long spherical edges.
 
     The result is stored on ``e``: a later call at the same curvature and
-    ``tol`` returns it, and one with another ``tol`` re-classifies its
-    eigenvalues.
+    ``tol`` returns it; any other call reads the Gram matrix through
+    ``model_gram`` (the stored one at the same curvature) and classifies anew.
     """
     memo = e._memo
-    if memo is not None and memo[0] == c.kappa:
-        _, q, eig, memo_tol, report = memo
-        if memo_tol == tol:
-            return report
-    else:
-        q = model_gram(e, c)
-        eig = q.matrix.eigenvalues()
-        eig.setflags(write=False)
+    if memo is not None and memo[0] == c.kappa and memo[2] == tol:
+        return memo[3]
+    q = model_gram(e, c)
+    eig = q.matrix.eigenvalues()
+    eig.setflags(write=False)
     sig = Signature.of(eig, tol)
     minus = 1 if c.kappa < 0 else 0
     plus = q.matrix.dim - minus
@@ -69,7 +66,7 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
     if c.kappa > 0 and e.longest * c.scale >= math.pi / 2:
         verdict, detail = Verdict.NOT_REALIZABLE, "edge >= pi/2"
     report = RealizabilityReport(verdict, sig, detail, eig)
-    object.__setattr__(e, "_memo", (c.kappa, q, eig, tol, report))
+    object.__setattr__(e, "_memo", (c.kappa, q, tol, report))
     return report
 
 

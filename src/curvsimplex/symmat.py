@@ -76,6 +76,10 @@ class SymMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
 
+    def __reduce__(self):
+        # The stored data is exactly symmetric, so rebuilding from it keeps every bit.
+        return type(self), (self.data,)
+
     @property
     def dim(self) -> int:
         return self.data.shape[0]

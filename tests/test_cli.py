@@ -206,6 +206,19 @@ class TestInputErrors:
         assert code == 2
         assert "malformed JSON" in err
 
+    def test_nested_past_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, ["check", str(path)])
+        assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply\n")
+
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "bigint.json"
+        path.write_text('{"edge_lengths": [[0, ' + "1" * 5001 + '], [1, 0]]}')
+        code, out, err = run(capsys, ["check", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: unreadable JSON: Exceeds the limit")
+
     def test_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
         text = json.dumps({"edge_lengths": TABLE_3SIMPLEX})

@@ -29,12 +29,14 @@ from curvsimplex import (
     model_gram,
     unit_model,
 )
+from curvsimplex.symmat import SymMatrix
 
 from conftest import (
     TABLE_3SIMPLEX,
     random_hyperbolic,
     random_interior_point,
     random_simplex,
+    random_spherical,
 )
 
 
@@ -215,9 +217,11 @@ class TestCurvedGram:
         assert np.allclose(q.matrix.data, [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]])
 
     def test_general_kappa_reduces_to_unit(self, table_simplex):
+        # The matrix is the unit model's, of the edges times sqrt(4); kappa is kept.
         q4 = curved_gram(table_simplex, CurvatureSpec(-4.0))
         unit = curved_gram(table_simplex.scaled(2.0), HYPERBOLIC)
-        assert np.allclose(q4.matrix.data, unit.matrix.data / 4.0)
+        assert np.array_equal(q4.matrix.data, unit.matrix.data)
+        assert q4.curvature == CurvatureSpec(-4.0)
 
     def test_kappa_zero_rejected(self, table_simplex):
         with pytest.raises(WrongModel):
@@ -233,16 +237,21 @@ class TestCurvedGram:
 
     @pytest.mark.parametrize("edge", [1417.0, 1419.0])
     def test_entries_past_the_float_max_refused(self, edge):
-        # At kappa = -0.25 the entries are 4 cosh(edge / 2): past the bound
-        # ln(float max) + ln 0.25 their symmetrization (1417) or they (1419) overflow.
+        # At kappa = -0.25 the entries are -cosh(edge / 2) on the unit model, so
+        # these edges stay below the bound ln(float max); only edges past it
+        # (test_hyperbolic_overflow_refused at 1420), whose entries would leave
+        # float64, are refused.  No overflow warning fires either way.
         e = EdgeLengths(edge * (1 - np.eye(3)))
+        c = CurvatureSpec(-0.25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            q = curved_gram(e, c)
+            assert np.all(np.isfinite(q.matrix.data))
+            assert np.array_equal(q.matrix.data,
+                                  curved_gram(e.scaled(0.5), HYPERBOLIC).matrix.data)
+            assert np.array_equal(model_gram(e, c).matrix.data, q.matrix.data)
             with pytest.raises(GramOverflow):
-                curved_gram(e, CurvatureSpec(-0.25))
-            assert np.all(np.isfinite(model_gram(e, CurvatureSpec(-0.25)).matrix.data))
-            assert np.all(np.isfinite(
-                curved_gram(e.scaled(1416.0 / edge), CurvatureSpec(-0.25)).matrix.data))
+                curved_gram(e.scaled(1420.0 / edge), c)
 
     def test_hyperbolic_below_overflow_bound_is_finite(self):
         e = EdgeLengths(709.0 * (1 - np.eye(3)))
@@ -269,7 +278,7 @@ class TestModelGram:
         assert unit_c == unit
         assert np.array_equal(unit_edges.gamma, scaled.gamma)
         assert q.apex is None
-        assert q.curvature == unit
+        assert q.curvature == CurvatureSpec(kappa)
         assert np.array_equal(q.matrix.data, curved_gram(scaled, unit).matrix.data)
 
     @pytest.mark.parametrize("kappa", [1e300, -1e300])
@@ -316,6 +325,23 @@ class TestCopyAndPickle:
         assert twin_report is not report
         assert twin_report.eigenvalues.tobytes() == report.eigenvalues.tobytes()
         assert model_gram(twin, c) is not model_gram(table_simplex, c)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 0.3])
+    def test_gram_matrix_keeps_its_bits(self, table_simplex, round_trip, kappa):
+        q = model_gram(table_simplex, CurvatureSpec(kappa))
+        twin = round_trip(q)
+        assert type(twin.matrix) is SymMatrix
+        assert twin.matrix.data.tobytes() == q.matrix.data.tobytes()
+        assert not twin.matrix.data.flags.writeable
+        assert (twin.curvature, twin.apex) == (q.curvature, q.apex)
+
+    def test_sym_matrix_keeps_its_bits(self, round_trip):
+        # Asymmetric input: the stored entries are averages, down to subnormals.
+        m = SymMatrix([[1.0, 1.5e-323, -0.0], [5e-324, 1e300, 2.0], [-0.0, 2.0 + 1e-15, 3.0]])
+        twin = round_trip(m)
+        assert type(twin) is SymMatrix
+        assert twin.data.tobytes() == m.data.tobytes()
+        assert not twin.data.flags.writeable
 
     def test_barycentric_point_keeps_its_bits(self, round_trip):
         p = BarycentricPoint([0.1, 0.2, 0.7 + 3e-7])  # renormalized: the sum is not 1
@@ -419,10 +445,9 @@ def raw_euclidean_gram(e, apex):
 
 
 def raw_curved_gram(e, kappa):
-    """The vertex Gram formula, before any symmetrization."""
-    if kappa > 0:
-        return (1.0 / kappa) * np.cos(math.sqrt(kappa) * e.gamma)
-    return (1.0 / kappa) * np.cosh(math.sqrt(-kappa) * e.gamma)
+    """The unit-model vertex Gram formula on the rescaled edges, before any symmetrization."""
+    g = e.gamma * math.sqrt(abs(kappa))
+    return np.cos(g) if kappa > 0 else -np.cosh(g)
 
 
 def assert_symmetrization_is_exact(raw, data):
@@ -508,6 +533,17 @@ class TestLiftToModel:
             lifted = lift_to_model(q, x)
             assert hull_inner_product(q, lifted, lifted) == pytest.approx(
                 1.0 / kappa, abs=1e-9)
+
+    @pytest.mark.parametrize("kappa", [-4.0, -0.25, 0.25, 4.0])
+    def test_coefficients_are_those_of_the_unit_model(self, kappa):
+        rng = np.random.default_rng(6)
+        e = random_hyperbolic(rng, 3) if kappa < 0 else random_spherical(rng, 3)
+        e = e.scaled(1.0 / math.sqrt(abs(kappa)))
+        unit = HYPERBOLIC if kappa < 0 else SPHERICAL
+        x = BarycentricPoint(random_interior_point(rng, 4))
+        lifted = lift_to_model(curved_gram(e, CurvatureSpec(kappa)), x)
+        unit_lifted = lift_to_model(curved_gram(e.scaled(math.sqrt(abs(kappa))), unit), x)
+        assert lifted.coords.tobytes() == unit_lifted.coords.tobytes()
 
     def test_outside_light_cone_rejected(self, table_simplex):
         q = curved_gram(table_simplex, HYPERBOLIC)

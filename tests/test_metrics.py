@@ -12,10 +12,12 @@ from curvsimplex import (
     EUCLIDEAN,
     HYPERBOLIC,
     GeometryError,
+    GramMatrix,
     NotRealizableInput,
     OutsideLightCone,
     SPHERICAL,
     Verdict,
+    WrongModel,
     brute_distance,
     check,
     curved_gram,
@@ -212,6 +214,48 @@ class TestDistanceDispatch:
         expected = 0.5 * hyperbolic_distance(doubled, p, q)
         assert distance(table_simplex, CurvatureSpec(-4.0), p, q) == \
             pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("kappa", [-4.0, -0.25, 0.25, 4.0])
+    def test_per_model_distance_reads_the_curvature_of_its_gram(self, kappa):
+        # curved_gram stores the unit model and carries kappa, so the per-model
+        # distance on it is the distance at kappa, bit for bit.
+        e = EdgeLengths([[0, 1, 1.2], [1, 0, 0.9], [1.2, 0.9, 0]])
+        if kappa > 0:
+            e = e.scaled(0.5 / math.sqrt(kappa))
+        c = CurvatureSpec(kappa)
+        per_model = hyperbolic_distance if kappa < 0 else spherical_distance
+        q = curved_gram(e, c)
+        rng = np.random.default_rng(7)
+        pairs = [(BarycentricPoint.vertex(1, 3), BarycentricPoint([0, 0.5, 0.5]))]
+        pairs += [(BarycentricPoint(random_interior_point(rng, 3)),
+                   BarycentricPoint(random_interior_point(rng, 3))) for _ in range(5)]
+        for x, y in pairs:
+            assert per_model(q, x, y) == distance(e, c, x, y)
+
+    def test_kappa_minus_quarter_reference(self):
+        e = EdgeLengths([[0, 1, 1.2], [1, 0, 0.9], [1.2, 0.9, 0]])
+        x, y = BarycentricPoint.vertex(1, 3), BarycentricPoint([0, 0.5, 0.5])
+        d = hyperbolic_distance(curved_gram(e, CurvatureSpec(-0.25)), x, y)
+        assert d == pytest.approx(1.00096, abs=1e-5)
+
+    @pytest.mark.parametrize("per_model,gram_kappa", [
+        (euclidean_distance, -1.0), (euclidean_distance, 1.0),
+        (hyperbolic_distance, 0.0), (hyperbolic_distance, 1.0), (hyperbolic_distance, 0.3),
+        (spherical_distance, 0.0), (spherical_distance, -1.0), (spherical_distance, -0.3),
+    ])
+    def test_gram_of_another_model_is_wrong_model(self, table_simplex, per_model, gram_kappa):
+        e = table_simplex.scaled(0.1) if gram_kappa > 0 else table_simplex
+        c = CurvatureSpec(gram_kappa)
+        q = euclidean_gram(e, apex=4) if gram_kappa == 0 else curved_gram(e, c)
+        x, y = BarycentricPoint([0.25] * 4), BarycentricPoint([1 / 3, 1 / 3, 1 / 3, 0.0])
+        with pytest.raises(WrongModel):
+            per_model(q, x, y)
+
+    def test_flat_gram_without_apex_is_wrong_model(self, table_simplex):
+        q = GramMatrix(euclidean_gram(table_simplex, apex=4).matrix, EUCLIDEAN)
+        x, y = BarycentricPoint([0.25] * 4), BarycentricPoint([1 / 3, 1 / 3, 1 / 3, 0.0])
+        with pytest.raises(WrongModel):
+            euclidean_distance(q, x, y)
 
     def test_small_curvature_limit(self, table_simplex):
         p = BarycentricPoint([0.25] * 4)
