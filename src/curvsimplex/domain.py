@@ -23,8 +23,8 @@ from .symmat import SymMatrix
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
 EDGE_SYMMETRY_TOL = 1e-9
-# Largest unit-model cosh argument whose Gram entries survive SymMatrix's a + a^T
-# symmetrization.
+# Largest unit-model edge at kappa < 0, ln(float max): up to it e^gamma, and so
+# every -cosh(gamma) Gram entry, stays finite.
 COSH_ARG_MAX = math.log(sys.float_info.max)
 # Edge lengths whose squares are normal float64 numbers lie in [SQRT_MIN, SQRT_MAX].
 SQRT_MIN, SQRT_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
@@ -84,11 +84,11 @@ class EdgeLengths:
             raise ValueError(f"edge-length matrix must be square, got {g.shape}")
         if g.shape[0] < 2:
             raise ValueError("a simplex needs at least 2 vertices")
-        longest = float(np.max(np.abs(g)))
+        longest = float(np.abs(g).max())
         if not math.isfinite(longest):
             raise ValueError("edge lengths must be finite")
         half = 0.5 * g  # halving first: g + g.T and g - g.T overflow past half the float max
-        if np.max(np.abs(half - half.T)) > 0.5 * EDGE_SYMMETRY_TOL * max(1.0, longest):
+        if np.abs(half - half.T).max() > 0.5 * EDGE_SYMMETRY_TOL * max(1.0, longest):
             raise ValueError("edge-length matrix must be symmetric")
         if g.diagonal().any():
             raise ValueError("diagonal entries must all be zero")
@@ -148,7 +148,7 @@ class EdgeLengths:
         idx = np.asarray(order, dtype=int) - 1
         if sorted(idx.tolist()) != list(range(self.num_vertices)):
             raise ValueError("order must be a permutation of 1..num_vertices")
-        return self._derived(self.gamma[np.ix_(idx, idx)], self.shortest, self.longest)
+        return self._derived(self.gamma.take(idx, 0).take(idx, 1), self.shortest, self.longest)
 
     def restricted(self, vertices) -> "EdgeLengths":
         """Sub-simplex spanned by the given vertices (1-based, >= 2 of them)."""
@@ -160,12 +160,17 @@ class EdgeLengths:
         if len(keep) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
         idx = np.asarray(keep, dtype=int) - 1
-        g = self.gamma[np.ix_(idx, idx)]
+        g = self.gamma.take(idx, 0).take(idx, 1)
         off = _off_diagonal(g)
         return self._derived(g, float(off.min()), float(off.max()))
 
     def __repr__(self) -> str:
         return f"EdgeLengths({self.gamma.tolist()!r})"
+
+
+def _other_vertices(k: int, vertex: int) -> list[int]:
+    """0-based indices of the k vertices other than ``vertex`` (1-based), ascending."""
+    return [*range(vertex - 1), *range(vertex, k)]
 
 
 def _off_diagonal(g: np.ndarray) -> np.ndarray:
@@ -242,11 +247,19 @@ class GramMatrix:
     (nonzero curvature, ``apex`` None): (n+1) x (n+1) matrix of vertex
     position inner products on the unit model; a form or length at
     ``curvature`` is that of the unit model over |kappa| or sqrt(|kappa|).
+    Any other pairing of ``apex`` and ``curvature`` raises WrongModel.
     """
 
     matrix: SymMatrix
     curvature: CurvatureSpec
     apex: int | None = None
+
+    def __post_init__(self):
+        if self.apex is None and self.curvature.kappa == 0:
+            raise WrongModel("a Gram matrix at curvature 0 needs an apex")
+        if self.apex is not None and self.curvature.kappa != 0:
+            raise WrongModel(f"a Gram matrix at kappa={self.curvature.kappa} has no apex, "
+                             f"got apex={self.apex}")
 
 
 def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
@@ -261,11 +274,11 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
     if not (SQRT_MIN <= e.shortest and e.longest * math.sqrt(k) <= SQRT_MAX):
         raise GramOverflow(
             f"squaring edges in [{e.shortest}, {e.longest}] overflows or underflows float64")
-    others = [i for i in range(k) if i != apex - 1]
-    g = e.gamma
-    col = g[others, apex - 1]
-    q = 0.5 * (col[:, None] ** 2 + col[None, :] ** 2 - g[np.ix_(others, others)] ** 2)
-    return GramMatrix(SymMatrix(q), EUCLIDEAN, apex=apex)
+    others = _other_vertices(k, apex)
+    g2 = e.gamma ** 2
+    col = g2[others, apex - 1]
+    q = 0.5 * (col[:, None] + col[None, :] - g2.take(others, 0).take(others, 1))
+    return GramMatrix(SymMatrix._exact(q), EUCLIDEAN, apex=apex)
 
 
 def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
@@ -286,7 +299,7 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
             raise GramOverflow(
                 f"hyperbolic edge {unit.longest} at kappa={unit_c.kappa} overflows the Gram matrix")
         q = -np.cosh(unit.gamma)
-    return GramMatrix(SymMatrix(q), c)
+    return GramMatrix(SymMatrix._exact(q), c)
 
 
 def unit_model(e: EdgeLengths, c: CurvatureSpec) -> tuple[EdgeLengths, CurvatureSpec]:

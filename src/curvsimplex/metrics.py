@@ -22,6 +22,7 @@ from .domain import (
     CurvatureSpec,
     EdgeLengths,
     GramMatrix,
+    _other_vertices,
     _vertex_gram_data,
     model_gram,
 )
@@ -60,12 +61,11 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
         name = _MODEL[model][0]
         raise WrongModel(f"{name}_distance needs a {name} Gram matrix, got kappa={kappa}")
     if sign == 0:
-        if q.apex is None:
-            raise WrongModel("euclidean_distance needs an apex Gram matrix")
         m = q.matrix.data
-        if x.coords.size != m.shape[0] + 1 or y.coords.size != m.shape[0] + 1:
+        k = m.shape[0] + 1
+        if x.coords.size != k or y.coords.size != k:
             raise ValueError("coordinate length does not match the simplex")
-        diff = np.delete(x.coords - y.coords, q.apex - 1)
+        diff = (x.coords - y.coords).take(_other_vertices(k, q.apex))
         chord2 = float(diff @ m @ diff)
     else:
         z = np.array((x.coords, y.coords, x.coords - y.coords))

@@ -32,6 +32,7 @@ from .domain import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
+    _other_vertices,
     curved_gram,
     euclidean_gram,
     lift_to_model,
@@ -76,7 +77,9 @@ def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[np.ndarray, float]:
     total = float(w.sum())
     if not 0 < total < math.inf:
         raise ProjectionDegenerate(f"1^T m^-1 1 = {total} is not positive")
-    return np.insert(w / total, vertex - 1, 0.0), 1.0 / math.sqrt(total)
+    coords = np.zeros(e.num_vertices)
+    coords[_other_vertices(e.num_vertices, vertex)] = w / total
+    return coords, 1.0 / math.sqrt(total)
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
@@ -118,16 +121,15 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec, vertex: int) -> BarycentricPo
     M_1i are the first-row minors of the vertex Gram matrix.
     """
     k = e.num_vertices
-    order = [vertex] + [v for v in range(1, k + 1) if v != vertex]
-    q = curved_gram(e.permuted(order), c).matrix
-    minors = np.array([q.minor(1, i) for i in range(2, k + 1)])
-    signs = np.array([(-1.0) ** (i + 1) for i in range(2, k + 1)])
-    signed = signs * minors
+    face = _other_vertices(k, vertex)
+    q = curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c).matrix
+    signed = np.array([-q.minor(1, i) if i % 2 == 0 else q.minor(1, i)
+                       for i in range(2, k + 1)])
     denom = float(signed.sum())
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise ProjectionDegenerate("signed first-row minors sum to zero")
-    alpha = signed / denom
-    coords = np.insert(alpha, vertex - 1, 0.0)
+    coords = np.zeros(k)
+    coords[face] = signed / denom
     return BarycentricPoint(coords)
 
 
@@ -149,11 +151,13 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
     if c.kappa == 0:
         coords, altitude = _euclidean_foot(e, vertex)
         return ProjectionResult(foot=BarycentricPoint(coords), altitude=altitude,
-                                inside_face=bool(np.all(coords >= -INSIDE_TOL)))
+                                inside_face=bool((coords >= -INSIDE_TOL).all()))
     foot = _curved_foot(e, c, vertex)
     q = curved_gram(e, c)
-    inside = bool(np.all(foot.coords >= -INSIDE_TOL))
-    apex_point = BarycentricPoint.vertex(vertex, k)
+    inside = bool((foot.coords >= -INSIDE_TOL).all())
+    one_hot = np.zeros(k)
+    one_hot[vertex - 1] = 1.0
+    apex_point = BarycentricPoint.hull(one_hot)  # sums to exactly 1: nothing to normalize
     try:
         foot_model = lift_to_model(q, foot)
         altitude = _geodesic(q, apex_point, foot, SQUARED_DISTANCE_FLOOR)

@@ -58,7 +58,9 @@ class Signature:
 class SymMatrix:
     """Immutable dense symmetric matrix.
 
-    Construction symmetrizes: the stored entries are (a_ij + a_ji) / 2.
+    ``SymMatrix(entries)`` copies and symmetrizes: the stored entries are
+    (a_ij + a_ji) / 2.  The Gram builders, whose arrays are exactly symmetric
+    already, store theirs as they are (``_exact``).
     """
 
     __slots__ = ("data",)
@@ -72,6 +74,14 @@ class SymMatrix:
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
+
+    @classmethod
+    def _exact(cls, a: np.ndarray) -> "SymMatrix":
+        """Wrap a fresh, exactly symmetric square float array read-only, without a copy."""
+        obj = object.__new__(cls)
+        a.setflags(write=False)
+        object.__setattr__(obj, "data", a)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -95,10 +105,12 @@ class SymMatrix:
         """Determinant with row i and column j removed (1-based)."""
         self._check_index(i)
         self._check_index(j)
-        if self.dim == 1:
+        dim = self.dim
+        if dim == 1:
             raise DegenerateMinor("a 1x1 matrix has no minors")
-        sub = np.delete(np.delete(self.data, i - 1, axis=0), j - 1, axis=1)
-        return float(np.linalg.det(sub))
+        rows = [*range(i - 1), *range(i, dim)]
+        cols = [*range(j - 1), *range(j, dim)]
+        return float(np.linalg.det(self.data.take(rows, axis=0).take(cols, axis=1)))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum (symmetric eigendecomposition)."""

@@ -15,6 +15,7 @@ from curvsimplex import (
     CurvatureSpec,
     EdgeLengths,
     EUCLIDEAN,
+    GramMatrix,
     GramOverflow,
     HYPERBOLIC,
     OutsideLightCone,
@@ -436,6 +437,23 @@ class TestDerivedEdgeLengths:
             EdgeLengths(1e-200 * (1 - np.eye(3))).scaled(1e-200)
 
 
+class TestSelectionsMatchIx:
+    """permuted and restricted take rows and columns, equal to the np.ix_ selection."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    def test_permuted_and_restricted(self, n):
+        rng = np.random.default_rng(n)
+        e = random_simplex(rng, n, EUCLIDEAN)
+        for _ in range(5):
+            idx = rng.permutation(n + 1)
+            assert np.array_equal(e.permuted(idx + 1).gamma, e.gamma[np.ix_(idx, idx)])
+            keep = rng.choice(n + 1, size=rng.integers(2, n + 2), replace=False)
+            ordered = np.sort(keep)
+            # restricted sorts and deduplicates its vertex list.
+            sub = e.restricted((np.concatenate([keep, keep[:1]]) + 1).tolist())
+            assert np.array_equal(sub.gamma, e.gamma[np.ix_(ordered, ordered)])
+
+
 def raw_euclidean_gram(e, apex):
     """The apex Gram formula, before any symmetrization."""
     others = [i for i in range(e.num_vertices) if i != apex - 1]
@@ -471,6 +489,23 @@ class TestGramsAreExactlySymmetric:
             if kappa != 0:
                 assert_symmetrization_is_exact(raw_curved_gram(e, kappa),
                                                curved_gram(e, CurvatureSpec(kappa)).matrix.data)
+
+
+class TestGramMatrixInvariant:
+    """apex is set exactly when the curvature is 0; anything else is refused when built."""
+
+    def test_curved_gram_with_apex_refused(self):
+        with pytest.raises(WrongModel, match="has no apex"):
+            GramMatrix(SymMatrix(-np.eye(3)), HYPERBOLIC, apex=2)
+
+    def test_flat_gram_without_apex_refused(self, table_simplex):
+        with pytest.raises(WrongModel, match="needs an apex"):
+            GramMatrix(euclidean_gram(table_simplex, apex=4).matrix, EUCLIDEAN)
+
+    def test_well_formed_pairs_accepted(self, table_simplex):
+        flat = euclidean_gram(table_simplex, apex=4)
+        assert GramMatrix(flat.matrix, EUCLIDEAN, apex=1).apex == 1
+        assert GramMatrix(SymMatrix(-np.eye(3)), CurvatureSpec(-0.3)).apex is None
 
 
 class TestHullInnerProduct:

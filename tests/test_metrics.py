@@ -252,10 +252,9 @@ class TestDistanceDispatch:
             per_model(q, x, y)
 
     def test_flat_gram_without_apex_is_wrong_model(self, table_simplex):
-        q = GramMatrix(euclidean_gram(table_simplex, apex=4).matrix, EUCLIDEAN)
-        x, y = BarycentricPoint([0.25] * 4), BarycentricPoint([1 / 3, 1 / 3, 1 / 3, 0.0])
-        with pytest.raises(WrongModel):
-            euclidean_distance(q, x, y)
+        # Refused where it is built, so no distance kernel ever sees it.
+        with pytest.raises(WrongModel, match="needs an apex"):
+            GramMatrix(euclidean_gram(table_simplex, apex=4).matrix, EUCLIDEAN)
 
     def test_small_curvature_limit(self, table_simplex):
         p = BarycentricPoint([0.25] * 4)

@@ -92,6 +92,36 @@ class TestMinor:
                 assert m.minor(i, j) == pytest.approx(m.minor(j, i), abs=1e-7)
 
 
+class TestMinorIsDeleteAndDet:
+    """``minor`` takes rows and columns, but equals the np.delete reference bit for bit."""
+
+    @pytest.mark.parametrize("dim", [*range(2, 13), 41])
+    def test_every_minor(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim))
+        m = SymMatrix(a + a.T)
+        for i in range(1, dim + 1):
+            for j in range(1, dim + 1):
+                sub = np.delete(np.delete(m.data, i - 1, axis=0), j - 1, axis=1)
+                assert m.minor(i, j) == float(np.linalg.det(sub))
+
+
+class TestExact:
+    def test_wraps_without_copy_read_only(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        m = SymMatrix._exact(a)
+        assert m.data is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0, 1] = 0.0
+
+    def test_gram_builders_store_read_only_data(self):
+        for q in (table_q(), table_qsigma()):
+            assert not q.data.flags.writeable
+            with pytest.raises(ValueError):
+                q.data[0, 0] = 0.0
+
+
 class TestSignature:
     def test_identity(self):
         assert SymMatrix(np.eye(3)).signature().as_tuple() == (3, 0, 0)
