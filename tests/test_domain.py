@@ -419,7 +419,8 @@ class TestDerivedEdgeLengths:
         for _, e in derived_grid:
             for size in {2, max(2, e.num_vertices // 2), e.num_vertices}:
                 keep = np.sort(rng.choice(e.num_vertices, size=size, replace=False))
-                sub = e.restricted((keep + 1).tolist())
+                # restricted sorts and deduplicates its vertex list.
+                sub = e.restricted((np.r_[keep[::-1], keep[:1]] + 1).tolist())
                 assert_same_edge_set(sub, EdgeLengths(e.gamma[np.ix_(keep, keep)]))
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, -math.inf])
@@ -435,23 +436,6 @@ class TestDerivedEdgeLengths:
     def test_scaled_rejects_underflow(self):
         with pytest.raises(ValueError, match="positive"):
             EdgeLengths(1e-200 * (1 - np.eye(3))).scaled(1e-200)
-
-
-class TestSelectionsMatchIx:
-    """permuted and restricted take rows and columns, equal to the np.ix_ selection."""
-
-    @pytest.mark.parametrize("n", [2, 3, 10, 40])
-    def test_permuted_and_restricted(self, n):
-        rng = np.random.default_rng(n)
-        e = random_simplex(rng, n, EUCLIDEAN)
-        for _ in range(5):
-            idx = rng.permutation(n + 1)
-            assert np.array_equal(e.permuted(idx + 1).gamma, e.gamma[np.ix_(idx, idx)])
-            keep = rng.choice(n + 1, size=rng.integers(2, n + 2), replace=False)
-            ordered = np.sort(keep)
-            # restricted sorts and deduplicates its vertex list.
-            sub = e.restricted((np.concatenate([keep, keep[:1]]) + 1).tolist())
-            assert np.array_equal(sub.gamma, e.gamma[np.ix_(ordered, ordered)])
 
 
 def raw_euclidean_gram(e, apex):
@@ -492,20 +476,11 @@ class TestGramsAreExactlySymmetric:
 
 
 class TestGramMatrixInvariant:
-    """apex is set exactly when the curvature is 0; anything else is refused when built."""
+    """apex is set exactly when the curvature is 0 (the flat case: test_metrics.py)."""
 
     def test_curved_gram_with_apex_refused(self):
         with pytest.raises(WrongModel, match="has no apex"):
             GramMatrix(SymMatrix(-np.eye(3)), HYPERBOLIC, apex=2)
-
-    def test_flat_gram_without_apex_refused(self, table_simplex):
-        with pytest.raises(WrongModel, match="needs an apex"):
-            GramMatrix(euclidean_gram(table_simplex, apex=4).matrix, EUCLIDEAN)
-
-    def test_well_formed_pairs_accepted(self, table_simplex):
-        flat = euclidean_gram(table_simplex, apex=4)
-        assert GramMatrix(flat.matrix, EUCLIDEAN, apex=1).apex == 1
-        assert GramMatrix(SymMatrix(-np.eye(3)), CurvatureSpec(-0.3)).apex is None
 
 
 class TestHullInnerProduct:

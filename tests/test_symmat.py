@@ -115,12 +115,6 @@ class TestExact:
         with pytest.raises(ValueError):
             m.data[0, 1] = 0.0
 
-    def test_gram_builders_store_read_only_data(self):
-        for q in (table_q(), table_qsigma()):
-            assert not q.data.flags.writeable
-            with pytest.raises(ValueError):
-                q.data[0, 0] = 0.0
-
 
 class TestSignature:
     def test_identity(self):

@@ -163,7 +163,7 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
     c = rec.put("curvature", lambda: lib.CurvatureSpec(kappa), lambda s: s.kappa)
     e = rec.put("edges", lambda: lib.EdgeLengths(g), lambda e: (e.gamma, e.shortest, e.longest))
     if cli:
-        run_cli(lib, rec, g, kappa, tmp)
+        run_cli(rec, g, kappa, tmp)
     if c is None or e is None:
         return
     k = e.num_vertices
@@ -247,9 +247,46 @@ def project_fields(r):
     return (r.foot.coords, r.altitude, r.inside_face, lift)
 
 
-def run_cli(lib, rec: Recorder, g: np.ndarray, kappa: float, tmp: str) -> None:
+def cli_call(rec: Recorder, argv: list[str], tmp: str) -> None:
+    """Record exit code, stdout and stderr of one in-process ``cli.main(argv)``."""
     from curvsimplex import cli
 
+    def call():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+        return (code, out.getvalue(), err.getvalue().replace(tmp, "<tmp>"))
+
+    args = " ".join(os.path.basename(a) if a.startswith(tmp) else a for a in argv[1:])
+    rec.put(f"cli.{argv[0]}[{args}]", call)
+
+
+# Documents the CLI must refuse with exit 2 (a missing file is not written).
+BAD_DOCUMENTS = {
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+    "bigint.json": b'{"edge_lengths": ' + b"1" * 5000 + b"}",
+    "beyond_float.json": b'{"edge_lengths": [[0, 1e400], [1e400, 0]]}',
+    "malformed.json": b'{"edge_lengths": [[0, 1], [1, 0]',
+    "no_field.json": b'{"n": 1}',
+    "not_utf8.json": b"\xff\xfe{}",
+    "missing.json": None,
+}
+
+
+def run_bad_documents(rec: Recorder, tmp: str) -> None:
+    for name, content in BAD_DOCUMENTS.items():
+        path = os.path.join(tmp, name)
+        if content is not None:
+            with open(path, "wb") as fh:
+                fh.write(content)
+        cli_call(rec, ["check", path], tmp)
+
+
+def run_cli(rec: Recorder, g: np.ndarray, kappa: float, tmp: str) -> None:
+    """Every subcommand on the edge matrix g, written to a simplex document."""
     k = g.shape[0]
     simplex = os.path.join(tmp, "simplex.json")
     with open(simplex, "w") as fh:
@@ -267,16 +304,7 @@ def run_cli(lib, rec: Recorder, g: np.ndarray, kappa: float, tmp: str) -> None:
                 ["volume", simplex], ["volume", simplex, "--face-opposite", "1"],
                 ["embed", simplex, *geo], ["check", simplex, *geo, "--tol", "-1"]]
     for argv in commands:
-        def call(argv=argv):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:  # argparse
-                    code = exc.code
-            return (code, out.getvalue(), err.getvalue().replace(tmp, "<tmp>"))
-        args = " ".join(os.path.basename(a) if a.startswith(tmp) else a for a in argv[1:])
-        rec.put(f"cli.{argv[0]}[{args}]", call)
+        cli_call(rec, argv, tmp)
 
 
 def run(size: str, seed: int) -> list[str]:
@@ -290,6 +318,8 @@ def run(size: str, seed: int) -> list[str]:
             rec.case = f"{idx:03d} {label}"
             cli = "inflated" in label or "real0" in label or "n=" not in label
             run_case(lib, rec, rng, kappa, g, cli, tmp)
+        rec.case = "bad documents"
+        run_bad_documents(rec, tmp)
     return rec.lines
 
 
