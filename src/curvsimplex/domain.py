@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirection, GramOverflow, OutsideLightCone, WrongModel
-from .symmat import SymMatrix
+from .symmat import SymMatrix, _other_vertices
 
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
@@ -168,11 +168,6 @@ class EdgeLengths:
         return f"EdgeLengths({self.gamma.tolist()!r})"
 
 
-def _other_vertices(k: int, vertex: int) -> list[int]:
-    """0-based indices of the k vertices other than ``vertex`` (1-based), ascending."""
-    return [*range(vertex - 1), *range(vertex, k)]
-
-
 def _off_diagonal(g: np.ndarray) -> np.ndarray:
     """The off-diagonal entries of a k x k matrix as k - 1 rows of k (a view if g is contiguous).
 
@@ -232,7 +227,7 @@ class BarycentricPoint:
             raise IndexError(f"vertex {i} out of range 1..{num_vertices}")
         c = np.zeros(num_vertices)
         c[i - 1] = 1.0
-        return cls(c)
+        return cls.hull(c)  # a one-hot sums to exactly 1: nothing to normalize
 
     def __repr__(self) -> str:
         return f"BarycentricPoint({self.coords.tolist()!r})"

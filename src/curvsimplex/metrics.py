@@ -22,7 +22,6 @@ from .domain import (
     CurvatureSpec,
     EdgeLengths,
     GramMatrix,
-    _other_vertices,
     _vertex_gram_data,
     model_gram,
 )
@@ -32,6 +31,7 @@ from .errors import (
     OutsideLightCone,
     WrongModel,
 )
+from .symmat import _other_vertices
 
 # How far outside its range a squared chord may round and still be clamped into it.
 SQUARED_DISTANCE_FLOOR = 1e-9

@@ -32,7 +32,6 @@ from .domain import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
-    _other_vertices,
     curved_gram,
     euclidean_gram,
     lift_to_model,
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .metrics import SQUARED_DISTANCE_FLOOR, _geodesic
 from .realizability import Verdict, check, check_euclidean
-from .symmat import DEFAULT_TOL
+from .symmat import DEFAULT_TOL, _other_vertices
 
 # A foot counts as inside its face when every coordinate is >= -INSIDE_TOL.
 INSIDE_TOL = 1e-12
@@ -155,9 +154,7 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
     foot = _curved_foot(e, c, vertex)
     q = curved_gram(e, c)
     inside = bool((foot.coords >= -INSIDE_TOL).all())
-    one_hot = np.zeros(k)
-    one_hot[vertex - 1] = 1.0
-    apex_point = BarycentricPoint.hull(one_hot)  # sums to exactly 1: nothing to normalize
+    apex_point = BarycentricPoint.vertex(vertex, k)
     try:
         foot_model = lift_to_model(q, foot)
         altitude = _geodesic(q, apex_point, foot, SQUARED_DISTANCE_FLOOR)

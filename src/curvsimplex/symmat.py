@@ -18,6 +18,11 @@ from .errors import DegenerateMinor, SingularFace
 DEFAULT_TOL = 1e-9
 
 
+def _other_vertices(k: int, vertex: int) -> list[int]:
+    """0-based indices of the k vertices other than ``vertex`` (1-based), ascending."""
+    return [*range(vertex - 1), *range(vertex, k)]
+
+
 @dataclass(frozen=True)
 class Signature:
     """Eigenvalue sign counts of a symmetric bilinear form."""
@@ -108,9 +113,8 @@ class SymMatrix:
         dim = self.dim
         if dim == 1:
             raise DegenerateMinor("a 1x1 matrix has no minors")
-        rows = [*range(i - 1), *range(i, dim)]
-        cols = [*range(j - 1), *range(j, dim)]
-        return float(np.linalg.det(self.data.take(rows, axis=0).take(cols, axis=1)))
+        sub = self.data.take(_other_vertices(dim, i), axis=0).take(_other_vertices(dim, j), axis=1)
+        return float(np.linalg.det(sub))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum (symmetric eigendecomposition)."""

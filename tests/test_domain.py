@@ -419,9 +419,11 @@ class TestDerivedEdgeLengths:
         for _, e in derived_grid:
             for size in {2, max(2, e.num_vertices // 2), e.num_vertices}:
                 keep = np.sort(rng.choice(e.num_vertices, size=size, replace=False))
+                expected = EdgeLengths(e.gamma[np.ix_(keep, keep)])
+                assert_same_edge_set(e.restricted((keep + 1).tolist()), expected)
                 # restricted sorts and deduplicates its vertex list.
-                sub = e.restricted((np.r_[keep[::-1], keep[:1]] + 1).tolist())
-                assert_same_edge_set(sub, EdgeLengths(e.gamma[np.ix_(keep, keep)]))
+                assert_same_edge_set(
+                    e.restricted((np.r_[keep[::-1], keep[:1]] + 1).tolist()), expected)
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, -math.inf])
     def test_scaled_rejects_bad_factor(self, table_simplex, factor):

@@ -1,6 +1,6 @@
 """Differential corpus: every result of a seeded input set, one canonical line each.
 
-    python tools/corpus.py run [--src DIR] [--seed N] [--size full|smoke] [--out FILE]
+    python tools/corpus.py run [--src DIR] [--seed N] [--size full|smoke]
     python tools/corpus.py diff CHECKOUT_A CHECKOUT_B [--seed N] [--size full|smoke]
 
 ``run`` imports ``curvsimplex`` from ``--src`` (default: the ``src/`` next to
@@ -357,7 +357,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     p = sub.add_parser("run", help="write the corpus lines of one library")
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding curvsimplex")
-    p.add_argument("--out", default=None, help="write here instead of stdout")
     p = sub.add_parser("diff", help="compare the corpus of two checkouts")
     p.add_argument("checkout_a")
     p.add_argument("checkout_b")
@@ -367,11 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.mode == "run":
         sys.path.insert(0, args.src)
-        text = "".join(line + "\n" for line in run(args.size, args.seed))
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write("".join(line + "\n" for line in run(args.size, args.seed)))
         return 0
     report = diff(run_checkout(args.checkout_a, args.size, args.seed),
                   run_checkout(args.checkout_b, args.size, args.seed))
