@@ -335,28 +335,32 @@ def _vertex_gram_data(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -
     return m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past float64 raises GramOverflow
 def hull_inner_product(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """Inner product <x, y> of two hull points in the model of curvature kappa.
 
-    That is x^T Q y / |kappa| on the stored unit-model matrix Q.
+    That is x^T Q y / |kappa| on the stored unit-model matrix Q (GramOverflow if not finite).
     """
-    return float(x.coords @ _vertex_gram_data(q, x, y) @ y.coords) / abs(q.curvature.kappa)
+    value = float(x.coords @ _vertex_gram_data(q, x, y) @ y.coords) / abs(q.curvature.kappa)
+    if not math.isfinite(value):
+        raise GramOverflow(f"<x, y> = {value} at kappa={q.curvature.kappa} leaves float64")
+    return value
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a form past float64 raises GramOverflow
 def lift_to_model(q: GramMatrix, x: BarycentricPoint) -> BarycentricPoint:
     """Radial projection of a hull point onto the model surface <p, p> = 1/kappa.
 
     Returns hull-frame coefficients (they no longer sum to 1).  They are
     x / sqrt|x^T Q x| on the stored unit-model matrix Q, the same at every
-    kappa of one sign.  For negative curvature the point must be timelike
-    (<x, x> < 0); for positive curvature it must have positive norm.
+    kappa of one sign.  x^T Q x must be finite (else GramOverflow) and have
+    the sign of kappa: timelike on the hyperboloid, positive on the sphere.
     """
     s = float(x.coords @ _vertex_gram_data(q, x, x) @ x.coords)
-    if q.curvature.kappa < 0:
-        if s >= 0:
-            raise OutsideLightCone(f"<x,x> = {s} is not negative")
-    else:
-        if s <= 0:
-            raise DegenerateDirection(f"<x,x> = {s} is not positive")
-    factor = 1.0 / math.sqrt(abs(s))
-    return BarycentricPoint.hull(x.coords * factor)
+    if q.curvature.kappa < 0 and not s < 0:
+        raise OutsideLightCone(f"<x,x> = {s} is not negative")
+    if q.curvature.kappa > 0 and not s > 0:
+        raise DegenerateDirection(f"<x,x> = {s} is not positive")
+    if not math.isfinite(s):
+        raise GramOverflow(f"<x,x> = {s} leaves float64")
+    return BarycentricPoint.hull(x.coords * (1.0 / math.sqrt(abs(s))))

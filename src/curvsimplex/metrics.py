@@ -27,6 +27,7 @@ from .domain import (
 )
 from .errors import (
     DegenerateDirection,
+    GramOverflow,
     NotRealizableInput,
     OutsideLightCone,
     WrongModel,
@@ -42,6 +43,7 @@ _MODEL = {0.0: ("euclidean", NotRealizableInput), -1.0: ("hyperbolic", OutsideLi
           1.0: ("spherical", DegenerateDirection)}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a form past float64 raises GramOverflow
 def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
               tol: float, model: float | None = None) -> float:
     """Distance of x and y at q's curvature: the unit-model arc over sqrt(|kappa|).
@@ -67,12 +69,16 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
             raise ValueError("coordinate length does not match the simplex")
         diff = (x.coords - y.coords).take(_other_vertices(k, q.apex))
         chord2 = float(diff @ m @ diff)
+        if not math.isfinite(chord2):
+            raise GramOverflow(f"quadratic form {chord2} leaves float64")
     else:
         z = np.array((x.coords, y.coords, x.coords - y.coords))
         sx, sy, delta2 = (z @ _vertex_gram_data(q, x, y) * z).sum(axis=1).tolist()
         if not (sign * sx > 0 and sign * sy > 0):
             side = "negative" if sign < 0 else "positive"
             raise _MODEL[sign][1](f"hull norms ({sx}, {sy}) must both be {side}")
+        if not (math.isfinite(sx) and math.isfinite(sy) and math.isfinite(delta2)):
+            raise GramOverflow(f"quadratic forms ({sx}, {sy}, {delta2}) leave float64")
         nx, ny = math.sqrt(abs(sx)), math.sqrt(abs(sy))
         chord2 = (delta2 - sign * ((sx - sy) / (nx + ny)) ** 2) / (nx * ny)
     top = 4.0 if sign > 0 else math.inf

@@ -1,21 +1,21 @@
 """Orthogonal projection of a vertex onto its opposite face, and volumes.
 
 One ``project`` body, with one realizability guard, serves every curvature;
-the per-model ``*_project`` functions are its unit-curvature cases.
-A Euclidean foot comes from one solve w = m^-1 1 on the apex Gram matrix m at
-the projected vertex: the foot is w / (1^T w) and the altitude 1 / sqrt(1^T w).
-A Euclidean volume is prod sqrt(lambda) / n! over the apex Gram eigenvalues that
-its realizability report already holds, and a face volume is the volume of the
-face's own edges.  Curved feet come from the first-row minors of the vertex
-Gram matrix, which ``curved_gram`` builds on the unit model; barycentric
-coordinates are the same at every curvature of one sign.
+the per-model ``*_project`` functions are its unit-curvature cases.  Its
+altitude is always finite, and its foot has a lift onto the model exactly
+when kappa != 0.  A Euclidean foot comes from one solve w = m^-1 1 on the apex
+Gram matrix m at the projected vertex: the foot is w / (1^T w) and the
+altitude 1 / sqrt(1^T w).  A Euclidean volume is prod sqrt(lambda) / n! over
+the apex Gram eigenvalues that its realizability report already holds, and a
+face volume is the volume of the face's own edges.  Curved feet come from the
+first-row minors of the vertex Gram matrix, which ``curved_gram`` builds on
+the unit model; barycentric coordinates are the same at every curvature of
+one sign.  The lift lies on the projected vertex's sheet or hemisphere.
 
-The hyperbolic foot must NOT be computed by projecting inside the convex hull
-of the vertices: the induced form there can fail to be positive definite.  The
-spherical foot is computed with the same first-row-minor formula on the cos
-Gram matrix (the radial lift of the in-hull Euclidean foot is generally not
-the geodesic minimizer; the minor formula is, as the brute-force oracle
-confirms).
+No curved foot is projected inside the convex hull of the vertices: on the
+hyperboloid the induced form there can fail to be positive definite, and on
+the sphere the radial lift of the in-hull Euclidean foot is generally not the
+geodesic minimizer (the minor formula is, as the brute-force oracle confirms).
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from .domain import (
     euclidean_gram,
     lift_to_model,
 )
-from .errors import (
-    DegenerateDirection,
-    GramOverflow,
-    NotRealizableInput,
-    OutsideLightCone,
-    ProjectionDegenerate,
-)
+from .errors import GramOverflow, NotRealizableInput, ProjectionDegenerate
 from .metrics import SQUARED_DISTANCE_FLOOR, _geodesic
 from .realizability import Verdict, check, check_euclidean
 from .symmat import DEFAULT_TOL, _other_vertices
@@ -55,8 +49,10 @@ INSIDE_TOL = 1e-12
 class ProjectionResult:
     """Foot of the perpendicular from a vertex to its opposite face.
 
-    ``foot`` has coordinate 0 at the projected vertex.  For curved simplices
-    ``foot_model`` is the lift of the foot onto the model surface.
+    ``foot`` has coordinate 0 at the projected vertex and ``altitude`` is
+    always finite.  ``foot_model`` is the lift of the foot onto the model
+    surface, on the projected vertex's sheet or hemisphere; it is None exactly
+    at kappa = 0.
     """
 
     foot: BarycentricPoint
@@ -65,8 +61,8 @@ class ProjectionResult:
     foot_model: BarycentricPoint | None = None
 
 
-def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[np.ndarray, float]:
-    """Foot coordinates and altitude from the apex Gram matrix m at ``vertex``.
+def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[BarycentricPoint, float, None]:
+    """Foot, altitude and (no) lift from the apex Gram matrix m at ``vertex``.
 
     The foot h satisfies <p_i, h> = |h|^2 for every face vertex p_i, so its
     coordinates are w / (1^T w) with w = m^-1 1, and |h|^2 = 1 / (1^T w).
@@ -78,7 +74,7 @@ def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[np.ndarray, float]:
         raise ProjectionDegenerate(f"1^T m^-1 1 = {total} is not positive")
     coords = np.zeros(e.num_vertices)
     coords[_other_vertices(e.num_vertices, vertex)] = w / total
-    return coords, 1.0 / math.sqrt(total)
+    return BarycentricPoint(coords), 1.0 / math.sqrt(total), None
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
@@ -112,12 +108,16 @@ def euclidean_face_volume(e: EdgeLengths, vertex: int,
     return euclidean_volume(e.restricted(v for v in range(1, k + 1) if v != vertex), tol)
 
 
-def _curved_foot(e: EdgeLengths, c: CurvatureSpec, vertex: int) -> BarycentricPoint:
+def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
+                 vertex: int) -> tuple[BarycentricPoint, float, BarycentricPoint]:
     """First-row-minor foot formula on the full vertex Gram matrix.
 
     With the projected vertex relabeled first, the face coordinates are
-    alpha_i = (-1)^(i+1) M_1i / sum_j (-1)^(1+j) M_1j over i, j >= 2, where
-    M_1i are the first-row minors of the vertex Gram matrix.
+    alpha_i = s_i / sum_j s_j with s_i = (-1)^(i+1) M_1i over i, j >= 2, where
+    M_1i are the first-row minors of the vertex Gram matrix.  The vertex
+    projects onto the face's span at -s / M_11, and M_11 has the sign of kappa,
+    so the lift and the altitude are taken at alpha if -sign(kappa) sum_j s_j > 0
+    and at -alpha (alpha's mirror on the other sheet, or antipode) otherwise.
     """
     k = e.num_vertices
     face = _other_vertices(k, vertex)
@@ -129,7 +129,13 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec, vertex: int) -> BarycentricPo
         raise ProjectionDegenerate("signed first-row minors sum to zero")
     coords = np.zeros(k)
     coords[face] = signed / denom
-    return BarycentricPoint(coords)
+    foot = BarycentricPoint(coords)
+    # 0.0 - coords keeps +0.0 at the projected vertex.
+    point = foot if c.kappa * denom < 0 else BarycentricPoint.hull(0.0 - foot.coords)
+    q = curved_gram(e, c)
+    lift = lift_to_model(q, point)
+    apex = BarycentricPoint.vertex(vertex, k)
+    return foot, _geodesic(q, apex, point, SQUARED_DISTANCE_FLOOR), lift
 
 
 def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
@@ -147,26 +153,9 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
     if report.verdict is not Verdict.REALIZABLE:
         model = "Euclidean" if c.kappa == 0 else "hyperbolic" if c.kappa < 0 else "spherical"
         raise NotRealizableInput(f"not a {model} simplex: {report.detail}")
-    if c.kappa == 0:
-        coords, altitude = _euclidean_foot(e, vertex)
-        return ProjectionResult(foot=BarycentricPoint(coords), altitude=altitude,
-                                inside_face=bool((coords >= -INSIDE_TOL).all()))
-    foot = _curved_foot(e, c, vertex)
-    q = curved_gram(e, c)
+    foot, altitude, lift = _curved_foot(e, c, vertex) if c.kappa else _euclidean_foot(e, vertex)
     inside = bool((foot.coords >= -INSIDE_TOL).all())
-    apex_point = BarycentricPoint.vertex(vertex, k)
-    try:
-        foot_model = lift_to_model(q, foot)
-        altitude = _geodesic(q, apex_point, foot, SQUARED_DISTANCE_FLOOR)
-    except (OutsideLightCone, DegenerateDirection):
-        # Feet far outside the face can leave the model's valid cone; they are
-        # still reported (inside_face is False) but have no lift or altitude.
-        if inside:
-            raise
-        foot_model = None
-        altitude = math.nan
-    return ProjectionResult(foot=foot, altitude=altitude, inside_face=inside,
-                            foot_model=foot_model)
+    return ProjectionResult(foot=foot, altitude=altitude, inside_face=inside, foot_model=lift)
 
 
 def euclidean_project(e: EdgeLengths, vertex: int,

@@ -17,13 +17,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import curvsimplex
 from curvsimplex.cli import main
 
-from conftest import TABLE_3SIMPLEX, COLLINEAR_HYPERBOLIC_EDGES, NON_EUCLIDEAN_FACE_EDGES
+from conftest import (
+    COLLINEAR_HYPERBOLIC_EDGES,
+    NON_EUCLIDEAN_FACE_EDGES,
+    TABLE_3SIMPLEX,
+    WRONG_SHEET_TETRAHEDRON,
+    random_simplex,
+)
 
 
 @pytest.fixture
@@ -467,24 +473,33 @@ NON_FINITE_WORD = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 @st.composite
 def cli_calls(draw):
-    """A CLI call on a point-built simplex (one edge sometimes inflated) at any scale."""
+    """A CLI call on a point-built simplex (one edge sometimes inflated) at any scale.
+
+    The points are Euclidean, at a drawn scale, or lie on the hyperboloid or
+    sphere of the drawn curvature's sign, with their edges rescaled to it.
+    """
     k = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    pts = rng.normal(size=(k, k - 1))
-    gamma = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
-    if draw(st.booleans()):
-        gamma[0, 1] = gamma[1, 0] = 3.0 * gamma[0, 1]
-    gamma *= 10.0 ** draw(st.floats(-200, 200))
     sign = draw(st.sampled_from([0.0, -1.0, 1.0]))
     kappa = sign * 10.0 ** draw(st.floats(-300, 300))
+    model = draw(st.sampled_from([0.0, sign]))
+    gamma = random_simplex(rng, k - 1, curvsimplex.CurvatureSpec(model)).gamma.copy()
+    if draw(st.booleans()):
+        gamma[0, 1] = gamma[1, 0] = 3.0 * gamma[0, 1]
+    gamma *= 10.0 ** draw(st.floats(-200, 200)) if model == 0 else 1.0 / math.sqrt(abs(kappa))
     command = draw(st.sampled_from(["check", "dist", "project", "volume", "embed"]))
     tol = draw(st.sampled_from([None, 0.0, 1e-3, -1.0, math.nan, math.inf]))
     return (gamma, kappa, command, tol, draw(st.integers(0, k)),
             rng.uniform(0.01, 1, size=(2, k)))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestFuzz:
     @given(cli_calls())
+    @example((np.array(WRONG_SHEET_TETRAHEDRON), -1.0, "project", None, 4, np.ones((2, 4))))
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exit_codes_and_finite_output(self, tmp_path, call):
@@ -509,3 +524,6 @@ class TestFuzz:
             code = main(argv)
         assert code in (0, 2, 3, 4), err.getvalue()
         assert not NON_FINITE_WORD.search(out.getvalue()), out.getvalue()
+        if command == "project" and code == 0:
+            doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert ("foot_model" in doc) == (kappa != 0)

@@ -30,6 +30,14 @@ def test_smoke_corpus_is_deterministic(corpus, smoke_lines):
         f"{len(keys)} and {len(keys)} results, 0 differ"]
 
 
+def test_smoke_corpus_lifts_feet_from_the_wrong_sheet(smoke_lines):
+    for case in ("wrong-sheet tetrahedron", "antipode 4-simplex"):
+        value = next(line.split("\t", 1)[1] for line in smoke_lines
+                     if f"{case}|project[4]\t" in line)
+        assert not value.startswith("!") and "nan" not in value
+        assert not value.endswith("None)")  # the lift
+
+
 def test_diff_lists_a_changed_value_by_quantity(corpus, smoke_lines):
     key, value = next(line.split("\t", 1) for line in smoke_lines if "|distance[" in line)
     changed = [f"{key}\tX" if line.startswith(key + "\t") else line for line in smoke_lines]

@@ -514,6 +514,17 @@ class TestHullInnerProduct:
                 rel=1e-12)
 
 
+    def test_quotient_past_float64_raises(self):
+        # The unit form is -5.5e307; divided by |kappa| = 0.25 it leaves float64.
+        e = EdgeLengths(1419.4 * (1 - np.eye(3)))
+        q = curved_gram(e, CurvatureSpec(-0.25))
+        x, y = BarycentricPoint([1 / 3] * 3), BarycentricPoint([0.5, 0.5, 0.0])
+        with pytest.raises(GramOverflow, match="leaves float64"):
+            hull_inner_product(q, x, y)
+        unit = curved_gram(e.scaled(0.5), HYPERBOLIC)
+        assert -math.inf < hull_inner_product(unit, x, y) < -5e307
+
+
 class TestLiftToModel:
     def test_already_on_hyperboloid(self, table_simplex):
         q = curved_gram(table_simplex, HYPERBOLIC)
@@ -564,6 +575,13 @@ class TestLiftToModel:
         x = BarycentricPoint.hull([1.0, -1.0, 0.0, 0.0])
         with pytest.raises(OutsideLightCone):
             lift_to_model(q, x)
+
+    def test_form_past_float64_raises(self):
+        # Twice the centroid is timelike, but its form is 4 * -6.2e307.
+        q = curved_gram(EdgeLengths(709.7 * (1 - np.eye(4))), HYPERBOLIC)
+        assert np.isfinite(lift_to_model(q, BarycentricPoint([0.25] * 4)).coords).all()
+        with pytest.raises(GramOverflow, match="leaves float64"):
+            lift_to_model(q, BarycentricPoint.hull([0.5] * 4))
 
 
 class TestScalingLaw:

@@ -13,6 +13,7 @@ from curvsimplex import (
     HYPERBOLIC,
     GeometryError,
     GramMatrix,
+    GramOverflow,
     NotRealizableInput,
     OutsideLightCone,
     SPHERICAL,
@@ -348,3 +349,32 @@ class TestUnrealizableEdges:
                 continue
             assert math.isfinite(d)
         assert {Verdict.REALIZABLE, Verdict.NOT_REALIZABLE} <= verdicts
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFormOverflow:
+    """A quadratic form past the float64 range raises no numpy warning: a point
+    outside the model raises the model's error, and a form that is not finite
+    while both points are in the model raises GramOverflow (the suite turns
+    every RuntimeWarning into an error)."""
+
+    LONG = EdgeLengths(709.7 * (1 - np.eye(4)))
+
+    def test_point_outside_the_light_cone(self):
+        x = BarycentricPoint([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(OutsideLightCone, match="hull norms"):
+            distance(self.LONG, HYPERBOLIC, x, BarycentricPoint([0.25] * 4))
+
+    def test_timelike_points_whose_difference_form_overflows(self):
+        x = BarycentricPoint([0.65, 0.65, -0.3, 0.0])
+        y = BarycentricPoint([-0.3, 0.0, 0.65, 0.65])
+        with pytest.raises(GramOverflow, match="quadratic forms"):
+            distance(self.LONG, HYPERBOLIC, x, y)
+        assert distance(self.LONG, HYPERBOLIC, x, x) == 0.0
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_huge_coordinates(self, kappa):
+        e = EdgeLengths(1 - np.eye(3))
+        x = BarycentricPoint([1e200, -1e200, 1.0])
+        with pytest.raises(GramOverflow, match="quadratic form"):
+            distance(e, CurvatureSpec(kappa), x, BarycentricPoint.vertex(1, 3))

@@ -32,8 +32,10 @@ from curvsimplex import (
 )
 
 from conftest import (
+    ANTIPODE_4SIMPLEX,
     COLLINEAR_HYPERBOLIC_EDGES,
     NON_EUCLIDEAN_FACE_EDGES,
+    WRONG_SHEET_TETRAHEDRON,
     edges_from_points,
     random_euclidean,
     random_hyperbolic,
@@ -294,8 +296,7 @@ class TestHyperbolicProject:
             m = e.num_vertices
             vertex = int(rng.integers(1, m + 1))
             res = hyperbolic_project(e, vertex)
-            if res.foot_model is None:
-                continue
+            assert res.foot_model is not None
             q = curved_gram(e, HYPERBOLIC)
             v = BarycentricPoint.vertex(vertex, m)
             vp = hull_inner_product(q, v, res.foot_model)
@@ -392,12 +393,9 @@ class TestDispatchAndSubface:
                 unit = unit_project(e.scaled(scale), vertex)
                 assert np.array_equal(res.foot.coords, unit.foot.coords)
                 assert res.inside_face == unit.inside_face
-                if unit.foot_model is None:
-                    # a foot far outside its face has no lift and no altitude
-                    assert res.foot_model is None and math.isnan(res.altitude)
-                else:
-                    assert np.array_equal(res.foot_model.coords, unit.foot_model.coords)
-                    assert res.altitude == unit.altitude / scale
+                assert res.foot_model is not None and unit.foot_model is not None
+                assert np.array_equal(res.foot_model.coords, unit.foot_model.coords)
+                assert res.altitude == unit.altitude / scale
 
     @pytest.mark.parametrize("vertex", [0, -1, 5])
     @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0, -0.3])
@@ -412,3 +410,80 @@ class TestDispatchAndSubface:
             e = random_hyperbolic(rng, 3)
             res = hyperbolic_project(e, 1)
             assert res.foot.coords.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def coordinate_foot(e, c, vertex):
+    """Altitude and lift of the foot from ``vertex``, from ``embed`` coordinates.
+
+    The foot is the form-orthogonal projection p = beta @ face of the vertex
+    onto the linear span of its face's vertices, taken on the upper sheet at
+    kappa < 0.  The altitude is the arc over the chord between the vertex and
+    p on the unit model; the lift is beta / sqrt(|kappa <p, p>|).
+    """
+    v = embed(e, c).vertices
+    metric = np.ones(v.shape[1])
+    if c.kappa < 0:
+        metric[-1] = -1.0
+    a = v[vertex - 1]
+    face = np.delete(v, vertex - 1, axis=0)
+    beta = np.linalg.solve((face * metric) @ face.T, (face * metric) @ a)
+    p = beta @ face
+    if c.kappa < 0 and p[-1] < 0:
+        p, beta = -p, -beta
+    pp = float((p * metric) @ p)
+    u = a * c.scale - p / math.sqrt(abs(pp))
+    chord = math.sqrt(abs(float((u * metric) @ u)))
+    arc = 2.0 * (math.asinh if c.kappa < 0 else math.asin)(chord / 2.0)
+    lift = np.insert(beta / math.sqrt(abs(c.kappa * pp)), vertex - 1, 0.0)
+    return arc / c.scale, lift
+
+
+class TestFootSheet:
+    """Curved feet are lifted, and measured, at the projection of the vertex.
+
+    Normalizing the signed first-row minors to sum 1 gives the foot's mirror
+    on the other sheet (or its antipode on the sphere) when they sum to the
+    wrong sign; ``project`` still lifts the foot itself.
+    """
+
+    def test_wrong_sheet_tetrahedron(self):
+        e = EdgeLengths(WRONG_SHEET_TETRAHEDRON)
+        res = hyperbolic_project(e, 4)
+        altitude, lift = coordinate_foot(e, HYPERBOLIC, 4)
+        assert altitude == pytest.approx(0.0501714576343651, rel=1e-10)
+        assert res.altitude == pytest.approx(altitude, rel=1e-8)
+        assert np.allclose(res.foot_model.coords, lift, rtol=0, atol=1e-8)
+        assert math.copysign(1.0, res.foot_model.coords[3]) == 1.0  # +0.0, not -0.0
+        q = curved_gram(e, HYPERBOLIC)
+        v4 = BarycentricPoint.vertex(4, 4)
+        assert hull_inner_product(q, res.foot_model, res.foot_model) == \
+            pytest.approx(-1.0, abs=1e-9)
+        assert hull_inner_product(q, v4, res.foot_model) < 0  # the vertex's sheet
+        assert not res.inside_face
+        assert res.foot.coords.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_antipode_4simplex(self):
+        e = EdgeLengths(ANTIPODE_4SIMPLEX)
+        res = spherical_project(e, 4)
+        altitude, lift = coordinate_foot(e, SPHERICAL, 4)
+        assert res.altitude == pytest.approx(altitude, rel=1e-8)
+        assert res.altitude < 0.1  # not pi minus the altitude
+        assert np.allclose(res.foot_model.coords, lift, rtol=0, atol=1e-8 * np.abs(lift).max())
+        q = curved_gram(e, SPHERICAL)
+        v4 = BarycentricPoint.vertex(4, 5)
+        assert hull_inner_product(q, v4, res.foot_model) > 0  # the vertex's hemisphere
+
+    @pytest.mark.parametrize("kappa", [-1.0, -0.3, 1.0, 4.0])
+    def test_altitude_and_lift_match_coordinates(self, kappa):
+        c = CurvatureSpec(kappa)
+        rng = np.random.default_rng(0)
+        for n in range(2, 7):
+            for _ in range(12):
+                e = random_simplex(rng, n, c)
+                for vertex in range(1, n + 2):
+                    res = project(e, c, vertex)
+                    altitude, lift = coordinate_foot(e, c, vertex)
+                    assert res.altitude == pytest.approx(altitude, rel=1e-8)
+                    assert res.foot_model is not None
+                    scale = max(1.0, float(np.abs(lift).max()))
+                    assert np.allclose(res.foot_model.coords, lift, rtol=0, atol=1e-8 * scale)

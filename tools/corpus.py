@@ -9,7 +9,8 @@ in-process CLI (``cli.main``).  It covers kappa in {0, +-1, +-0.3, +-0.25, +-4}
 and n in {2, 3, 5, 10}: realizable simplices from points in the model, edge
 sets with one edge inflated, long hyperbolic edges up to and past the
 overflow bound, rescales that overflow or underflow, flat and invalid
-inputs, and several ``tol`` values.  Each line is ``KEY<TAB>VALUE``: the key
+inputs, feet whose minors normalize onto the wrong sheet, and several
+``tol`` values.  Each line is ``KEY<TAB>VALUE``: the key
 names the case, the quantity and its arguments; a float is written with
 ``float.hex``, an array as its shape and hex entries, an exception as its type
 and message, and any warning a call emits is appended to its value.
@@ -45,6 +46,18 @@ SIZES = {"full": {"kappas": KAPPAS, "ns": (2, 3, 5, 10), "per_cell": 3},
          "smoke": {"kappas": (0.0, -1.0, 0.3), "ns": (2, 3), "per_cell": 1}}
 CHECK_TOLS = (1e-9, 1e-3, 0.0, 1e-9)
 DIST_TOLS = (1e-9, 1e-3)
+# Realizable simplices whose foot from vertex 4 has signed first-row minors of
+# the wrong sign: normalized to sum 1, they are its mirror on the hyperboloid's
+# lower sheet and its antipode on the sphere.
+WRONG_SHEET_TETRAHEDRON = [[0.0, 0.417812, 1.735519, 1.413867],
+                           [0.417812, 0.0, 1.324168, 1.480333],
+                           [1.735519, 1.324168, 0.0, 2.344553],
+                           [1.413867, 1.480333, 2.344553, 0.0]]
+ANTIPODE_4SIMPLEX = [[0.0, 0.335255, 0.174571, 0.218231, 0.201319],
+                     [0.335255, 0.0, 0.379366, 0.192861, 0.163395],
+                     [0.174571, 0.379366, 0.0, 0.269718, 0.216127],
+                     [0.218231, 0.192861, 0.269718, 0.0, 0.129006],
+                     [0.201319, 0.163395, 0.216127, 0.129006, 0.0]]
 
 
 def canon(value) -> str:
@@ -142,6 +155,8 @@ def cases(size: str, seed: int):
     yield "asymmetric", 0.0, np.array([[0.0, 1, 1], [1.1, 0, 1], [1, 1, 0]])
     yield "negative edge", -1.0, np.array([[0.0, -1, 1], [-1, 0, 1], [1, 1, 0]])
     yield "nan edge", 1.0, np.array([[0.0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]])
+    yield "wrong-sheet tetrahedron", -1.0, np.array(WRONG_SHEET_TETRAHEDRON)
+    yield "antipode 4-simplex", 1.0, np.array(ANTIPODE_4SIMPLEX)
 
 
 def points(rng: np.random.Generator, k: int) -> list[list[float]]:
