@@ -130,8 +130,8 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
     coords = np.zeros(k)
     coords[face] = signed / denom
     foot = BarycentricPoint(coords)
-    # 0.0 - coords keeps +0.0 at the projected vertex.
-    point = foot if c.kappa * denom < 0 else BarycentricPoint.hull(0.0 - foot.coords)
+    # Compare signs (kappa * denom underflows); 0.0 - coords keeps the vertex's +0.0.
+    point = foot if (c.kappa < 0) == (denom > 0) else BarycentricPoint.hull(0.0 - foot.coords)
     q = curved_gram(e, c)
     lift = lift_to_model(q, point)
     apex = BarycentricPoint.vertex(vertex, k)

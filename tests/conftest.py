@@ -6,7 +6,9 @@ construction and the generator itself is an independent route to the edge
 data.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,23 +121,13 @@ NON_EUCLIDEAN_FACE_EDGES = [
     [1.0, 1.0, 1.0, 1.0, 0.0],
 ]
 
-# A realizable hyperbolic tetrahedron whose vertex-4 signed first-row minors
-# sum to a negative number: normalized to sum 1 they are the foot's mirror on
-# the lower sheet.
-WRONG_SHEET_TETRAHEDRON = [
-    [0.0, 0.417812, 1.735519, 1.413867],
-    [0.417812, 0.0, 1.324168, 1.480333],
-    [1.735519, 1.324168, 0.0, 2.344553],
-    [1.413867, 1.480333, 2.344553, 0.0],
-]
-
-# A realizable spherical 4-simplex whose vertex-4 signed first-row minors sum
-# to a positive number: normalized to sum 1 they are the foot's antipode, at
-# distance pi minus the altitude.
-ANTIPODE_4SIMPLEX = [
-    [0.0, 0.335255, 0.174571, 0.218231, 0.201319],
-    [0.335255, 0.0, 0.379366, 0.192861, 0.163395],
-    [0.174571, 0.379366, 0.0, 0.269718, 0.216127],
-    [0.218231, 0.192861, 0.269718, 0.0, 0.129006],
-    [0.201319, 0.163395, 0.216127, 0.129006, 0.0],
-]
+# The differential corpus tool, tools/corpus.py.  Its named cases include two
+# realizable simplices whose vertex-4 signed first-row minors sum to the wrong
+# sign: normalized to sum 1 they are the foot's mirror on the hyperboloid's
+# lower sheet, and its antipode on the sphere (at pi minus the altitude).
+_spec = importlib.util.spec_from_file_location(
+    "corpus", Path(__file__).resolve().parent.parent / "tools" / "corpus.py")
+CORPUS_TOOL = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(CORPUS_TOOL)
+WRONG_SHEET_TETRAHEDRON = CORPUS_TOOL.WRONG_SHEET_TETRAHEDRON
+ANTIPODE_4SIMPLEX = CORPUS_TOOL.ANTIPODE_4SIMPLEX

@@ -1,19 +1,13 @@
 """Smoke test of the differential corpus tool (tools/corpus.py)."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "corpus.py"
+from conftest import CORPUS_TOOL
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    spec = importlib.util.spec_from_file_location("corpus", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return CORPUS_TOOL
 
 
 @pytest.fixture(scope="module")

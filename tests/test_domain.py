@@ -524,6 +524,16 @@ class TestHullInnerProduct:
         unit = curved_gram(e.scaled(0.5), HYPERBOLIC)
         assert -math.inf < hull_inner_product(unit, x, y) < -5e307
 
+    def test_form_past_float64_raises(self):
+        # Twice the centroid of the 709.7 tetrahedron has the unit form
+        # 4 * -6.2e307: the product overflows inside numpy, and no warning leaks.
+        q = curved_gram(EdgeLengths(709.7 * (1 - np.eye(4))), HYPERBOLIC)
+        x = BarycentricPoint.hull([0.5] * 4)
+        with pytest.raises(GramOverflow, match="leaves float64"):
+            hull_inner_product(q, x, x)
+        centroid = BarycentricPoint([0.25] * 4)
+        assert -math.inf < hull_inner_product(q, centroid, centroid) < -6e307
+
 
 class TestLiftToModel:
     def test_already_on_hyperboloid(self, table_simplex):

@@ -473,6 +473,19 @@ class TestFootSheet:
         v4 = BarycentricPoint.vertex(4, 5)
         assert hull_inner_product(q, v4, res.foot_model) > 0  # the vertex's hemisphere
 
+    @pytest.mark.parametrize("kappa", [1e-322, -1e-322])
+    def test_subnormal_kappa(self, kappa):
+        # kappa times the minors' sum (about -0.01 here) underflows to -0.0, so
+        # the sheet is chosen from signs.  The unit edges are a ~ 0.0994 and the
+        # foot is the midpoint of the opposite edge: cosh h = cosh a / cosh(a/2),
+        # cos on the sphere.
+        c = CurvatureSpec(kappa)
+        res = project(EdgeLengths(1e160 * (1 - np.eye(3))), c, 3)
+        a = 1e160 * c.scale
+        ch, ach = (math.cosh, math.acosh) if kappa < 0 else (math.cos, math.acos)
+        assert res.altitude * c.scale == pytest.approx(ach(ch(a) / ch(a / 2)), rel=1e-9)
+        assert res.foot_model is not None and (res.foot_model.coords[:2] > 0).all()
+
     @pytest.mark.parametrize("kappa", [-1.0, -0.3, 1.0, 4.0])
     def test_altitude_and_lift_match_coordinates(self, kappa):
         c = CurvatureSpec(kappa)
@@ -483,7 +496,11 @@ class TestFootSheet:
                 for vertex in range(1, n + 2):
                     res = project(e, c, vertex)
                     altitude, lift = coordinate_foot(e, c, vertex)
-                    assert res.altitude == pytest.approx(altitude, rel=1e-8)
+                    # The tolerance is the reference's own error: against a
+                    # 60-digit mpmath altitude, ``embed`` coordinates are off by
+                    # up to 1.5e-8 relative on nearly flat simplices of this
+                    # generator (``project``: 1.6e-9).
+                    assert res.altitude == pytest.approx(altitude, rel=2e-8)
                     assert res.foot_model is not None
                     scale = max(1.0, float(np.abs(lift).max()))
                     assert np.allclose(res.foot_model.coords, lift, rtol=0, atol=1e-8 * scale)
