@@ -20,7 +20,6 @@ from .domain import (
     hull_inner_product,
     lift_to_model,
     model_gram,
-    unit_model,
 )
 from .errors import (
     DegenerateDirection,
@@ -110,5 +109,4 @@ __all__ = [
     "project",
     "spherical_distance",
     "spherical_project",
-    "unit_model",
 ]

@@ -3,8 +3,8 @@
 An n-simplex is described purely by the geodesic lengths of its edges.  The
 builders here turn those lengths into bilinear-form data: the apex-difference
 Gram matrix for flat simplices and the full vertex Gram matrix for curved
-ones, which stores the unit model and carries its curvature; ``model_gram``
-picks one per curvature.
+ones, which rescales the edges onto the unit model, stores its matrix and
+carries the curvature; ``model_gram`` picks one per curvature.
 All values are immutable and all functions are pure; the one cache is the
 verdict a checked ``EdgeLengths`` keeps (see its docstring).
 """
@@ -279,37 +279,25 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
 def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     """Full vertex Gram matrix of the unit model, carrying the nonzero curvature c.
 
-    The edges are rescaled onto the unit model (``unit_model``) and
-    q_ij = cos(g_ij) for kappa > 0, -cosh(g_ij) for kappa < 0, on the
-    rescaled edges g; ``curvature`` stays c.  Raises GramOverflow when a
-    rescaled edge exceeds COSH_ARG_MAX at kappa < 0.
+    The unit-model edges are g = sqrt(|kappa|) gamma, and q_ij = cos(g_ij) for
+    kappa > 0, -cosh(g_ij) for kappa < 0.  GramOverflow if a g_ij is infinite,
+    below the smallest normal, or past COSH_ARG_MAX at kappa < 0.
     """
     if c.kappa == 0:
         raise WrongModel("curvature 0 has no full vertex Gram; use euclidean_gram")
-    unit, unit_c = unit_model(e, c)
-    if unit_c.kappa > 0:
-        q = np.cos(unit.gamma)
+    g, longest = e.gamma, e.longest
+    if abs(c.kappa) != 1:
+        if not (sys.float_info.min <= e.shortest * c.scale and longest * c.scale < math.inf):
+            raise GramOverflow(f"the unit-model rescale of edges in [{e.shortest}, {longest}] "
+                               f"at kappa={c.kappa} overflows or underflows float64")
+        g, longest = g * c.scale, longest * c.scale
+    if c.kappa > 0:
+        q = np.cos(g)
+    elif longest > COSH_ARG_MAX:
+        raise GramOverflow(f"hyperbolic edge {longest} at kappa=-1.0 overflows the Gram matrix")
     else:
-        if unit.longest > COSH_ARG_MAX:
-            raise GramOverflow(
-                f"hyperbolic edge {unit.longest} at kappa={unit_c.kappa} overflows the Gram matrix")
-        q = -np.cosh(unit.gamma)
+        q = -np.cosh(g)
     return GramMatrix(SymMatrix._exact(q), c)
-
-
-def unit_model(e: EdgeLengths, c: CurvatureSpec) -> tuple[EdgeLengths, CurvatureSpec]:
-    """Edges and curvature (0, -1 or +1) of the unit model: edges times sqrt(|kappa|).
-
-    Lengths there are sqrt(|kappa|) times those at c; barycentric coordinates agree.
-    Raises GramOverflow when a rescaled edge is infinite or below the smallest normal.
-    """
-    kappa = c.kappa
-    if kappa == 0 or abs(kappa) == 1:
-        return e, c
-    if not (sys.float_info.min <= e.shortest * c.scale and e.longest * c.scale < math.inf):
-        raise GramOverflow(f"the unit-model rescale of edges in [{e.shortest}, {e.longest}] "
-                           f"at kappa={kappa} overflows or underflows float64")
-    return e.scaled(c.scale), HYPERBOLIC if kappa < 0 else SPHERICAL
 
 
 def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:

@@ -9,8 +9,9 @@ altitude 1 / sqrt(1^T w).  A Euclidean volume is prod sqrt(lambda) / n! over
 the apex Gram eigenvalues that its realizability report already holds, and a
 face volume is the volume of the face's own edges.  Curved feet come from the
 first-row minors of the vertex Gram matrix, which ``curved_gram`` builds on
-the unit model; barycentric coordinates are the same at every curvature of
-one sign.  The lift lies on the projected vertex's sheet or hemisphere.
+the unit model (rows balanced by powers of two for long hyperbolic edges);
+barycentric coordinates agree at every curvature of one sign.  The lift lies
+on the projected vertex's sheet or hemisphere.
 
 No curved foot is projected inside the convex hull of the vertices: on the
 hyperboloid the induced form there can fail to be positive definite, and on
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    COSH_ARG_MAX,
     EUCLIDEAN,
     HYPERBOLIC,
     SPHERICAL,
@@ -39,7 +41,7 @@ from .domain import (
 from .errors import GramOverflow, NotRealizableInput, ProjectionDegenerate
 from .metrics import SQUARED_DISTANCE_FLOOR, _geodesic
 from .realizability import Verdict, check, check_euclidean
-from .symmat import DEFAULT_TOL, _other_vertices
+from .symmat import DEFAULT_TOL, SymMatrix, _other_vertices
 
 # A foot counts as inside its face when every coordinate is >= -INSIDE_TOL.
 INSIDE_TOL = 1e-12
@@ -118,12 +120,20 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
     projects onto the face's span at -s / M_11, and M_11 has the sign of kappa,
     so the lift and the altitude are taken at alpha if -sign(kappa) sum_j s_j > 0
     and at -alpha (alpha's mirror on the other sheet, or antipode) otherwise.
+    Where Hadamard's bound ((k-1) e^L)^(k-1) on the minors, L the longest
+    unit-model edge, leaves float64 at kappa < 0, s_i is d_i times the minor of
+    D Q D, d_i = 2^-floor((e_i - 1) / 2) with 2^(e_i - 1) <= max_j |q_ij| (exact).
     """
     k = e.num_vertices
     face = _other_vertices(k, vertex)
     q = curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c).matrix
-    signed = np.array([-q.minor(1, i) if i % 2 == 0 else q.minor(1, i)
-                       for i in range(2, k + 1)])
+    balance = c.kappa < 0 and (k - 1) * (e.longest * c.scale + math.log(k - 1)) >= COSH_ARG_MAX
+    if balance:
+        d = np.ldexp(1.0, -((np.frexp(np.abs(q.data).max(axis=1))[1] - 1) // 2))
+        q = SymMatrix._exact(q.data * d[:, None] * d)
+    signed = np.array([-q.minor(1, i) if i % 2 == 0 else q.minor(1, i) for i in range(2, k + 1)])
+    if balance:
+        signed *= d[1:]
     denom = float(signed.sum())
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise ProjectionDegenerate("signed first-row minors sum to zero")

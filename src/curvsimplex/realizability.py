@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import EUCLIDEAN, HYPERBOLIC, SPHERICAL, CurvatureSpec, EdgeLengths, model_gram
+from .errors import GramOverflow
 from .symmat import DEFAULT_TOL, Signature
 
 
@@ -48,6 +49,8 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
         return memo[3]
     q = model_gram(e, c)
     eig = q.matrix.eigenvalues()
+    if not (math.isfinite(eig[0]) and math.isfinite(eig[-1])):
+        raise GramOverflow(f"Gram eigenvalues [{eig[0]}, {eig[-1]}] leave float64")
     eig.setflags(write=False)
     sig = Signature.of(eig, tol)
     minus = 1 if c.kappa < 0 else 0

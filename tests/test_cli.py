@@ -427,6 +427,24 @@ class TestFloatRange:
         assert out.strip() == "0.962423650119"
 
 
+class TestLongHyperbolicEdges:
+    def test_project_past_the_minors_range(self, capsys, files):
+        path = files("long.json", {"edge_lengths": (500.0 * (1 - np.eye(4))).tolist()})
+        code, out, err = run(capsys, ["project", path, "--geometry", "hyperbolic",
+                                      "--vertex", "1"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert np.allclose(doc["foot"], [0.0, 1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-12)
+        assert 250 < doc["altitude"] < 251
+
+    @pytest.mark.parametrize("k, edge", [(4, 709.5), (6, 709.0)])
+    def test_check_with_infinite_eigenvalue(self, capsys, files, k, edge):
+        path = files("long.json", {"edge_lengths": (edge * (1 - np.eye(k))).tolist()})
+        code, out, err = run(capsys, ["check", path, "--geometry", "hyperbolic"])
+        assert (code, out) == (4, "")
+        assert "eigenvalues" in err
+
+
 def _fresh_python(code: str) -> str:
     """Run ``code`` in a new interpreter that imports this curvsimplex; return stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(curvsimplex.__file__).parent.parent))

@@ -28,7 +28,6 @@ from curvsimplex import (
     hull_inner_product,
     lift_to_model,
     model_gram,
-    unit_model,
 )
 from curvsimplex.symmat import SymMatrix
 
@@ -260,11 +259,6 @@ class TestCurvedGram:
 
 
 class TestModelGram:
-    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0])
-    def test_unit_curvatures_are_their_own_model(self, table_simplex, kappa):
-        c = CurvatureSpec(kappa)
-        assert unit_model(table_simplex, c) == (table_simplex, c)
-
     def test_kappa_zero_is_apex_gram_at_last_vertex(self, table_simplex):
         q = model_gram(table_simplex, EUCLIDEAN)
         assert q.apex == table_simplex.num_vertices
@@ -275,9 +269,6 @@ class TestModelGram:
         q = model_gram(table_simplex, CurvatureSpec(kappa))
         unit = HYPERBOLIC if kappa < 0 else SPHERICAL
         scaled = table_simplex.scaled(math.sqrt(abs(kappa)))
-        unit_edges, unit_c = unit_model(table_simplex, CurvatureSpec(kappa))
-        assert unit_c == unit
-        assert np.array_equal(unit_edges.gamma, scaled.gamma)
         assert q.apex is None
         assert q.curvature == CurvatureSpec(kappa)
         assert np.array_equal(q.matrix.data, curved_gram(scaled, unit).matrix.data)
@@ -286,14 +277,14 @@ class TestModelGram:
     def test_overflowing_rescale_raises_gram_overflow(self, kappa):
         e = EdgeLengths(1e200 * (1 - np.eye(3)))
         with pytest.raises(GramOverflow, match="rescale"):
-            unit_model(e, CurvatureSpec(kappa))
+            curved_gram(e, CurvatureSpec(kappa))
 
     @pytest.mark.parametrize("kappa", [1e-300, -1e-300])
     def test_underflowing_rescale_raises_gram_overflow(self, kappa):
         # sqrt(1e-300) * 1e-200 = 1e-350 rounds to zero.
         e = EdgeLengths(1e-200 * (1 - np.eye(3)))
         with pytest.raises(GramOverflow, match="rescale"):
-            unit_model(e, CurvatureSpec(kappa))
+            curved_gram(e, CurvatureSpec(kappa))
 
 
 ROUND_TRIPS = {

@@ -342,6 +342,79 @@ class TestHyperbolicProject:
         assert abs(res.foot.coords.sum() - 1.0) < 1e-9
 
 
+def regular_altitude(k, a):
+    """Altitude of the regular hyperbolic simplex with k vertices and edge a:
+    sinh^2 h = (C - 1) ((k - 1) + 1/C) / ((k - 2) + 1/C) with C = cosh a."""
+    c = math.cosh(a)
+    return math.asinh(math.sqrt((c - 1.0) * ((k - 1) + 1.0 / c) / ((k - 2) + 1.0 / c)))
+
+
+class TestLongHyperbolicEdges:
+    """Unit-model edges into the hundreds, where the first-row minors of the
+    vertex Gram matrix leave float64 unless they are balanced first (from
+    edge ~354 at k = 3, ~236 at k = 4 and ~140 at k = 6)."""
+
+    @pytest.mark.parametrize("kappa", [-1.0, -4.0])
+    @pytest.mark.parametrize("k, edge", [(3, 300.0), (3, 360.0), (3, 500.0), (3, 709.0),
+                                         (4, 200.0), (4, 240.0), (4, 500.0), (4, 709.0),
+                                         (6, 120.0), (6, 150.0), (6, 500.0), (6, 708.0)])
+    def test_regular_foot_is_the_face_centroid(self, kappa, k, edge):
+        c = CurvatureSpec(kappa)
+        e = EdgeLengths(edge / c.scale * (1 - np.eye(k)))
+        res = project(e, c, 1)
+        assert res.foot.coords[0] == 0.0
+        assert np.allclose(res.foot.coords[1:], 1.0 / (k - 1), rtol=0, atol=1e-15)
+        assert res.altitude * c.scale == pytest.approx(regular_altitude(k, edge), rel=1e-14)
+        assert res.inside_face
+        lift = res.foot_model.coords[1:]
+        assert (lift > 0).all() and np.allclose(lift, lift.mean(), rtol=1e-14, atol=0)
+
+    # Foot, altitude and lift from vertex 1, computed with 1000-digit arithmetic
+    # (60 digits find these Gram matrices singular).  The near-regular sets
+    # balance every row alike; the graded tetrahedron (vertices at distances
+    # 150..153 from a point, in tetrahedral directions) balances its rows by
+    # different powers of two.
+    REFERENCES = {
+        "tetrahedron": (
+            [[0, 300, 300.2, 299.9], [300, 0, 300.1, 300.3],
+             [300.2, 300.1, 0, 299.8], [299.9, 300.3, 299.8, 0]],
+            [0.0, 0.4473055699866825, 0.068513452497898, 0.48418097751541944],
+            150.48871478262893,
+            [0.0, 5.398991301972645e-66, 8.26959373913632e-67, 5.844078548505869e-66]),
+        "triangle": (
+            [[0, 500, 500.3], [500, 0, 499.6], [500.3, 499.6, 0]],
+            [0.0, 0.5744425168116618, 0.42555748318833825],
+            251.04314718055994,
+            [0.0, 3.7877612158972457e-109, 2.8060425243281856e-109]),
+        "6-vertex": (
+            [[0.0, 149.89, 149.92, 150.12, 150.2, 149.86],
+             [149.89, 0.0, 149.94, 149.87, 150.04, 150.05],
+             [149.92, 149.94, 0.0, 149.99, 150.19, 150.12],
+             [150.12, 149.87, 149.99, 0.0, 149.91, 150.15],
+             [150.2, 150.04, 150.19, 149.91, 0.0, 149.83],
+             [149.86, 150.05, 150.12, 150.15, 149.83, 0.0]],
+            [0.0, 0.25870818584306454, 0.27723235760709763, 0.1021685237936828,
+             0.007473796202539847, 0.3544171365536152],
+            75.4065014194144,
+            [0.0, 1.1308962545211548e-33, 1.211871336147522e-33, 4.466113065255712e-34,
+             3.2670354457333945e-35, 1.5492707003470372e-33]),
+        "graded tetrahedron": (
+            [[0.0, 300.595, 301.595, 302.595], [300.595, 0.0, 302.595, 303.595],
+             [301.595, 302.595, 0.0, 304.595], [302.595, 303.595, 304.595, 0.0]],
+            [0.0, 0.6652409557748219, 0.24472847105479764, 0.09003057317038046],
+            150.34680614433407,
+            [0.0, 1.8660240544770256e-66, 6.864718863734772e-67, 2.5253889393898067e-67]),
+    }
+
+    @pytest.mark.parametrize("name", REFERENCES)
+    def test_matches_reference(self, name):
+        edges, foot, altitude, lift = self.REFERENCES[name]
+        res = hyperbolic_project(EdgeLengths(edges), 1)
+        assert res.altitude == pytest.approx(altitude, rel=1e-15)
+        assert np.allclose(res.foot.coords, foot, rtol=0, atol=1e-14)
+        assert np.allclose(res.foot_model.coords, lift, rtol=1e-13, atol=0)
+
+
 class TestSphericalProject:
     def test_equilateral_symmetry(self):
         e = EdgeLengths((math.pi / 3) * (1 - np.eye(3)))

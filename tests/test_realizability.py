@@ -13,6 +13,7 @@ from curvsimplex import (
     Embedding,
     GeometryError,
     GramMatrix,
+    GramOverflow,
     HYPERBOLIC,
     ProjectionResult,
     RealizabilityReport,
@@ -100,6 +101,22 @@ class TestHyperbolic:
         for _ in range(20):
             e = random_euclidean(rng, int(rng.integers(2, 5)))
             assert check_hyperbolic(e.scaled(1e-2)).verdict is Verdict.REALIZABLE
+
+
+class TestSpectrumOverflow:
+    """The regular simplex's largest |eigenvalue| is 1 + (k - 1) cosh a: it
+    leaves float64 from edge a ~ 710.48 - ln(k - 1), below COSH_ARG_MAX."""
+
+    @pytest.mark.parametrize("k, edge", [(4, 709.5), (6, 709.0)])
+    def test_infinite_eigenvalue_raises(self, k, edge):
+        e = EdgeLengths(edge * (1 - np.eye(k)))
+        with pytest.raises(GramOverflow, match="eigenvalues"):
+            check_hyperbolic(e)
+        assert e._memo is None
+
+    def test_finite_spectrum_below(self):
+        assert check_hyperbolic(EdgeLengths(709.0 * (1 - np.eye(4)))).verdict \
+            is Verdict.REALIZABLE
 
 
 class TestSpherical:

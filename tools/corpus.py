@@ -7,11 +7,11 @@
 this directory) and pushes a seeded corpus through the public API and the
 in-process CLI (``cli.main``).  It covers kappa in {0, +-1, +-0.3, +-0.25, +-4}
 and n in {2, 3, 5, 10}: realizable simplices from points in the model, edge
-sets with one edge inflated, long hyperbolic edges up to and past the
-overflow bound, rescales that overflow or underflow, flat and invalid
-inputs, feet whose minors normalize onto the wrong sheet, and several
-``tol`` values.  Each line is ``KEY<TAB>VALUE``: the key
-names the case, the quantity and its arguments; a float is written with
+sets with one edge inflated, long regular hyperbolic simplices with 3, 4 and
+6 vertices up to and past the overflow bound, rescales that overflow or
+underflow, flat and invalid inputs, feet whose minors normalize onto the
+wrong sheet, and several ``tol`` values.  Each line is ``KEY<TAB>VALUE``: the
+key names the case, the quantity and its arguments; a float is written with
 ``float.hex``, an array as its shape and hex entries, an exception as its type
 and message, and any warning a call emits is appended to its value.
 
@@ -144,7 +144,7 @@ def cases(size: str, seed: int):
     for kappa, scale in ((-1.0, 1.0), (-4.0, 0.5), (-0.25, 2.0)):
         edges = (300.0, 355.0, 500.0, 709.7, 720.0) if size == "full" else (500.0, 720.0)
         for edge in edges:
-            for k in (3, 4):
+            for k in (3, 4, 6):  # at k = 6 the (k-1)-square minors overflow first
                 yield f"k={kappa!r} regular{k} edge={edge!r}", kappa, regular(k, edge * scale)
     yield "rescale overflow", 1e300, regular(3, 1e200)
     yield "rescale overflow neg", -1e300, regular(3, 1e200)
@@ -206,8 +206,6 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
     if kappa != 0:
         qc = rec.put("curved_gram", lambda: lib.curved_gram(e, c),
                      lambda q: (q.matrix.data, q.curvature.kappa))
-        rec.put("unit_model", lambda: lib.unit_model(e, c),
-                lambda u: (u[0].gamma, u[1].kappa))
         if qc is not None:
             rec.put("hull_inner_product", lambda: lib.hull_inner_product(qc, pts[2], pts[4]))
             for i in (0, 2, 6):
