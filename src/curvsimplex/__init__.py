@@ -23,7 +23,6 @@ from .domain import (
 )
 from .errors import (
     DegenerateDirection,
-    DegenerateMinor,
     EmbeddingInconsistency,
     GeometryError,
     GramOverflow,
@@ -65,7 +64,6 @@ __all__ = [
     "CurvatureSpec",
     "DEFAULT_TOL",
     "DegenerateDirection",
-    "DegenerateMinor",
     "EdgeLengths",
     "Embedding",
     "EmbeddingInconsistency",

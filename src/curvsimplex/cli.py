@@ -70,28 +70,26 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
-def _load_simplex(path: str) -> EdgeLengths:
+def _read_field(path: str, name: str, build):
+    """The document at ``path`` and ``build`` applied to its required field ``name``."""
     doc = _load_json(path)
-    if not isinstance(doc, dict) or "edge_lengths" not in doc:
-        raise InputError(f"{path}: missing required field 'edge_lengths'")
-    rows = doc["edge_lengths"]
+    if not isinstance(doc, dict) or name not in doc:
+        raise InputError(f"{path}: missing required field '{name}'")
     try:
-        e = EdgeLengths(rows)
+        return doc, build(doc[name])
     except (ValueError, TypeError) as exc:
-        raise InputError(f"{path}: field 'edge_lengths': {exc}") from exc
+        raise InputError(f"{path}: field '{name}': {exc}") from exc
+
+
+def _load_simplex(path: str) -> EdgeLengths:
+    doc, e = _read_field(path, "edge_lengths", EdgeLengths)
     if "n" in doc and doc["n"] != e.n:
         raise InputError(f"{path}: field 'n' is {doc['n']} but the matrix implies n={e.n}")
     return e
 
 
 def _load_point(path: str, num_vertices: int) -> BarycentricPoint:
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "barycentric" not in doc:
-        raise InputError(f"{path}: missing required field 'barycentric'")
-    try:
-        p = BarycentricPoint(doc["barycentric"])
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{path}: field 'barycentric': {exc}") from exc
+    _, p = _read_field(path, "barycentric", BarycentricPoint)
     if p.coords.size != num_vertices:
         raise InputError(
             f"{path}: point has {p.coords.size} coordinates, simplex has {num_vertices} vertices")
@@ -234,12 +232,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (EmbeddingInconsistency, GramOverflow) as exc:
+    except EmbeddingInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
+        return EXIT_NUMERIC if isinstance(exc, GramOverflow) else EXIT_VERDICT
 
 
 if __name__ == "__main__":

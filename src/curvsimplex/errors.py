@@ -5,10 +5,6 @@ class GeometryError(Exception):
     """Base class for all geometric and numerical-input errors."""
 
 
-class DegenerateMinor(GeometryError):
-    """Minor requested of a 1x1 matrix."""
-
-
 class SingularFace(GeometryError):
     """The trailing principal submatrix is singular; complement solve impossible."""
 

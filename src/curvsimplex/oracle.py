@@ -13,6 +13,7 @@ module (and with it the package and the CLI) does not load scipy.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,19 +158,15 @@ def brute_distance(emb: Embedding, x: BarycentricPoint, y: BarycentricPoint) -> 
 
 
 def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
-    """All barycentric grid points with coordinates multiples of 1/resolution."""
-    if dim == 1:
-        return np.array([[1.0]])
-    pts = []
+    """All barycentric grid points with coordinates multiples of 1/resolution.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], resolution, dim)
+    Stars and bars: each choice of dim - 1 bar positions among resolution + dim - 1
+    slots is one point, whose coordinates count the stars between the bars.
+    Combinations come in lexicographic order, and so do the points.
+    """
+    slots = resolution + dim - 1
+    pts = [[b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
+           for bars in itertools.combinations(range(slots), dim - 1)]
     return np.array(pts, dtype=float) / resolution
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMinor, SingularFace
+from .errors import SingularFace
 
 DEFAULT_TOL = 1e-9
 
@@ -107,12 +107,10 @@ class SymMatrix:
         return float(np.linalg.det(self.data))
 
     def minor(self, i: int, j: int) -> float:
-        """Determinant with row i and column j removed (1-based)."""
+        """Determinant with row i and column j removed (1-based); 1.0, the empty one, at dim 1."""
         self._check_index(i)
         self._check_index(j)
         dim = self.dim
-        if dim == 1:
-            raise DegenerateMinor("a 1x1 matrix has no minors")
         sub = self.data.take(_other_vertices(dim, i), axis=0).take(_other_vertices(dim, j), axis=1)
         return float(np.linalg.det(sub))
 
@@ -136,8 +134,6 @@ class SymMatrix:
         """
         a = self.data[1:, 1:]
         b = self.data[1:, 0]
-        if a.size == 0:
-            return np.array([1.0])
         try:
             tail = np.linalg.solve(a, -b)
         except np.linalg.LinAlgError as exc:

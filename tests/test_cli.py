@@ -442,7 +442,8 @@ class TestLongHyperbolicEdges:
         path = files("long.json", {"edge_lengths": (edge * (1 - np.eye(k))).tolist()})
         code, out, err = run(capsys, ["check", path, "--geometry", "hyperbolic"])
         assert (code, out) == (4, "")
-        assert "eigenvalues" in err
+        # A documented answer to input past float64, not an internal fault.
+        assert err.startswith("error: Gram eigenvalues")
 
 
 def _fresh_python(code: str) -> str:

@@ -28,6 +28,8 @@ from curvsimplex import (
     embed,
 )
 
+from curvsimplex.oracle import GRID_POINT_BUDGET, _grid_resolution, _simplex_grid
+
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
     random_euclidean,
@@ -175,6 +177,25 @@ class TestBruteProject:
         emb = embed(e, EUCLIDEAN)
         foot = brute_project(emb, 1)
         assert np.allclose(foot.coords, [0.0, 1.0])
+
+
+class TestSimplexGrid:
+    """The face grid ``brute_project`` starts from, on every rung of the resolution
+    ladder whose grid fits the point budget."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_every_point_once_in_lexicographic_order(self, dim):
+        ladder = [r for r in (64, 32, 16, 8, 4, 2)
+                  if math.comb(r + dim - 1, dim - 1) <= GRID_POINT_BUDGET]
+        assert _grid_resolution(dim) == ladder[0]
+        for r in ladder:
+            grid = _simplex_grid(dim, r)
+            assert grid.shape == (math.comb(r + dim - 1, dim - 1), dim)
+            counts = grid * r
+            assert np.array_equal(counts, np.round(counts)) and counts.min() >= 0
+            assert np.all(np.abs(grid.sum(axis=1) - 1.0) <= 1e-15)
+            rows = [tuple(row) for row in counts.astype(int).tolist()]
+            assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 class TestDeterminism:

@@ -119,6 +119,38 @@ class TestSpectrumOverflow:
             is Verdict.REALIZABLE
 
 
+ROADMAP_ITEM_4 = pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+
+
+class TestSmallUnitModelEdges:
+    """Open defect: the zero cutoff is tol * max|lambda| of the unit-model vertex
+    Gram, whose largest |lambda| ~ k comes from the model, while a regular
+    simplex of edge L has smallest eigenvalue ~ L^2 / 2.  So at kappa = +-1 it
+    reads Degenerate below L = sqrt(2 k tol), and as kappa -> 0 the same holds
+    for sqrt|kappa| times its edges."""
+
+    @ROADMAP_ITEM_4
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_small_regular_simplex_realizable(self, k, kappa):
+        e = EdgeLengths(5e-5 * (1 - np.eye(k)))
+        assert check(e, CurvatureSpec(kappa)).verdict is Verdict.REALIZABLE
+
+    @ROADMAP_ITEM_4
+    @pytest.mark.parametrize("kappa", [-1e-14, 1e-14])
+    def test_unit_tetrahedron_at_tiny_kappa_realizable(self, kappa):
+        e = EdgeLengths(1 - np.eye(4))
+        assert check(e, CurvatureSpec(kappa)).verdict is Verdict.REALIZABLE
+
+    @ROADMAP_ITEM_4
+    @pytest.mark.parametrize("kappa", [-1e-14, 1e-14])
+    def test_opposite_edge_midpoints_at_tiny_kappa(self, kappa):
+        e = EdgeLengths(1 - np.eye(4))
+        x, y = BarycentricPoint([0.5, 0.5, 0, 0]), BarycentricPoint([0, 0, 0.5, 0.5])
+        assert distance(e, CurvatureSpec(kappa), x, y) == pytest.approx(
+            1 / math.sqrt(2), rel=1e-9)
+
+
 class TestSpherical:
     def test_equilateral_realizable(self):
         e = EdgeLengths((math.pi / 3) * (1 - np.eye(3)))

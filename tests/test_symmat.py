@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvsimplex import DegenerateMinor, Signature, SingularFace, SymMatrix
+from curvsimplex import Signature, SingularFace, SymMatrix
 from curvsimplex.domain import EdgeLengths, curved_gram, euclidean_gram, HYPERBOLIC
 
 from conftest import TABLE_3SIMPLEX
@@ -80,9 +80,8 @@ class TestMinor:
     def test_identity(self):
         assert SymMatrix(np.eye(2)).minor(1, 1) == pytest.approx(1.0)
 
-    def test_dim_one_rejected(self):
-        with pytest.raises(DegenerateMinor):
-            SymMatrix([[5.0]]).minor(1, 1)
+    def test_dim_one_is_the_empty_determinant(self):
+        assert SymMatrix([[5.0]]).minor(1, 1) == 1.0
 
     @given(symmetric_matrices())
     @settings(max_examples=30, deadline=None)
@@ -207,6 +206,13 @@ class TestSolveFirstComplement:
         assert x[1] * q.minor(1, 1) == pytest.approx(12350.57, abs=0.5)
         assert x[2] * q.minor(1, 1) == pytest.approx(2340.72, abs=0.5)
         assert x[3] * q.minor(1, 1) == pytest.approx(718.81, abs=0.5)
+        # The same identity on positive definite matrices, down to dim 1 (x = [1.0]).
+        rng = np.random.default_rng(14)
+        for dim in (1, 2, 3, 5):
+            a = rng.normal(size=(dim, dim))
+            m = SymMatrix(a @ a.T + dim * np.eye(dim))
+            signed = np.array([(-1.0) ** i * m.minor(1, i + 1) for i in range(dim)])
+            assert np.allclose(m.solve_first_complement(), signed / m.minor(1, 1), rtol=1e-8)
 
     def test_residual_random(self):
         rng = np.random.default_rng(3)

@@ -10,10 +10,11 @@ and n in {2, 3, 5, 10}: realizable simplices from points in the model, edge
 sets with one edge inflated, long regular hyperbolic simplices with 3, 4 and
 6 vertices up to and past the overflow bound, rescales that overflow or
 underflow, flat and invalid inputs, feet whose minors normalize onto the
-wrong sheet, and several ``tol`` values.  Each line is ``KEY<TAB>VALUE``: the
-key names the case, the quantity and its arguments; a float is written with
-``float.hex``, an array as its shape and hex entries, an exception as its type
-and message, and any warning a call emits is appended to its value.
+wrong sheet, simplices too small for the verdict, segments, and several
+``tol`` values.  Each line is ``KEY<TAB>VALUE``: the key names the case,
+the quantity and its arguments; a float is written with ``float.hex``, an
+array as its shape and hex entries, an exception as its type and message,
+and any warning a call emits is appended to its value.
 
 ``diff`` runs this file's corpus against the ``src/`` of two checkouts (made
 with ``git worktree add`` or ``git archive``), each in a fresh interpreter,
@@ -157,6 +158,14 @@ def cases(size: str, seed: int):
     yield "nan edge", 1.0, np.array([[0.0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]])
     yield "wrong-sheet tetrahedron", -1.0, np.array(WRONG_SHEET_TETRAHEDRON)
     yield "antipode 4-simplex", 1.0, np.array(ANTIPODE_4SIMPLEX)
+    # Unit-model edges so short that the verdict reads Degenerate (ROADMAP item 4).
+    for kappa in (-1.0, 1.0):
+        for k in (3, 4, 6):
+            yield f"k={kappa!r} regular{k} edge=5e-05", kappa, regular(k, 5e-5)
+    for kappa in (-1e-14, 1e-14):
+        yield f"k={kappa!r} unit tetrahedron", kappa, regular(4, 1.0)
+    for kappa in (0.0, -1.0):  # the Euclidean segment's apex Gram is 1 x 1
+        yield f"k={kappa!r} segment", kappa, regular(2, 1.0)
 
 
 def points(rng: np.random.Generator, k: int) -> list[list[float]]:
