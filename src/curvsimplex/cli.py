@@ -151,22 +151,12 @@ def cmd_volume(args) -> int:
     return EXIT_OK
 
 
-def _format_embedding_json(model: str, kappa: float, vertices: np.ndarray) -> str:
-    rows = ",\n".join(
-        "    [" + ", ".join(f"{v:.17g}" for v in row) + "]" for row in vertices)
-    return (
-        "{\n"
-        f'  "model": "{model}",\n'
-        f'  "curvature": {kappa:.17g},\n'
-        '  "vertices": [\n' + rows + "\n  ]\n}"
-    )
-
-
 def cmd_embed(args) -> int:
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
     emb = embed(e, c, args.tol)
-    text = _format_embedding_json(emb.model.value, c.kappa, emb.vertices)
+    text = json.dumps({"model": emb.model.value, "curvature": c.kappa,
+                       "vertices": emb.vertices.tolist()}, indent=2, sort_keys=True)
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirection, GramOverflow, OutsideLightCone, WrongModel
+from .errors import (
+    DegenerateDirection,
+    GramOverflow,
+    NotRealizableInput,
+    OutsideLightCone,
+    WrongModel,
+)
 from .symmat import SymMatrix, _other_vertices
 
 BARYCENTRIC_SUM_TOL = 1e-6
@@ -28,6 +34,10 @@ EDGE_SYMMETRY_TOL = 1e-9
 COSH_ARG_MAX = math.log(sys.float_info.max)
 # Edge lengths whose squares are normal float64 numbers lie in [SQRT_MIN, SQRT_MAX].
 SQRT_MIN, SQRT_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+# Name and error of each model, by the sign of kappa: the error is raised for a
+# point or chord outside the model.
+_MODEL = {0.0: ("euclidean", NotRealizableInput), -1.0: ("hyperbolic", OutsideLightCone),
+          1.0: ("spherical", DegenerateDirection)}
 
 
 @dataclass(frozen=True)
@@ -285,12 +295,12 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     """
     if c.kappa == 0:
         raise WrongModel("curvature 0 has no full vertex Gram; use euclidean_gram")
-    g, longest = e.gamma, e.longest
-    if abs(c.kappa) != 1:
-        if not (sys.float_info.min <= e.shortest * c.scale and longest * c.scale < math.inf):
-            raise GramOverflow(f"the unit-model rescale of edges in [{e.shortest}, {longest}] "
-                               f"at kappa={c.kappa} overflows or underflows float64")
-        g, longest = g * c.scale, longest * c.scale
+    scale = c.scale
+    longest = e.longest * scale
+    if not (sys.float_info.min <= e.shortest * scale and longest < math.inf):
+        raise GramOverflow(f"the unit-model rescale of edges in [{e.shortest}, {e.longest}] "
+                           f"at kappa={c.kappa} overflows or underflows float64")
+    g = e.gamma * scale
     if c.kappa > 0:
         q = np.cos(g)
     elif longest > COSH_ARG_MAX:
@@ -345,10 +355,9 @@ def lift_to_model(q: GramMatrix, x: BarycentricPoint) -> BarycentricPoint:
     the sign of kappa: timelike on the hyperboloid, positive on the sphere.
     """
     s = float(x.coords @ _vertex_gram_data(q, x, x) @ x.coords)
-    if q.curvature.kappa < 0 and not s < 0:
-        raise OutsideLightCone(f"<x,x> = {s} is not negative")
-    if q.curvature.kappa > 0 and not s > 0:
-        raise DegenerateDirection(f"<x,x> = {s} is not positive")
+    sign = math.copysign(1.0, q.curvature.kappa)
+    if not sign * s > 0:
+        raise _MODEL[sign][1](f"<x,x> = {s} is not {'negative' if sign < 0 else 'positive'}")
     if not math.isfinite(s):
         raise GramOverflow(f"<x,x> = {s} leaves float64")
     return BarycentricPoint.hull(x.coords * (1.0 / math.sqrt(abs(s))))

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .domain import (
+    _MODEL,
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
@@ -25,22 +26,11 @@ from .domain import (
     _vertex_gram_data,
     model_gram,
 )
-from .errors import (
-    DegenerateDirection,
-    GramOverflow,
-    NotRealizableInput,
-    OutsideLightCone,
-    WrongModel,
-)
+from .errors import GramOverflow, WrongModel
 from .symmat import _other_vertices
 
 # How far outside its range a squared chord may round and still be clamped into it.
 SQUARED_DISTANCE_FLOOR = 1e-9
-
-# Name and error of each model, by the sign of kappa: the error is raised for a
-# point or chord outside the model.
-_MODEL = {0.0: ("euclidean", NotRealizableInput), -1.0: ("hyperbolic", OutsideLightCone),
-          1.0: ("spherical", DegenerateDirection)}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a form past float64 raises GramOverflow
@@ -92,10 +82,9 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
     return arc / q.curvature.scale
 
 
-def euclidean_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
-                       tol: float = SQUARED_DISTANCE_FLOOR) -> float:
+def euclidean_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """sqrt([x-y]^T Q [x-y]) with the apex coordinate dropped."""
-    return _geodesic(q, x, y, tol, 0.0)
+    return _geodesic(q, x, y, SQUARED_DISTANCE_FLOOR, 0.0)
 
 
 def hyperbolic_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:

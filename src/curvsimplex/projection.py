@@ -9,7 +9,7 @@ altitude 1 / sqrt(1^T w).  A Euclidean volume is prod sqrt(lambda) / n! over
 the apex Gram eigenvalues that its realizability report already holds, and a
 face volume is the volume of the face's own edges.  Curved feet come from the
 first-row minors of the vertex Gram matrix, which ``curved_gram`` builds on
-the unit model (rows balanced by powers of two for long hyperbolic edges);
+the unit model, its rows balanced by powers of two;
 barycentric coordinates agree at every curvature of one sign.  The lift lies
 on the projected vertex's sheet or hemisphere.
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    COSH_ARG_MAX,
     EUCLIDEAN,
     HYPERBOLIC,
     SPHERICAL,
@@ -120,20 +119,18 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
     projects onto the face's span at -s / M_11, and M_11 has the sign of kappa,
     so the lift and the altitude are taken at alpha if -sign(kappa) sum_j s_j > 0
     and at -alpha (alpha's mirror on the other sheet, or antipode) otherwise.
-    Where Hadamard's bound ((k-1) e^L)^(k-1) on the minors, L the longest
-    unit-model edge, leaves float64 at kappa < 0, s_i is d_i times the minor of
-    D Q D, d_i = 2^-floor((e_i - 1) / 2) with 2^(e_i - 1) <= max_j |q_ij| (exact).
+    The minors are taken on D Q D and s_i is d_i times the minor there, with
+    d_i = 2^-floor((e_i - 1) / 2) and 2^(e_i - 1) <= max_j |q_ij| (exact), so
+    long hyperbolic edges keep their minors inside float64; d_i = 1 whenever
+    max_j |q_ij| < 4.
     """
     k = e.num_vertices
     face = _other_vertices(k, vertex)
-    q = curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c).matrix
-    balance = c.kappa < 0 and (k - 1) * (e.longest * c.scale + math.log(k - 1)) >= COSH_ARG_MAX
-    if balance:
-        d = np.ldexp(1.0, -((np.frexp(np.abs(q.data).max(axis=1))[1] - 1) // 2))
-        q = SymMatrix._exact(q.data * d[:, None] * d)
+    q = curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c).matrix.data
+    d = np.ldexp(1.0, -((np.frexp(np.abs(q).max(axis=1))[1] - 1) // 2))
+    q = SymMatrix._exact(q * d[:, None] * d)
     signed = np.array([-q.minor(1, i) if i % 2 == 0 else q.minor(1, i) for i in range(2, k + 1)])
-    if balance:
-        signed *= d[1:]
+    signed *= d[1:]
     denom = float(signed.sum())
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise ProjectionDegenerate("signed first-row minors sum to zero")

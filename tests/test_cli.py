@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import curvsimplex
+from curvsimplex import HYPERBOLIC, EdgeLengths, embed
 from curvsimplex.cli import main
 
 from conftest import (
@@ -172,10 +173,16 @@ class TestEmbed:
     def test_embed_round_trip(self, capsys, simplex_file):
         code, out, _ = run(capsys, ["embed", simplex_file, "--geometry", "hyperbolic"])
         assert code == 0
-        doc = json.loads(out)
+
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=refuse)
         assert doc["model"] == "minkowski"
         assert doc["curvature"] == -1.0
         verts = np.asarray(doc["vertices"])
+        expected = embed(EdgeLengths(TABLE_3SIMPLEX), HYPERBOLIC).vertices
+        assert np.array_equal(verts, expected)
         table = np.asarray(TABLE_3SIMPLEX, dtype=float)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -411,6 +418,13 @@ class TestFloatRange:
         code, out, err = run(capsys, ["check", path, "--geometry", "kappa=1e-300"])
         assert (code, out) == (4, "")
         assert "rescale" in err
+
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "spherical"])
+    def test_subnormal_edge_at_unit_kappa(self, capsys, files, geometry):
+        path = files("sub.json", {"edge_lengths": [[0, 1, 1e-310], [1, 0, 1], [1e-310, 1, 0]]})
+        code, out, err = run(capsys, ["check", path, "--geometry", geometry])
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "rescale" in err
 
     def test_large_volume(self, capsys, files):
         path = files("t.json", {"edge_lengths": (1e60 * (1 - np.eye(4))).tolist()})

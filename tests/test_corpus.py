@@ -36,6 +36,23 @@ def test_diff_lists_a_changed_value_by_quantity(smoke_lines):
     assert report[2:] == [f"    {key}", f"      A {value}", "      B X"]
 
 
+def test_churn_bounds_a_numeric_change():
+    a = ["c|project[1]\t((0x1.0p+1, 0x1.8p+1), 1e-05, True)", "c|distance[0]\t0x1.0p+0"]
+    b = ["c|project[1]\t((0x1.0p+1, 0x1.8p+2), 1e-05, True)", "c|distance[0]\t0x1.0p+0"]
+    # 3 becomes 6 on a line whose largest |number| is 6.
+    assert corpus.churn(a, b) == [
+        "churn project: 1 differ only in numbers (worst 0.5 relative), 0 in other text"]
+    assert corpus.churn(a, a) == []
+
+
+def test_churn_counts_a_text_change():
+    a = ["c|check[0]\t('Realizable', (3, 1, 0))", "c|project[2]\t(0x1.0p+0,)"]
+    b = ["c|check[0]\t('Degenerate', (3, 1, 0))", "c|project[2]\t!GramOverflow: 1e400"]
+    assert corpus.churn(a, b) == [
+        "churn check: 0 differ only in numbers (worst 0 relative), 1 in other text",
+        "churn project: 0 differ only in numbers (worst 0 relative), 1 in other text"]
+
+
 def test_canonical_values():
     assert corpus.canon(0.1) == (0.1).hex()
     assert corpus.canon(ValueError("bad")) == "!ValueError: bad"

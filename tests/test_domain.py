@@ -286,6 +286,14 @@ class TestModelGram:
         with pytest.raises(GramOverflow, match="rescale"):
             curved_gram(e, CurvatureSpec(kappa))
 
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
+    def test_subnormal_edge_at_unit_kappa_raises_gram_overflow(self, kappa):
+        # A realizable triangle with one subnormal edge: the same rescale check
+        # as at every other kappa, not a Degenerate verdict.
+        e = EdgeLengths([[0, 1, 1e-310], [1, 0, 1], [1e-310, 1, 0]])
+        with pytest.raises(GramOverflow, match="rescale"):
+            check(e, CurvatureSpec(kappa))
+
 
 ROUND_TRIPS = {
     "copy": copy.copy,

@@ -195,7 +195,7 @@ class TestTolerance:
         with pytest.raises(NotRealizableInput):
             distance(e, EUCLIDEAN, x, y)
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            euclidean_distance(euclidean_gram(e, apex=3), x, y, tol=tol)
+            distance(e, EUCLIDEAN, x, y, tol=tol)
 
 
 class TestDistanceDispatch:

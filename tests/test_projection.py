@@ -415,6 +415,32 @@ class TestLongHyperbolicEdges:
         assert np.allclose(res.foot_model.coords, lift, rtol=1e-13, atol=0)
 
 
+class TestBalancedMinors:
+    """Every curved foot takes its minors on D Q D; rows whose largest |q_ij|
+    reaches 4 balance by a power of two below 1."""
+
+    # Edges between 2 and 8: the rows' largest |q_ij| have frexp exponents
+    # 10, 6, 10 and 8, so they balance by 2^-4, 2^-2, 2^-4 and 2^-3.  The foot,
+    # altitude and lift from vertex 1 were computed with 50-digit mpmath from
+    # the solve Q_ff a = Q_f1 on the face rows: foot a / sum(a), lift
+    # a / sqrt(-a.Q_f1) and altitude arccosh(sqrt(-a.Q_f1)).
+    EDGES = [[0, 4.4, 7.3, 5.7], [4.4, 0, 3.9, 2.3], [7.3, 3.9, 0, 5.1], [5.7, 2.3, 5.1, 0]]
+    FOOT = [0.0, 0.92175319930979658, 0.012048092669294084, 0.066198708020909335]
+    ALTITUDE = 4.3422354855497294
+    LIFT = [0.0, 0.62883990239988962, 0.0082194685344589229, 0.045162185628472471]
+
+    def test_rows_balance_by_different_powers(self):
+        q = curved_gram(EdgeLengths(self.EDGES), HYPERBOLIC).matrix.data
+        assert np.frexp(np.abs(q).max(axis=1))[1].tolist() == [10, 6, 10, 8]
+
+    def test_matches_reference(self):
+        res = hyperbolic_project(EdgeLengths(self.EDGES), 1)
+        assert res.altitude == pytest.approx(self.ALTITUDE, rel=1e-15)
+        assert np.allclose(res.foot.coords, self.FOOT, rtol=0, atol=1e-15)
+        assert np.allclose(res.foot_model.coords, self.LIFT, rtol=1e-14, atol=0)
+        assert res.inside_face
+
+
 class TestSphericalProject:
     def test_equilateral_symmetry(self):
         e = EdgeLengths((math.pi / 3) * (1 - np.eye(3)))

@@ -10,17 +10,22 @@ and n in {2, 3, 5, 10}: realizable simplices from points in the model, edge
 sets with one edge inflated, long regular hyperbolic simplices with 3, 4 and
 6 vertices up to and past the overflow bound, rescales that overflow or
 underflow, flat and invalid inputs, feet whose minors normalize onto the
-wrong sheet, simplices too small for the verdict, segments, and several
-``tol`` values.  Each line is ``KEY<TAB>VALUE``: the key names the case,
-the quantity and its arguments; a float is written with ``float.hex``, an
-array as its shape and hex entries, an exception as its type and message,
-and any warning a call emits is appended to its value.
+wrong sheet, simplices too small for the verdict, segments, subnormal edges
+at kappa = +-1, and several ``tol`` values.  Each line is ``KEY<TAB>VALUE``:
+the key names the case, the quantity and its arguments; a float is written
+with ``float.hex``, an array as its shape and hex entries, an exception as
+its type and message, and any warning a call emits is appended to its value.
 
 ``diff`` runs this file's corpus against the ``src/`` of two checkouts (made
 with ``git worktree add`` or ``git archive``), each in a fresh interpreter,
 and lists the differing lines by quantity.  It exits 0 when every line is
-identical and 1 otherwise.  This is a development tool, not a gate: the test
-suite only checks that the smoke corpus runs and is deterministic.
+identical and 1 otherwise.  After the listing, one ``churn`` line per
+quantity counts the differing lines that match once every number (hex or
+decimal) is masked, gives the largest difference on such a line relative to
+that line's largest |number|, and counts the lines that differ in other
+text.  This is a development tool, not a gate: the test suite checks only
+that the smoke corpus runs and is deterministic, and the churn lines on
+small inputs.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -166,6 +172,10 @@ def cases(size: str, seed: int):
         yield f"k={kappa!r} unit tetrahedron", kappa, regular(4, 1.0)
     for kappa in (0.0, -1.0):  # the Euclidean segment's apex Gram is 1 x 1
         yield f"k={kappa!r} segment", kappa, regular(2, 1.0)
+    for kappa in (-1.0, 1.0):  # one subnormal edge: the unit-model rescale underflows
+        g = regular(3, 1.0)
+        g[0, 2] = g[2, 0] = 1e-310
+        yield f"k={kappa!r} subnormal edge", kappa, g
 
 
 def points(rng: np.random.Generator, k: int) -> list[list[float]]:
@@ -356,8 +366,9 @@ def run_checkout(checkout: str, size: str, seed: int) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def diff(a: list[str], b: list[str], limit: int = 3) -> list[str]:
-    """Report of the keys whose values differ or that only one side has, by quantity."""
+def differing(a: list[str], b: list[str]):
+    """Both sides' values by key, and the keys whose values differ or that only one
+    side has, by quantity."""
     da = dict(line.split("\t", 1) for line in a)
     db = dict(line.split("\t", 1) for line in b)
     by_quantity = collections.defaultdict(list)
@@ -365,12 +376,57 @@ def diff(a: list[str], b: list[str], limit: int = 3) -> list[str]:
         if da.get(key) != db.get(key):
             quantity = key.split("|", 1)[1].split("[", 1)[0]
             by_quantity[quantity].append(key)
+    return da, db, by_quantity
+
+
+def diff(a: list[str], b: list[str], limit: int = 3) -> list[str]:
+    """Report of the keys whose values differ or that only one side has, by quantity."""
+    da, db, by_quantity = differing(a, b)
     out = [f"{len(da)} and {len(db)} results, {sum(map(len, by_quantity.values()))} differ"]
     for quantity, keys in sorted(by_quantity.items()):
         out.append(f"  {quantity}: {len(keys)}")
         for key in keys[:limit]:
             out += [f"    {key}", f"      A {da.get(key, '<absent>')}",
                     f"      B {db.get(key, '<absent>')}"]
+    return out
+
+
+# A hex float, inf, nan or decimal number in a value.
+NUMBER = re.compile(r"[-+]?(?:0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]?\d+|\binf\b|\bnan\b"
+                    r"|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)", re.IGNORECASE)
+
+
+def _masked(value: str) -> tuple[str, list[str]]:
+    """The value with every number replaced by #, and the numbers' text."""
+    return NUMBER.sub("#", value), NUMBER.findall(value)
+
+
+def _number(token: str) -> float:
+    return float.fromhex(token) if "x" in token.lower() else float(token)
+
+
+def churn(a: list[str], b: list[str]) -> list[str]:
+    """One line per quantity of differing results: how many match once every
+    number is masked, the largest difference on such a line relative to that
+    line's largest |number|, and how many differ in other text."""
+    da, db, by_quantity = differing(a, b)
+    out = []
+    for quantity, keys in sorted(by_quantity.items()):
+        numeric, worst = 0, 0.0
+        for key in keys:
+            if key not in da or key not in db:
+                continue
+            (text_a, ta), (text_b, tb) = _masked(da[key]), _masked(db[key])
+            if text_a != text_b:
+                continue
+            numeric += 1
+            scale = max((abs(x) for x in map(_number, ta + tb) if x == x), default=0.0)
+            for x, y in zip(ta, tb):
+                gap = abs(_number(x) - _number(y)) if x != y else 0.0
+                rel = gap / scale if gap else 0.0
+                worst = max(worst, rel if rel == rel else math.inf)  # nan: an inf or nan moved
+        out.append(f"churn {quantity}: {numeric} differ only in numbers "
+                   f"(worst {worst:.2g} relative), {len(keys) - numeric} in other text")
     return out
 
 
@@ -390,9 +446,10 @@ def main(argv=None) -> int:
         sys.path.insert(0, args.src)
         sys.stdout.write("".join(line + "\n" for line in run(args.size, args.seed)))
         return 0
-    report = diff(run_checkout(args.checkout_a, args.size, args.seed),
-                  run_checkout(args.checkout_b, args.size, args.seed))
-    print("\n".join(report))
+    a = run_checkout(args.checkout_a, args.size, args.seed)
+    b = run_checkout(args.checkout_b, args.size, args.seed)
+    report = diff(a, b)
+    print("\n".join(report + churn(a, b)))
     return 0 if report[0].endswith(" 0 differ") else 1
 
 
