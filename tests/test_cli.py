@@ -414,17 +414,12 @@ class TestFloatRange:
         assert "overflows or underflows" in err
 
     def test_underflowing_rescale(self, capsys, files):
-        path = files("tiny.json", {"edge_lengths": (1e-200 * (1 - np.eye(3))).tolist()})
-        code, out, err = run(capsys, ["check", path, "--geometry", "kappa=1e-300"])
-        assert (code, out) == (4, "")
-        assert "rescale" in err
-
-    @pytest.mark.parametrize("geometry", ["hyperbolic", "spherical"])
-    def test_subnormal_edge_at_unit_kappa(self, capsys, files, geometry):
-        path = files("sub.json", {"edge_lengths": [[0, 1, 1e-310], [1, 0, 1], [1e-310, 1, 0]]})
-        code, out, err = run(capsys, ["check", path, "--geometry", geometry])
-        assert (code, out) == (4, "")
-        assert err.startswith("error:") and "rescale" in err
+        tiny = files("tiny.json", {"edge_lengths": (1e-200 * (1 - np.eye(3))).tolist()})
+        sub = files("sub.json", {"edge_lengths": [[0, 1, 1e-310], [1, 0, 1], [1e-310, 1, 0]]})
+        for path, geometry in [(tiny, "kappa=1e-300"), (sub, "hyperbolic"), (sub, "spherical")]:
+            code, out, err = run(capsys, ["check", path, "--geometry", geometry])
+            assert (code, out) == (4, "")
+            assert err.startswith("error:") and "rescale" in err
 
     def test_large_volume(self, capsys, files):
         path = files("t.json", {"edge_lengths": (1e60 * (1 - np.eye(4))).tolist()})

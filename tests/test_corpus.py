@@ -43,6 +43,11 @@ def test_churn_bounds_a_numeric_change():
     assert corpus.churn(a, b) == [
         "churn project: 1 differ only in numbers (worst 0.5 relative), 0 in other text"]
     assert corpus.churn(a, a) == []
+    # A nan on a line whose other numbers are all 0 leaves no finite scale.
+    a = ["c|project[1]\t(nan, 0x0.0p+0)"]
+    b = ["c|project[1]\t(0x0.0p+0, 0x0.0p+0)"]
+    assert corpus.churn(a, b) == [
+        "churn project: 1 differ only in numbers (worst inf relative), 0 in other text"]
 
 
 def test_churn_counts_a_text_change():

@@ -279,20 +279,18 @@ class TestModelGram:
         with pytest.raises(GramOverflow, match="rescale"):
             curved_gram(e, CurvatureSpec(kappa))
 
-    @pytest.mark.parametrize("kappa", [1e-300, -1e-300])
-    def test_underflowing_rescale_raises_gram_overflow(self, kappa):
+    @pytest.mark.parametrize("kappa, edges", [
         # sqrt(1e-300) * 1e-200 = 1e-350 rounds to zero.
-        e = EdgeLengths(1e-200 * (1 - np.eye(3)))
+        pytest.param(1e-300, 1e-200 * (1 - np.eye(3)), id="1e-300"),
+        pytest.param(-1e-300, 1e-200 * (1 - np.eye(3)), id="-1e-300"),
+        # A realizable triangle with one subnormal edge: the same check at
+        # kappa = +-1 as at every other kappa, not a Degenerate verdict.
+        pytest.param(1.0, [[0, 1, 1e-310], [1, 0, 1], [1e-310, 1, 0]], id="1.0-subnormal"),
+        pytest.param(-1.0, [[0, 1, 1e-310], [1, 0, 1], [1e-310, 1, 0]], id="-1.0-subnormal"),
+    ])
+    def test_underflowing_rescale_raises_gram_overflow(self, kappa, edges):
         with pytest.raises(GramOverflow, match="rescale"):
-            curved_gram(e, CurvatureSpec(kappa))
-
-    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
-    def test_subnormal_edge_at_unit_kappa_raises_gram_overflow(self, kappa):
-        # A realizable triangle with one subnormal edge: the same rescale check
-        # as at every other kappa, not a Degenerate verdict.
-        e = EdgeLengths([[0, 1, 1e-310], [1, 0, 1], [1e-310, 1, 0]])
-        with pytest.raises(GramOverflow, match="rescale"):
-            check(e, CurvatureSpec(kappa))
+            check(EdgeLengths(edges), CurvatureSpec(kappa))
 
 
 ROUND_TRIPS = {

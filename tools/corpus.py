@@ -423,8 +423,8 @@ def churn(a: list[str], b: list[str]) -> list[str]:
             scale = max((abs(x) for x in map(_number, ta + tb) if x == x), default=0.0)
             for x, y in zip(ta, tb):
                 gap = abs(_number(x) - _number(y)) if x != y else 0.0
-                rel = gap / scale if gap else 0.0
-                worst = max(worst, rel if rel == rel else math.inf)  # nan: an inf or nan moved
+                if gap:  # an inf or nan that moved leaves gap inf or nan
+                    worst = max(worst, gap / scale if math.isfinite(gap) else math.inf)
         out.append(f"churn {quantity}: {numeric} differ only in numbers "
                    f"(worst {worst:.2g} relative), {len(keys) - numeric} in other text")
     return out
@@ -449,7 +449,8 @@ def main(argv=None) -> int:
     a = run_checkout(args.checkout_a, args.size, args.seed)
     b = run_checkout(args.checkout_b, args.size, args.seed)
     report = diff(a, b)
-    print("\n".join(report + churn(a, b)))
+    print("\n".join(report), flush=True)
+    print("\n".join(churn(a, b)))
     return 0 if report[0].endswith(" 0 differ") else 1
 
 
