@@ -29,7 +29,6 @@ from .errors import (
     NotRealizableInput,
     OutsideLightCone,
     ProjectionDegenerate,
-    SingularFace,
     WrongModel,
 )
 from .metrics import (
@@ -79,7 +78,6 @@ __all__ = [
     "ProjectionResult",
     "RealizabilityReport",
     "Signature",
-    "SingularFace",
     "SPHERICAL",
     "SymMatrix",
     "Verdict",

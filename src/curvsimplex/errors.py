@@ -5,10 +5,6 @@ class GeometryError(Exception):
     """Base class for all geometric and numerical-input errors."""
 
 
-class SingularFace(GeometryError):
-    """The trailing principal submatrix is singular; complement solve impossible."""
-
-
 class WrongModel(GeometryError):
     """Operation invoked with a curvature class it does not support."""
 

@@ -61,13 +61,6 @@ class Embedding:
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def radius(self) -> float:
-        """Model radius 1/sqrt(|kappa|) (1.0 for the Euclidean model)."""
-        if self.curvature.kappa == 0:
-            return 1.0
-        return 1.0 / self.curvature.scale
-
     def form(self, u: np.ndarray, v: np.ndarray) -> float:
         """Ambient bilinear form applied to coordinate vectors."""
         if self.model is ModelSpace.MINKOWSKI:

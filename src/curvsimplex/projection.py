@@ -69,13 +69,20 @@ def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[BarycentricPoint, floa
     coordinates are w / (1^T w) with w = m^-1 1, and |h|^2 = 1 / (1^T w).
     """
     m = euclidean_gram(e, apex=vertex).matrix.data
-    w = np.linalg.solve(m, np.ones(e.n))
+    try:
+        w = np.linalg.solve(m, np.ones(e.n))
+    except np.linalg.LinAlgError as exc:
+        raise ProjectionDegenerate(f"apex Gram matrix at vertex {vertex} is singular") from exc
     total = float(w.sum())
     if not 0 < total < math.inf:
         raise ProjectionDegenerate(f"1^T m^-1 1 = {total} is not positive")
     coords = np.zeros(e.num_vertices)
     coords[_other_vertices(e.num_vertices, vertex)] = w / total
-    return BarycentricPoint(coords), 1.0 / math.sqrt(total), None
+    try:
+        foot = BarycentricPoint(coords)
+    except ValueError as exc:  # w / (1^T w) lost its unit sum to cancellation
+        raise ProjectionDegenerate(f"foot is not determined: {exc}") from exc
+    return foot, 1.0 / math.sqrt(total), None
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:

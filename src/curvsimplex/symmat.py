@@ -1,7 +1,7 @@
 """Dense symmetric-matrix kernel.
 
-Determinants, minors, eigenvalue signatures and the first-orthogonal-complement
-solve, for the small (dim <= ~50) matrices produced by the Gram builders.
+Determinants, minors and eigenvalue signatures, for the small (dim <= ~50)
+matrices produced by the Gram builders.
 Indices in the public API are 1-based to match the usual subscript conventions;
 storage is 0-based numpy.
 """
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SingularFace
 
 DEFAULT_TOL = 1e-9
 
@@ -124,23 +122,6 @@ class SymMatrix:
 
     def is_positive_definite(self, tol: float = DEFAULT_TOL) -> bool:
         return self.signature(tol).as_tuple() == (self.dim, 0, 0)
-
-    def solve_first_complement(self) -> np.ndarray:
-        """Vector x with x_1 = 1 and (m x)_i = 0 for every i >= 2.
-
-        Equivalently x is proportional to the signed first-row minors
-        (m_11, -m_12, ..., (-1)^(dim+1) m_1,dim).  Requires the trailing
-        principal submatrix m(1,1) to be invertible.
-        """
-        a = self.data[1:, 1:]
-        b = self.data[1:, 0]
-        try:
-            tail = np.linalg.solve(a, -b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFace("trailing principal submatrix is singular") from exc
-        if not np.all(np.isfinite(tail)):
-            raise SingularFace("trailing principal submatrix is singular")
-        return np.concatenate(([1.0], tail))
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.dim:

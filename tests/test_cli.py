@@ -26,6 +26,7 @@ from curvsimplex.cli import main
 
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
+    FLAT_4SIMPLICES,
     NON_EUCLIDEAN_FACE_EDGES,
     TABLE_3SIMPLEX,
     WRONG_SHEET_TETRAHEDRON,
@@ -136,6 +137,15 @@ class TestProject:
         code, _, err = run(capsys, ["project", simplex_file, "--vertex", "9"])
         assert code == 2
         assert "out of range" in err
+
+    def test_singular_apex_gram_at_tol_zero(self, capsys, files):
+        # Flat set A passes check only at tol 0; its apex Gram at vertex 2 is singular.
+        edges = np.sqrt(np.array(FLAT_4SIMPLICES["A"], dtype=float))
+        path = files("flat.json", {"edge_lengths": edges.tolist()})
+        code, out, err = run(capsys, ["project", path, "--tol", "0", "--vertex", "2"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestVolume:

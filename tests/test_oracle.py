@@ -122,7 +122,6 @@ class TestModelConstraints:
         c = CurvatureSpec(-4.0)
         e = random_simplex(rng, 2, c)
         emb = embed(e, c)
-        assert emb.radius == pytest.approx(0.5)
         for v in emb.vertices:
             assert emb.form(v, v) == pytest.approx(-0.25, abs=1e-9)
 

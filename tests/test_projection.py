@@ -9,9 +9,11 @@ from curvsimplex import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
+    EUCLIDEAN,
     GramOverflow,
     HYPERBOLIC,
     NotRealizableInput,
+    ProjectionDegenerate,
     SPHERICAL,
     Verdict,
     brute_distance,
@@ -34,6 +36,7 @@ from curvsimplex import (
 from conftest import (
     ANTIPODE_4SIMPLEX,
     COLLINEAR_HYPERBOLIC_EDGES,
+    FLAT_4SIMPLICES,
     NON_EUCLIDEAN_FACE_EDGES,
     WRONG_SHEET_TETRAHEDRON,
     edges_from_points,
@@ -105,6 +108,21 @@ class TestEuclideanProject:
         assert euclidean_volume(flat) == 0.0
         bad = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]]).scaled(s)
         assert check_euclidean(bad).verdict is Verdict.NOT_REALIZABLE
+
+    @pytest.mark.parametrize("name", sorted(FLAT_4SIMPLICES))
+    def test_flat_set_realizable_at_tol_zero_projects_or_is_degenerate(self, name):
+        # At tol 0 some apex Gram matrices are singular in float64 or give a foot
+        # whose coordinates lose their unit sum: those feet are ProjectionDegenerate.
+        e = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES[name], dtype=float)))
+        assert check_euclidean(e).verdict is Verdict.DEGENERATE
+        assert check_euclidean(e, 0.0).verdict is Verdict.REALIZABLE
+        for vertex in range(1, 6):
+            try:
+                res = project(e, EUCLIDEAN, vertex, 0.0)
+            except ProjectionDegenerate:
+                continue
+            assert res.foot.coords[vertex - 1] == 0.0
+            assert math.isfinite(res.altitude)
 
     def test_minimizes_distance_over_face(self, table_simplex):
         rng = np.random.default_rng(13)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvsimplex import Signature, SingularFace, SymMatrix
+from curvsimplex import Signature, SymMatrix
 from curvsimplex.domain import EdgeLengths, curved_gram, euclidean_gram, HYPERBOLIC
 
 from conftest import TABLE_3SIMPLEX
@@ -188,53 +188,3 @@ class TestPositiveDefinite:
         q = euclidean_gram(g, apex=3).matrix
         assert np.allclose(q.data, [[9.0, 6.0], [6.0, 4.0]])
         assert not q.is_positive_definite()
-
-
-class TestSolveFirstComplement:
-    def test_diagonal(self):
-        x = SymMatrix(np.diag([2.0, 3.0, 4.0])).solve_first_complement()
-        assert np.allclose(x, [1.0, 0.0, 0.0])
-
-    def test_reference_minor_pattern(self):
-        q = table_qsigma()
-        x = q.solve_first_complement()
-        minors = np.array([q.minor(1, i) for i in range(1, 5)])
-        signs = np.array([1.0, -1.0, 1.0, -1.0])
-        expected = signs * minors / q.minor(1, 1)
-        assert np.allclose(x, expected, rtol=1e-8)
-        # The signed tail reproduces the reference minor magnitudes.
-        assert x[1] * q.minor(1, 1) == pytest.approx(12350.57, abs=0.5)
-        assert x[2] * q.minor(1, 1) == pytest.approx(2340.72, abs=0.5)
-        assert x[3] * q.minor(1, 1) == pytest.approx(718.81, abs=0.5)
-        # The same identity on positive definite matrices, down to dim 1 (x = [1.0]).
-        rng = np.random.default_rng(14)
-        for dim in (1, 2, 3, 5):
-            a = rng.normal(size=(dim, dim))
-            m = SymMatrix(a @ a.T + dim * np.eye(dim))
-            signed = np.array([(-1.0) ** i * m.minor(1, i + 1) for i in range(dim)])
-            assert np.allclose(m.solve_first_complement(), signed / m.minor(1, 1), rtol=1e-8)
-
-    def test_residual_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=(4, 4))
-            m = SymMatrix(a + a.T + 6 * np.eye(4))
-            x = m.solve_first_complement()
-            residual = m.data @ x
-            assert np.max(np.abs(residual[1:])) < 1e-10
-
-    def test_singular_face(self):
-        m = SymMatrix([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        with pytest.raises(SingularFace):
-            m.solve_first_complement()
-
-    @given(symmetric_matrices(max_dim=5))
-    @settings(max_examples=30, deadline=None)
-    def test_proportional_to_signed_minors(self, m):
-        sub = m.data[1:, 1:]
-        if abs(np.linalg.det(sub)) < 1e-6:
-            return
-        x = m.solve_first_complement()
-        q11 = m.minor(1, 1)
-        signed = np.array([(-1.0) ** i * m.minor(1, i + 1) for i in range(m.dim)])
-        assert np.allclose(x * q11, signed, atol=1e-6 * max(1.0, np.max(np.abs(signed))))

@@ -11,7 +11,8 @@ sets with one edge inflated, long regular hyperbolic simplices with 3, 4 and
 6 vertices up to and past the overflow bound, rescales that overflow or
 underflow, flat and invalid inputs, feet whose minors normalize onto the
 wrong sheet, simplices too small for the verdict, segments, subnormal edges
-at kappa = +-1, and several ``tol`` values.  Each line is ``KEY<TAB>VALUE``:
+at kappa = +-1, flat 4-simplices that only tol 0 calls realizable, and
+several ``tol`` values.  Each line is ``KEY<TAB>VALUE``:
 the key names the case, the quantity and its arguments; a float is written
 with ``float.hex``, an array as its shape and hex entries, an exception as
 its type and message, and any warning a call emits is appended to its value.
@@ -65,6 +66,12 @@ ANTIPODE_4SIMPLEX = [[0.0, 0.335255, 0.174571, 0.218231, 0.201319],
                      [0.174571, 0.379366, 0.0, 0.269718, 0.216127],
                      [0.218231, 0.192861, 0.269718, 0.0, 0.129006],
                      [0.201319, 0.163395, 0.216127, 0.129006, 0.0]]
+# Squared edges of flat Euclidean 4-simplices: Degenerate at the default tol,
+# Realizable at tol 0, where some apex Gram matrices are singular in float64.
+FLAT_4SIMPLEX_A = [[0, 9, 68, 116, 40], [9, 0, 65, 149, 61], [68, 65, 0, 40, 20],
+                   [116, 149, 40, 0, 20], [40, 61, 20, 20, 0]]
+FLAT_4SIMPLEX_B = [[0, 34, 25, 20, 32], [34, 0, 117, 106, 82], [25, 117, 0, 1, 49],
+                   [20, 106, 1, 0, 36], [32, 82, 49, 36, 0]]
 
 
 def canon(value) -> str:
@@ -176,6 +183,8 @@ def cases(size: str, seed: int):
         g = regular(3, 1.0)
         g[0, 2] = g[2, 0] = 1e-310
         yield f"k={kappa!r} subnormal edge", kappa, g
+    yield "flat 4-simplex A", 0.0, np.sqrt(np.array(FLAT_4SIMPLEX_A, dtype=float))
+    yield "flat 4-simplex B", 0.0, np.sqrt(np.array(FLAT_4SIMPLEX_B, dtype=float))
 
 
 def points(rng: np.random.Generator, k: int) -> list[list[float]]:
@@ -215,7 +224,6 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
         m = q.matrix
         rec.put("determinant", m.determinant)
         rec.put("signature", lambda: m.signature().as_tuple())
-        rec.put("solve_first_complement", m.solve_first_complement)
         rows = range(1, m.dim + 1) if m.dim <= 6 else (1,)
         for i in rows:
             for j in range(1, m.dim + 1):
@@ -242,6 +250,7 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
                     lambda a=a, b=b, tol=tol: lib.distance(e, c, pts[a], pts[b], tol))
     for v in range(1, k + 1):
         rec.put(f"project[{v}]", lambda v=v: lib.project(e, c, v), project_fields)
+        rec.put(f"project_tol0[{v}]", lambda v=v: lib.project(e, c, v, 0.0), project_fields)
     rec.put("project[0]", lambda: lib.project(e, c, 0), project_fields)
     for tol in (1e-9, 1e-3):
         rec.put(f"euclidean_volume[{tol!r}]", lambda tol=tol: lib.euclidean_volume(e, tol))
