@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .domain import BarycentricPoint, CurvatureSpec, EdgeLengths
 from .errors import EmbeddingInconsistency, GeometryError, GramOverflow
-from .metrics import SQUARED_DISTANCE_FLOOR, distance
+from .metrics import distance
 from .oracle import embed
 from .projection import euclidean_face_volume, euclidean_volume, project
 from .realizability import Verdict, check
@@ -117,7 +117,7 @@ def cmd_dist(args) -> int:
     c = _parse_geometry(args.geometry)
     x = _load_point(args.point_x, e.num_vertices)
     y = _load_point(args.point_y, e.num_vertices)
-    print(_sig(distance(e, c, x, y, args.tol)))
+    print(_sig(distance(e, c, x, y)))
     return EXIT_OK
 
 
@@ -155,16 +155,8 @@ def cmd_embed(args) -> int:
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
     emb = embed(e, c, args.tol)
-    text = json.dumps({"model": emb.model.value, "curvature": c.kappa,
-                       "vertices": emb.vertices.tolist()}, indent=2, sort_keys=True)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
-    else:
-        print(text)
+    print(json.dumps({"model": emb.model.value, "curvature": c.kappa,
+                      "vertices": emb.vertices.tolist()}, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -175,22 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_help="an eigenvalue counts as zero when |lambda| <= tol * max|lambda|"):
+    def common(p):
         p.add_argument("simplex", help="JSON simplex document")
         p.add_argument("--geometry", default="euclidean",
                        help="euclidean | hyperbolic | spherical | kappa=<v>")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=tol_help)
 
     p = sub.add_parser("check", help="realizability verdict and signature")
     common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("dist", help="distance between two barycentric points")
-    common(p, tol_help="a squared chord (on the unit model) up to tol outside its "
-                       "range is clamped into it, one further out exits 3")
+    common(p)
     p.add_argument("point_x", help="JSON point document")
     p.add_argument("point_y", help="JSON point document")
-    p.set_defaults(func=cmd_dist, tol=SQUARED_DISTANCE_FLOOR)
+    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("project", help="orthogonal projection of a vertex onto its opposite face")
     common(p)
@@ -201,14 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("simplex", help="JSON simplex document")
     p.add_argument("--face-opposite", type=int, default=None,
                    help="compute the volume of the face opposite this vertex")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("embed", help="explicit model-space vertex coordinates")
     common(p)
-    p.add_argument("--out", default=None, help="write the embedding JSON to this file")
     p.set_defaults(func=cmd_embed)
 
+    for name in ("check", "project", "volume", "embed"):
+        sub.choices[name].add_argument(
+            "--tol", type=float, default=DEFAULT_TOL,
+            help="an eigenvalue counts as zero when |lambda| <= tol * max|lambda|")
     return parser
 
 
@@ -216,18 +208,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 <= args.tol < np.inf:
+        if "tol" in args and not 0 <= args.tol < np.inf:
             raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EmbeddingInconsistency as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC if isinstance(exc, GramOverflow) else EXIT_VERDICT
+        numeric = isinstance(exc, (GramOverflow, EmbeddingInconsistency))
+        return EXIT_NUMERIC if numeric else EXIT_VERDICT
 
 
 if __name__ == "__main__":

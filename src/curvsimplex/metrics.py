@@ -7,8 +7,8 @@ formed from <x,x>, <y,y> and <x-y, x-y> alone, so short distances keep their
 digits and no product of hull norms is formed; the arc is 2 asinh(chord / 2)
 on the hyperboloid and 2 asin(chord / 2) on the sphere, and the length at the
 Gram matrix's curvature is that arc over sqrt(|kappa|).  A squared chord that
-rounds at most ``tol`` outside its range is clamped into it; beyond that the
-input is rejected.
+rounds at most ``SQUARED_DISTANCE_FLOOR`` outside its range is clamped into
+it; beyond that the input is rejected.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ SQUARED_DISTANCE_FLOOR = 1e-9
 
 @np.errstate(over="ignore", invalid="ignore")  # a form past float64 raises GramOverflow
 def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
-              tol: float, model: float | None = None) -> float:
+              model: float | None = None) -> float:
     """Distance of x and y at q's curvature: the unit-model arc over sqrt(|kappa|).
 
     ``model``, if given, is the sign of kappa (0.0, -1.0 or 1.0) q must have;
@@ -45,8 +45,6 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
     (<x-y, x-y> - sign * ((s_x - s_y) / (n_x + n_y))^2) / (n_x n_y),
     which lies in [0, 4] on the sphere and in [0, inf) otherwise.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     kappa = q.curvature.kappa
     sign = math.copysign(1.0, kappa) if kappa else 0.0
     if model is not None and model != sign:
@@ -73,7 +71,7 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
         chord2 = (delta2 - sign * ((sx - sy) / (nx + ny)) ** 2) / (nx * ny)
     top = 4.0 if sign > 0 else math.inf
     if not 0 <= chord2 <= top:
-        if not -tol <= chord2 <= top + tol:
+        if not -SQUARED_DISTANCE_FLOOR <= chord2 <= top + SQUARED_DISTANCE_FLOOR:
             raise _MODEL[sign][1](f"squared chord {chord2} outside [0, {top}]")
         chord2 = min(max(chord2, 0.0), top)
     if sign == 0:
@@ -84,27 +82,28 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
 
 def euclidean_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """sqrt([x-y]^T Q [x-y]) with the apex coordinate dropped."""
-    return _geodesic(q, x, y, SQUARED_DISTANCE_FLOOR, 0.0)
+    return _geodesic(q, x, y, 0.0)
 
 
 def hyperbolic_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """2 asinh(chord / 2) / sqrt(-kappa) between the lifts of timelike hull points."""
-    return _geodesic(q, x, y, SQUARED_DISTANCE_FLOOR, -1.0)
+    return _geodesic(q, x, y, -1.0)
 
 
 def spherical_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """2 asin(chord / 2) / sqrt(kappa) between the lifts of positive-norm hull points."""
-    return _geodesic(q, x, y, SQUARED_DISTANCE_FLOOR, 1.0)
+    return _geodesic(q, x, y, 1.0)
 
 
 def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,
-             y: BarycentricPoint, tol: float = SQUARED_DISTANCE_FLOOR) -> float:
+             y: BarycentricPoint) -> float:
     """Geodesic distance between x and y for any constant curvature.
 
-    ``tol`` is how far a squared chord (on the unit model) may round outside
-    its range and still be clamped into it.  No realizability check runs (it
-    would add an eigendecomposition to every call), so callers run ``check``
-    first: on edges it does not call Realizable the result is still a finite
-    float or a ``GeometryError``, but it is no distance.
+    A squared chord (on the unit model) that rounds at most
+    ``SQUARED_DISTANCE_FLOOR`` outside its range is clamped into it.  No
+    realizability check runs (it would add an eigendecomposition to every
+    call), so callers run ``check`` first: on edges it does not call
+    Realizable the result is still a finite float or a ``GeometryError``, but
+    it is no distance.
     """
-    return _geodesic(model_gram(e, c), x, y, tol)
+    return _geodesic(model_gram(e, c), x, y)

@@ -37,8 +37,14 @@ from .domain import (
     euclidean_gram,
     lift_to_model,
 )
-from .errors import GramOverflow, NotRealizableInput, ProjectionDegenerate
-from .metrics import SQUARED_DISTANCE_FLOOR, _geodesic
+from .errors import (
+    DegenerateDirection,
+    GramOverflow,
+    NotRealizableInput,
+    OutsideLightCone,
+    ProjectionDegenerate,
+)
+from .metrics import _geodesic
 from .realizability import Verdict, check, check_euclidean
 from .symmat import DEFAULT_TOL, SymMatrix, _other_vertices
 
@@ -147,9 +153,12 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
     # Compare signs (kappa * denom underflows); 0.0 - coords keeps the vertex's +0.0.
     point = foot if (c.kappa < 0) == (denom > 0) else BarycentricPoint.hull(0.0 - foot.coords)
     q = curved_gram(e, c)
-    lift = lift_to_model(q, point)
-    apex = BarycentricPoint.vertex(vertex, k)
-    return foot, _geodesic(q, apex, point, SQUARED_DISTANCE_FLOOR), lift
+    try:  # a flat set checked at a tiny tol can leave noise minors here
+        lift = lift_to_model(q, point)
+        altitude = _geodesic(q, BarycentricPoint.vertex(vertex, k), point)
+    except (OutsideLightCone, DegenerateDirection) as exc:
+        raise ProjectionDegenerate(f"foot is not determined: {exc}") from exc
+    return foot, altitude, lift
 
 
 def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,

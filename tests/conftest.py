@@ -124,9 +124,10 @@ NON_EUCLIDEAN_FACE_EDGES = [
 # The differential corpus tool, tools/corpus.py.  Its named cases include two
 # realizable simplices whose vertex-4 signed first-row minors sum to the wrong
 # sign: normalized to sum 1 they are the foot's mirror on the hyperboloid's
-# lower sheet, and its antipode on the sphere (at pi minus the altitude); and
-# two flat Euclidean 4-simplices, given by squared edges, that only tol 0 calls
-# realizable.
+# lower sheet, and its antipode on the sphere (at pi minus the altitude); two
+# flat Euclidean 4-simplices, given by squared edges, and a flat hyperbolic
+# tetrahedron, given by the spatial coordinates of its vertices, that only
+# tol 0 calls realizable.
 _spec = importlib.util.spec_from_file_location(
     "corpus", Path(__file__).resolve().parent.parent / "tools" / "corpus.py")
 CORPUS_TOOL = importlib.util.module_from_spec(_spec)
@@ -134,3 +135,4 @@ _spec.loader.exec_module(CORPUS_TOOL)
 WRONG_SHEET_TETRAHEDRON = CORPUS_TOOL.WRONG_SHEET_TETRAHEDRON
 ANTIPODE_4SIMPLEX = CORPUS_TOOL.ANTIPODE_4SIMPLEX
 FLAT_4SIMPLICES = {"A": CORPUS_TOOL.FLAT_4SIMPLEX_A, "B": CORPUS_TOOL.FLAT_4SIMPLEX_B}
+FLAT_HYPERBOLIC_TETRAHEDRON = CORPUS_TOOL.hyperboloid_edges(CORPUS_TOOL.FLAT_HYPERBOLIC_POINTS)

@@ -103,12 +103,15 @@ class TestDist:
         assert code == 0
         assert float(out) == pytest.approx(0.63997, abs=1e-4)
 
-    def test_tol_help_names_the_clamp_floor(self, capsys):
+    def test_tol_is_not_an_option(self, capsys, files, simplex_file):
+        px = files("p.json", {"barycentric": [0.25, 0.25, 0.25, 0.25]})
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", simplex_file, px, px, "--tol", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 0" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["dist", "--help"])
-        out = " ".join(capsys.readouterr().out.split())
-        assert "squared chord" in out and "clamped" in out
-        assert "eigenvalue" not in out
+        assert "--tol" not in capsys.readouterr().out
         with pytest.raises(SystemExit):
             main(["check", "--help"])
         assert "eigenvalue counts as zero" in " ".join(capsys.readouterr().out.split())
@@ -201,18 +204,13 @@ class TestEmbed:
                 got = np.arccosh(1.0 + 0.5 * chord)
                 assert got == pytest.approx(table[i, j], abs=1e-8)
 
-    def test_embed_to_file(self, capsys, tmp_path, simplex_file):
-        out_path = tmp_path / "emb.json"
-        code, out, _ = run(capsys, ["embed", simplex_file, "--out", str(out_path)])
-        assert code == 0
-        doc = json.loads(out_path.read_text())
-        assert doc["model"] == "euclidean"
-
-    def test_embed_to_unwritable_path(self, capsys, tmp_path, simplex_file):
-        out_path = tmp_path / "missing" / "emb.json"
-        code, out, err = run(capsys, ["embed", simplex_file, "--out", str(out_path)])
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot write {out_path}")
+    def test_inconsistent_embedding_at_tol_zero(self, capsys, files):
+        # Flat set A passes check only at tol 0, where its Cholesky factor fails.
+        edges = np.sqrt(np.array(FLAT_4SIMPLICES["A"], dtype=float))
+        path = files("flat.json", {"edge_lengths": edges.tolist()})
+        code, out, err = run(capsys, ["embed", path, "--tol", "0"])
+        assert (code, out) == (4, "")
+        assert err.startswith("error: Cholesky failed")
 
     def test_not_realizable_exit(self, capsys, files):
         path = files("bad.json", {"edge_lengths": [[0, 1, 1], [1, 0, 3], [1, 3, 0]]})
@@ -281,14 +279,11 @@ class TestInputErrors:
         assert "coordinates" in err
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    @pytest.mark.parametrize("command", ["check", "dist", "project", "volume", "embed"])
+    @pytest.mark.parametrize("command", ["check", "project", "volume", "embed"])
     def test_bad_tol(self, capsys, files, command, tol):
         path = files("unit.json", {"edge_lengths": (1 - np.eye(3)).tolist()})
         argv = [command, path, f"--tol={tol}"]
-        if command == "dist":
-            argv += [files("p.json", {"barycentric": [0.5, 0.5, 0.0]}),
-                     files("q.json", {"barycentric": [0.0, 0.5, 0.5]})]
-        elif command == "project":
+        if command == "project":
             argv += ["--vertex", "1"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
@@ -526,7 +521,8 @@ def cli_calls(draw):
         gamma[0, 1] = gamma[1, 0] = 3.0 * gamma[0, 1]
     gamma *= 10.0 ** draw(st.floats(-200, 200)) if model == 0 else 1.0 / math.sqrt(abs(kappa))
     command = draw(st.sampled_from(["check", "dist", "project", "volume", "embed"]))
-    tol = draw(st.sampled_from([None, 0.0, 1e-3, -1.0, math.nan, math.inf]))
+    tol = None if command == "dist" else draw(
+        st.sampled_from([None, 0.0, 1e-3, -1.0, math.nan, math.inf]))
     return (gamma, kappa, command, tol, draw(st.integers(0, k)),
             rng.uniform(0.01, 1, size=(2, k)))
 

@@ -180,22 +180,25 @@ class TestShortDistances:
         assert distance(e, CurvatureSpec(kappa), x, y) == pytest.approx(h, rel=rel)
 
 
-class TestTolerance:
-    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("kappa", [0.0, -1.0])
-    def test_bad_tol_rejected(self, table_simplex, pq, kappa, tol):
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            distance(table_simplex, CurvatureSpec(kappa), *pq, tol=tol)
-
-    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
-    def test_bad_tol_rejected_before_clamping(self, tol):
-        # The default rejects this unrealizable pair's squared distance of -1.25.
+class TestSquaredDistanceFloor:
+    def test_unrealizable_squared_distance_rejected(self):
         e = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
         x, y = BarycentricPoint([0.5, 0.0, 0.5]), BarycentricPoint.vertex(2, 3)
-        with pytest.raises(NotRealizableInput):
+        with pytest.raises(NotRealizableInput, match=r"squared chord -1\.25 "):
             distance(e, EUCLIDEAN, x, y)
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            distance(e, EUCLIDEAN, x, y, tol=tol)
+
+    def test_clamped_within_the_floor_rejected_beyond(self):
+        # Edges 1, 1 and 2 + delta: the squared distance from vertex 2 to the
+        # midpoint of edge 1-3 is -delta - delta^2 / 4, clamped to 0 only
+        # while it lies within SQUARED_DISTANCE_FLOOR = 1e-9 of 0.
+        def midpoint_distance(delta):
+            e = EdgeLengths([[0, 1, 2 + delta], [1, 0, 1], [2 + delta, 1, 0]])
+            return distance(e, EUCLIDEAN, BarycentricPoint.vertex(2, 3),
+                            BarycentricPoint([0.5, 0.0, 0.5]))
+
+        assert midpoint_distance(2e-10) == 0.0
+        with pytest.raises(NotRealizableInput, match=r"squared chord -9\.99999993922529e-09 "):
+            midpoint_distance(1e-8)
 
 
 class TestDistanceDispatch:

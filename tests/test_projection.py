@@ -18,6 +18,7 @@ from curvsimplex import (
     Verdict,
     brute_distance,
     brute_project,
+    check,
     check_euclidean,
     curved_gram,
     distance,
@@ -37,6 +38,7 @@ from conftest import (
     ANTIPODE_4SIMPLEX,
     COLLINEAR_HYPERBOLIC_EDGES,
     FLAT_4SIMPLICES,
+    FLAT_HYPERBOLIC_TETRAHEDRON,
     NON_EUCLIDEAN_FACE_EDGES,
     WRONG_SHEET_TETRAHEDRON,
     edges_from_points,
@@ -339,6 +341,18 @@ class TestHyperbolicProject:
         e = EdgeLengths(COLLINEAR_HYPERBOLIC_EDGES)
         with pytest.raises(NotRealizableInput):
             hyperbolic_project(e, 1)
+
+    def test_flat_set_realizable_at_tol_zero_projects_or_is_degenerate(self):
+        # At tol 0 the noise minors of the foot from vertex 1 put its squared
+        # chord below -SQUARED_DISTANCE_FLOOR: that foot is ProjectionDegenerate.
+        e = EdgeLengths(FLAT_HYPERBOLIC_TETRAHEDRON)
+        for tol in (1e-9, 1e-12, 1e-15):
+            assert check(e, HYPERBOLIC, tol).verdict is Verdict.DEGENERATE
+        assert check(e, HYPERBOLIC, 0.0).verdict is Verdict.REALIZABLE
+        with pytest.raises(ProjectionDegenerate, match="foot is not determined: squared chord"):
+            project(e, HYPERBOLIC, 1, 0.0)
+        for vertex in (2, 3, 4):
+            assert project(e, HYPERBOLIC, vertex, 0.0).altitude == 0.0
 
     def test_hull_route_would_fail(self):
         # Regression for the near-collinear configuration: the induced form

@@ -11,11 +11,12 @@ sets with one edge inflated, long regular hyperbolic simplices with 3, 4 and
 6 vertices up to and past the overflow bound, rescales that overflow or
 underflow, flat and invalid inputs, feet whose minors normalize onto the
 wrong sheet, simplices too small for the verdict, segments, subnormal edges
-at kappa = +-1, flat 4-simplices that only tol 0 calls realizable, and
-several ``tol`` values.  Each line is ``KEY<TAB>VALUE``:
-the key names the case, the quantity and its arguments; a float is written
-with ``float.hex``, an array as its shape and hex entries, an exception as
-its type and message, and any warning a call emits is appended to its value.
+at kappa = +-1, flat Euclidean 4-simplices and a flat hyperbolic tetrahedron
+that only tol 0 calls realizable, and several eigenvalue cutoffs ``tol``.
+Each line is ``KEY<TAB>VALUE``: the key names the case, the quantity and its
+arguments; a float is written with ``float.hex``, an array as its shape and
+hex entries, an exception as its type and message, and any warning a call
+emits is appended to its value.
 
 ``diff`` runs this file's corpus against the ``src/`` of two checkouts (made
 with ``git worktree add`` or ``git archive``), each in a fresh interpreter,
@@ -53,7 +54,6 @@ KAPPAS = (0.0, -1.0, 1.0, -0.3, 0.3, -0.25, 0.25, -4.0, 4.0)
 SIZES = {"full": {"kappas": KAPPAS, "ns": (2, 3, 5, 10), "per_cell": 3},
          "smoke": {"kappas": (0.0, -1.0, 0.3), "ns": (2, 3), "per_cell": 1}}
 CHECK_TOLS = (1e-9, 1e-3, 0.0, 1e-9)
-DIST_TOLS = (1e-9, 1e-3)
 # Realizable simplices whose foot from vertex 4 has signed first-row minors of
 # the wrong sign: normalized to sum 1, they are its mirror on the hyperboloid's
 # lower sheet and its antipode on the sphere.
@@ -72,6 +72,10 @@ FLAT_4SIMPLEX_A = [[0, 9, 68, 116, 40], [9, 0, 65, 149, 61], [68, 65, 0, 40, 20]
                    [116, 149, 40, 0, 20], [40, 61, 20, 20, 0]]
 FLAT_4SIMPLEX_B = [[0, 34, 25, 20, 32], [34, 0, 117, 106, 82], [25, 117, 0, 1, 49],
                    [20, 106, 1, 0, 36], [32, 82, 49, 36, 0]]
+# Spatial coordinates of four points on a plane of the hyperboloid t^2 - |x|^2 = 1:
+# Degenerate at tol 1e-15 and above, Realizable at tol 0, where the squared
+# chord from vertex 1 to its foot rounds to -5.8e-9, below the distance floor.
+FLAT_HYPERBOLIC_POINTS = [[0.4, 3.8], [-1.0, -0.9], [2.4, 4.2], [-1.8, -1.7]]
 
 
 def canon(value) -> str:
@@ -130,6 +134,15 @@ def model_points(rng: np.random.Generator, kappa: float, n: int) -> np.ndarray:
     return g / math.sqrt(abs(kappa))
 
 
+def hyperboloid_edges(x) -> np.ndarray:
+    """Edge matrix of points on the unit hyperboloid, given by their spatial coordinates."""
+    x = np.asarray(x, dtype=float)
+    t = np.sqrt(1.0 + (x ** 2).sum(axis=1))
+    g = np.arccosh(np.clip(np.outer(t, t) - x @ x.T, 1.0, None))
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
 def geometry_arg(kappa: float) -> str:
     names = {0.0: "euclidean", -1.0: "hyperbolic", 1.0: "spherical"}
     return names.get(kappa, f"kappa={kappa!r}")
@@ -185,6 +198,7 @@ def cases(size: str, seed: int):
         yield f"k={kappa!r} subnormal edge", kappa, g
     yield "flat 4-simplex A", 0.0, np.sqrt(np.array(FLAT_4SIMPLEX_A, dtype=float))
     yield "flat 4-simplex B", 0.0, np.sqrt(np.array(FLAT_4SIMPLEX_B, dtype=float))
+    yield "flat hyperbolic tetrahedron", -1.0, hyperboloid_edges(FLAT_HYPERBOLIC_POINTS)
 
 
 def points(rng: np.random.Generator, k: int) -> list[list[float]]:
@@ -245,9 +259,7 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
             rec.put(f"per_model_distance[{apex}]", lambda a=apex: lib.euclidean_distance(
                 lib.euclidean_gram(e, a), pts[0], pts[3]))
     for a, b in PAIRS:
-        for tol in DIST_TOLS:
-            rec.put(f"distance[{a},{b},{tol!r}]",
-                    lambda a=a, b=b, tol=tol: lib.distance(e, c, pts[a], pts[b], tol))
+        rec.put(f"distance[{a},{b}]", lambda a=a, b=b: lib.distance(e, c, pts[a], pts[b]))
     for v in range(1, k + 1):
         rec.put(f"project[{v}]", lambda v=v: lib.project(e, c, v), project_fields)
         rec.put(f"project_tol0[{v}]", lambda v=v: lib.project(e, c, v, 0.0), project_fields)
@@ -339,11 +351,12 @@ def run_cli(rec: Recorder, g: np.ndarray, kappa: float, tmp: str) -> None:
         json.dump({"barycentric": [1.0 / k] * k}, fh)
     geo = ["--geometry", geometry_arg(kappa)]
     commands = [["check", simplex, *geo], ["check", simplex, *geo, "--tol", "1e-3"],
-                ["dist", simplex, px, py, *geo], ["dist", simplex, px, py, *geo, "--tol", "0"],
+                ["dist", simplex, px, py, *geo],
                 ["project", simplex, *geo, "--vertex", "1"],
                 ["project", simplex, *geo, "--vertex", str(k)],
                 ["volume", simplex], ["volume", simplex, "--face-opposite", "1"],
-                ["embed", simplex, *geo], ["check", simplex, *geo, "--tol", "-1"]]
+                ["embed", simplex, *geo], ["embed", simplex, *geo, "--tol", "0"],
+                ["check", simplex, *geo, "--tol", "-1"]]
     for argv in commands:
         cli_call(rec, argv, tmp)
 
