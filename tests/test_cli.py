@@ -279,10 +279,20 @@ class TestInputErrors:
         assert "coordinates" in err
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    @pytest.mark.parametrize("command", ["check", "project", "volume", "embed"])
+    @pytest.mark.parametrize("command", ["check", "dist", "project", "volume", "embed"])
     def test_bad_tol(self, capsys, files, command, tol):
         path = files("unit.json", {"edge_lengths": (1 - np.eye(3)).tolist()})
         argv = [command, path, f"--tol={tol}"]
+        if command == "dist":
+            # dist has no --tol at all: argparse refuses it before any input is read.
+            argv += [files("p.json", {"barycentric": [0.5, 0.5, 0.0]}),
+                     files("q.json", {"barycentric": [0.0, 0.5, 0.5]})]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert f"unrecognized arguments: --tol={tol}" in captured.err
+            return
         if command == "project":
             argv += ["--vertex", "1"]
         code, out, err = run(capsys, argv)

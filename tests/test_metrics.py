@@ -201,6 +201,26 @@ class TestSquaredDistanceFloor:
             midpoint_distance(1e-8)
 
 
+class TestTolerance:
+    # distance() has no tol: the clamp is SQUARED_DISTANCE_FLOOR on every
+    # model, and no caller-supplied tolerance can widen it.
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_bad_tol_rejected(self, table_simplex, pq, kappa, tol):
+        with pytest.raises(TypeError, match="tol"):
+            distance(table_simplex, CurvatureSpec(kappa), *pq, tol=tol)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_bad_tol_rejected_before_clamping(self, tol):
+        # The floor rejects this unrealizable pair's squared distance of -1.25.
+        e = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+        x, y = BarycentricPoint([0.5, 0.0, 0.5]), BarycentricPoint.vertex(2, 3)
+        with pytest.raises(NotRealizableInput):
+            distance(e, EUCLIDEAN, x, y)
+        with pytest.raises(TypeError, match="tol"):
+            distance(e, EUCLIDEAN, x, y, tol=tol)
+
+
 class TestDistanceDispatch:
     def test_hyperbolic_agrees_exactly(self, table_simplex):
         rng = np.random.default_rng(23)
