@@ -42,19 +42,13 @@ from .oracle import (Embedding, ModelSpace, brute_distance, brute_project,
 from .projection import (
     ProjectionResult,
     euclidean_face_volume,
-    euclidean_project,
     euclidean_volume,
-    hyperbolic_project,
     project,
-    spherical_project,
 )
 from .realizability import (
     RealizabilityReport,
     Verdict,
     check,
-    check_euclidean,
-    check_hyperbolic,
-    check_spherical,
 )
 from .symmat import DEFAULT_TOL, Signature, SymMatrix
 
@@ -86,23 +80,17 @@ __all__ = [
     "brute_project",
     "edge_lengths_of",
     "check",
-    "check_euclidean",
-    "check_hyperbolic",
-    "check_spherical",
     "curved_gram",
     "distance",
     "embed",
     "euclidean_distance",
     "euclidean_face_volume",
     "euclidean_gram",
-    "euclidean_project",
     "euclidean_volume",
     "hull_inner_product",
     "hyperbolic_distance",
-    "hyperbolic_project",
     "lift_to_model",
     "model_gram",
     "project",
     "spherical_distance",
-    "spherical_project",
 ]

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .domain import BarycentricPoint, CurvatureSpec, EdgeLengths
+from .domain import _MODEL, BarycentricPoint, CurvatureSpec, EdgeLengths
 from .errors import EmbeddingInconsistency, GeometryError, GramOverflow
 from .metrics import distance
 from .oracle import embed
@@ -35,7 +35,7 @@ EXIT_INPUT = 2
 EXIT_VERDICT = 3
 EXIT_NUMERIC = 4
 
-GEOMETRY_KAPPA = {"euclidean": 0.0, "hyperbolic": -1.0, "spherical": 1.0}
+GEOMETRY_KAPPA = {name: kappa for kappa, (name, _) in _MODEL.items()}
 
 
 class InputError(Exception):
@@ -51,7 +51,7 @@ def _parse_geometry(text: str) -> CurvatureSpec:
         except ValueError as exc:
             raise InputError(f"invalid curvature value in {text!r}") from exc
     raise InputError(
-        f"unknown geometry {text!r}; expected euclidean, hyperbolic, spherical, or kappa=<v>")
+        f"unknown geometry {text!r}; expected {', '.join(GEOMETRY_KAPPA)}, or kappa=<v>")
 
 
 def _load_json(path: str) -> dict:
@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("simplex", help="JSON simplex document")
-        p.add_argument("--geometry", default="euclidean",
-                       help="euclidean | hyperbolic | spherical | kappa=<v>")
+        p.add_argument("--geometry", default=_MODEL[0.0][0],
+                       help=" | ".join([*GEOMETRY_KAPPA, "kappa=<v>"]))
 
     p = sub.add_parser("check", help="realizability verdict and signature")
     common(p)

@@ -1,7 +1,7 @@
 """Orthogonal projection of a vertex onto its opposite face, and volumes.
 
-One ``project`` body, with one realizability guard, serves every curvature;
-the per-model ``*_project`` functions are its unit-curvature cases.  Its
+One ``project`` body, with one realizability guard, serves every curvature,
+the unit models ``EUCLIDEAN``, ``HYPERBOLIC`` and ``SPHERICAL`` included.  Its
 altitude is always finite, and its foot has a lift onto the model exactly
 when kappa != 0.  A Euclidean foot comes from one solve w = m^-1 1 on the apex
 Gram matrix m at the projected vertex: the foot is w / (1^T w) and the
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    _MODEL,
     EUCLIDEAN,
-    HYPERBOLIC,
-    SPHERICAL,
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
@@ -45,8 +44,8 @@ from .errors import (
     ProjectionDegenerate,
 )
 from .metrics import _geodesic
-from .realizability import Verdict, check, check_euclidean
-from .symmat import DEFAULT_TOL, SymMatrix, _other_vertices
+from .realizability import Verdict, check
+from .symmat import DEFAULT_TOL, Signature, SymMatrix, _other_vertices
 
 # A foot counts as inside its face when every coordinate is >= -INSIDE_TOL.
 INSIDE_TOL = 1e-12
@@ -92,11 +91,11 @@ def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[BarycentricPoint, floa
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
-    """prod sqrt(lambda) / n! over the apex Gram eigenvalues ``check_euclidean`` classified.
+    """prod sqrt(lambda) / n! over the apex Gram eigenvalues that ``check`` classified.
 
     Degenerate (flat) edge sets have volume 0.0; GramOverflow if it leaves float64.
     """
-    report = check_euclidean(e, tol)
+    report = check(e, EUCLIDEAN, tol)
     if report.verdict is Verdict.NOT_REALIZABLE:
         raise NotRealizableInput(f"not a Euclidean edge set: {report.detail}")
     if report.verdict is Verdict.DEGENERATE:
@@ -112,12 +111,14 @@ def euclidean_face_volume(e: EdgeLengths, vertex: int,
                           tol: float = DEFAULT_TOL) -> float:
     """Volume of the face opposite ``vertex``: ``euclidean_volume`` of its edges.
 
-    The face of a 2-vertex simplex is a point, of volume 1.0.
+    The face of a 2-vertex simplex is a point: its apex Gram spectrum is
+    empty, and its volume is 1.0 at every valid ``tol``.
     """
     k = e.num_vertices
     if not 1 <= vertex <= k:
         raise IndexError(f"vertex {vertex} out of range 1..{k}")
     if k == 2:
+        Signature.of(np.empty(0), tol)  # rejects a bad tol, as every larger face does
         return 1.0
     return euclidean_volume(e.restricted(v for v in range(1, k + 1) if v != vertex), tol)
 
@@ -174,26 +175,8 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
         raise IndexError(f"vertex {vertex} out of range 1..{k}")
     report = check(e, c, tol)
     if report.verdict is not Verdict.REALIZABLE:
-        model = "Euclidean" if c.kappa == 0 else "hyperbolic" if c.kappa < 0 else "spherical"
+        model = "Euclidean" if c.kappa == 0 else _MODEL[math.copysign(1.0, c.kappa)][0]
         raise NotRealizableInput(f"not a {model} simplex: {report.detail}")
     foot, altitude, lift = _curved_foot(e, c, vertex) if c.kappa else _euclidean_foot(e, vertex)
     inside = bool((foot.coords >= -INSIDE_TOL).all())
     return ProjectionResult(foot=foot, altitude=altitude, inside_face=inside, foot_model=lift)
-
-
-def euclidean_project(e: EdgeLengths, vertex: int,
-                      tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Project ``vertex`` onto its opposite face in the Euclidean metric."""
-    return project(e, EUCLIDEAN, vertex, tol)
-
-
-def hyperbolic_project(e: EdgeLengths, vertex: int,
-                       tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Project ``vertex`` onto its opposite face in the hyperbolic metric."""
-    return project(e, HYPERBOLIC, vertex, tol)
-
-
-def spherical_project(e: EdgeLengths, vertex: int,
-                      tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Project ``vertex`` onto its opposite face in the spherical metric."""
-    return project(e, SPHERICAL, vertex, tol)

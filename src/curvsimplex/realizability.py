@@ -4,8 +4,8 @@ One body serves every curvature.  ``model_gram`` supplies the Gram matrix:
 the apex Gram matrix for kappa = 0, otherwise the full vertex Gram matrix of
 the edges rescaled onto the unit model.  Its signature must be (n, 0) for
 kappa = 0, (n, 1) for kappa < 0 and (n+1, 0) for kappa > 0; for kappa > 0
-every edge must also be shorter than pi / (2 sqrt(kappa)).  The per-model
-``check_*`` functions are the unit-curvature cases of ``check``.
+every edge must also be shorter than pi / (2 sqrt(kappa)).  The unit models
+are ``check(e, EUCLIDEAN)``, ``check(e, HYPERBOLIC)`` and ``check(e, SPHERICAL)``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import EUCLIDEAN, HYPERBOLIC, SPHERICAL, CurvatureSpec, EdgeLengths, model_gram
+from .domain import CurvatureSpec, EdgeLengths, model_gram
 from .errors import GramOverflow
 from .symmat import DEFAULT_TOL, Signature
 
@@ -71,18 +71,3 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
     report = RealizabilityReport(verdict, sig, detail, eig)
     object.__setattr__(e, "_memo", (c.kappa, q, tol, report))
     return report
-
-
-def check_euclidean(e: EdgeLengths, tol: float = DEFAULT_TOL) -> RealizabilityReport:
-    """Realizable iff the apex Gram matrix is positive definite (any apex)."""
-    return check(e, EUCLIDEAN, tol)
-
-
-def check_hyperbolic(e: EdgeLengths, tol: float = DEFAULT_TOL) -> RealizabilityReport:
-    """Realizable iff the -cosh vertex Gram matrix has signature (n, 1)."""
-    return check(e, HYPERBOLIC, tol)
-
-
-def check_spherical(e: EdgeLengths, tol: float = DEFAULT_TOL) -> RealizabilityReport:
-    """Realizable iff every edge is < pi/2 and the cos Gram matrix is PD."""
-    return check(e, SPHERICAL, tol)

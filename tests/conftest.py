@@ -15,11 +15,12 @@ import pytest
 
 from curvsimplex import (
     CurvatureSpec,
+    EUCLIDEAN,
     EdgeLengths,
+    HYPERBOLIC,
+    SPHERICAL,
     Verdict,
-    check_euclidean,
-    check_hyperbolic,
-    check_spherical,
+    check,
 )
 
 # Edge-length table of the reference 3-simplex used throughout the tests.
@@ -48,7 +49,7 @@ def random_euclidean(rng: np.random.Generator, n: int) -> EdgeLengths:
     while True:
         pts = rng.normal(size=(n + 1, n))
         e = edges_from_points(pts)
-        if check_euclidean(e).verdict is Verdict.REALIZABLE:
+        if check(e, EUCLIDEAN).verdict is Verdict.REALIZABLE:
             return e
 
 
@@ -64,7 +65,7 @@ def random_hyperbolic(rng: np.random.Generator, n: int, spread: float = 0.8) -> 
             e = EdgeLengths(g)
         except ValueError:
             continue
-        if check_hyperbolic(e).verdict is Verdict.REALIZABLE:
+        if check(e, HYPERBOLIC).verdict is Verdict.REALIZABLE:
             return e
 
 
@@ -83,7 +84,7 @@ def random_spherical(rng: np.random.Generator, n: int, spread: float = 0.25,
             e = EdgeLengths(g)
         except ValueError:
             continue
-        if check_spherical(e).verdict is Verdict.REALIZABLE:
+        if check(e, SPHERICAL).verdict is Verdict.REALIZABLE:
             return e
 
 

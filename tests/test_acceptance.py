@@ -22,17 +22,13 @@ from curvsimplex import (
     brute_distance,
     brute_project,
     check,
-    check_euclidean,
-    check_hyperbolic,
     curved_gram,
     distance,
     embed,
     euclidean_distance,
     euclidean_gram,
-    euclidean_project,
     hull_inner_product,
     hyperbolic_distance,
-    hyperbolic_project,
     project,
     spherical_distance,
 )
@@ -108,7 +104,7 @@ def test_criterion_06_hyperbolic_distance(report):
 
 
 def test_criterion_07_euclidean_foot_and_minors(report):
-    res = euclidean_project(TABLE, 1)
+    res = project(TABLE, EUCLIDEAN, 1)
     ok = close(res.foot.coords, [0.0, 0.65625, 0.23264, 0.11111], 1e-5)
     m = euclidean_gram(TABLE, apex=1).matrix
     minors = {(i, j): m.minor(i, j) for i in range(1, 4) for j in range(i, 4)}
@@ -122,7 +118,7 @@ def test_criterion_07_euclidean_foot_and_minors(report):
 
 
 def test_criterion_08_euclidean_altitude_and_lemma(report):
-    res = euclidean_project(TABLE, 1)
+    res = project(TABLE, EUCLIDEAN, 1)
     ok = abs(res.altitude - 1.4136) <= 1e-3
     # |Q| = d^2 * (signed-minor sum): determinant factorizes through the
     # altitude and the squared face content.
@@ -149,11 +145,11 @@ def test_criterion_09_hyperbolic_minors_and_normalizer(report):
 
 
 def test_criterion_10_hyperbolic_foot(report):
-    res = hyperbolic_project(TABLE, 1)
+    res = project(TABLE, HYPERBOLIC, 1)
     ok = close(res.foot.coords, [0.0, 0.80146, 0.15190, 0.04665], 1e-4)
     ok = ok and close(res.foot_model.coords, [0.0, 0.22222, 0.04212, 0.01293], 1e-4)
     ok = ok and abs(res.altitude - 1.0575) <= 1e-3
-    ok = ok and res.altitude < euclidean_project(TABLE, 1).altitude
+    ok = ok and res.altitude < project(TABLE, EUCLIDEAN, 1).altitude
     report(10, ok, "hyperbolic foot/lift within 1e-4, altitude 1.0575 within 1e-3, < Euclidean")
 
 
@@ -238,7 +234,7 @@ def test_criterion_13_hyperbolic_orthogonality(report):
         n = int(rng.integers(2, 5))
         e = random_hyperbolic(rng, n)
         vertex = int(rng.integers(1, e.num_vertices + 1))
-        res = hyperbolic_project(e, vertex)
+        res = project(e, HYPERBOLIC, vertex)
         if res.foot_model is None:
             continue
         q = curved_gram(e, HYPERBOLIC)
@@ -272,7 +268,7 @@ def test_criterion_14_face_determinant_identity(report):
 
 def test_criterion_15_collinear_triple_regression(report):
     e = EdgeLengths(COLLINEAR_HYPERBOLIC_EDGES)
-    verdict_ok = check_hyperbolic(e).verdict is Verdict.DEGENERATE
+    verdict_ok = check(e, HYPERBOLIC).verdict is Verdict.DEGENERATE
     chord = np.sqrt(np.clip(2.0 * np.cosh(e.gamma) - 2.0, 0.0, None))
     np.fill_diagonal(chord, 0.0)
     hull_gram = euclidean_gram(EdgeLengths(chord), apex=3).matrix

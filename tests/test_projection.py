@@ -19,19 +19,15 @@ from curvsimplex import (
     brute_distance,
     brute_project,
     check,
-    check_euclidean,
     curved_gram,
     distance,
     embed,
     euclidean_distance,
     euclidean_face_volume,
     euclidean_gram,
-    euclidean_project,
     euclidean_volume,
     hull_inner_product,
-    hyperbolic_project,
     project,
-    spherical_project,
 )
 
 from conftest import (
@@ -50,45 +46,45 @@ from conftest import (
 )
 
 
-def inside_projection_case(rng, generator, projector, n):
+def inside_projection_case(rng, generator, c, n):
     """Random simplex whose chosen vertex projects inside the opposite face."""
     while True:
         e = generator(rng, n)
         vertex = int(rng.integers(1, e.num_vertices + 1))
-        res = projector(e, vertex)
+        res = project(e, c, vertex)
         if res.inside_face:
             return e, vertex, res
 
 
 class TestEuclideanProject:
     def test_reference_vertex_1(self, table_simplex):
-        res = euclidean_project(table_simplex, 1)
+        res = project(table_simplex, EUCLIDEAN, 1)
         assert np.allclose(res.foot.coords, [0.0, 0.65625, 0.23264, 0.11111], atol=1e-5)
         assert res.altitude == pytest.approx(1.4136, abs=1e-3)
         assert res.inside_face
 
     def test_equilateral_symmetry(self):
         e = EdgeLengths([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        res = euclidean_project(e, 3)
+        res = project(e, EUCLIDEAN, 3)
         assert np.allclose(res.foot.coords, [0.5, 0.5, 0.0], atol=1e-12)
         assert res.altitude == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
     def test_right_triangle_altitude(self):
         # Classical oracle: the altitude onto the hypotenuse is ab/c = 12/5.
         e = EdgeLengths([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
-        res = euclidean_project(e, 1)
+        res = project(e, EUCLIDEAN, 1)
         assert res.altitude == pytest.approx(12 / 5, abs=1e-12)
 
     def test_degenerate_rejected(self):
         e = EdgeLengths([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
         with pytest.raises(NotRealizableInput):
-            euclidean_project(e, 1)
+            project(e, EUCLIDEAN, 1)
 
     def test_outside_foot_flagged(self):
         # Obtuse triangle: the apex projects beyond the opposite edge.
         e = EdgeLengths([[0, 1.0, 1.0], [1.0, 0, 1.9], [1.0, 1.9, 0]])
-        assert check_euclidean(e).verdict.value == "Realizable"
-        res = euclidean_project(e, 2)
+        assert check(e, EUCLIDEAN).verdict.value == "Realizable"
+        res = project(e, EUCLIDEAN, 2)
         assert not res.inside_face
         assert np.any(res.foot.coords < 0)
 
@@ -98,26 +94,26 @@ class TestEuclideanProject:
         for n in (2, 3):
             e = random_euclidean(rng, n)
             big = e.scaled(s)
-            assert check_euclidean(big).verdict is Verdict.REALIZABLE
+            assert check(big, EUCLIDEAN).verdict is Verdict.REALIZABLE
             assert euclidean_volume(big) == pytest.approx(
                 s ** n * euclidean_volume(e), rel=1e-12)
             for vertex in range(1, n + 2):
-                res, res_big = euclidean_project(e, vertex), euclidean_project(big, vertex)
+                res, res_big = project(e, EUCLIDEAN, vertex), project(big, EUCLIDEAN, vertex)
                 assert res_big.altitude == pytest.approx(s * res.altitude, rel=1e-12)
                 assert np.allclose(res_big.foot.coords, res.foot.coords, rtol=0, atol=1e-12)
         flat = EdgeLengths([[0, 1, 2], [1, 0, 1], [2, 1, 0]]).scaled(s)
-        assert check_euclidean(flat).verdict is Verdict.DEGENERATE
+        assert check(flat, EUCLIDEAN).verdict is Verdict.DEGENERATE
         assert euclidean_volume(flat) == 0.0
         bad = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]]).scaled(s)
-        assert check_euclidean(bad).verdict is Verdict.NOT_REALIZABLE
+        assert check(bad, EUCLIDEAN).verdict is Verdict.NOT_REALIZABLE
 
     @pytest.mark.parametrize("name", sorted(FLAT_4SIMPLICES))
     def test_flat_set_realizable_at_tol_zero_projects_or_is_degenerate(self, name):
         # At tol 0 some apex Gram matrices are singular in float64 or give a foot
         # whose coordinates lose their unit sum: those feet are ProjectionDegenerate.
         e = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES[name], dtype=float)))
-        assert check_euclidean(e).verdict is Verdict.DEGENERATE
-        assert check_euclidean(e, 0.0).verdict is Verdict.REALIZABLE
+        assert check(e, EUCLIDEAN).verdict is Verdict.DEGENERATE
+        assert check(e, EUCLIDEAN, 0.0).verdict is Verdict.REALIZABLE
         for vertex in range(1, 6):
             try:
                 res = project(e, EUCLIDEAN, vertex, 0.0)
@@ -129,7 +125,7 @@ class TestEuclideanProject:
     def test_minimizes_distance_over_face(self, table_simplex):
         rng = np.random.default_rng(13)
         g = euclidean_gram(table_simplex, apex=1)
-        res = euclidean_project(table_simplex, 1)
+        res = project(table_simplex, EUCLIDEAN, 1)
         v1 = BarycentricPoint.vertex(1, 4)
         for _ in range(500):
             w = random_interior_point(rng, 3)
@@ -151,7 +147,7 @@ class TestDeterminantIdentities:
             e = random_euclidean(rng, n)
             vertex = int(rng.integers(1, n + 2))
             q = euclidean_gram(e, apex=vertex).matrix
-            res = euclidean_project(e, vertex)
+            res = project(e, EUCLIDEAN, vertex)
             face_det = signed_minor_sum(q)
             lhs = q.determinant()
             rhs = res.altitude ** 2 * face_det
@@ -219,7 +215,7 @@ class TestVolumes:
                 g = np.triu(rng.uniform(0.2, 2.0, size=(n + 1, n + 1)), 1)
                 g = g + g.T
             e = EdgeLengths(g)
-            verdict = check_euclidean(e).verdict
+            verdict = check(e, EUCLIDEAN).verdict
             seen.add(verdict)
             if verdict is Verdict.NOT_REALIZABLE:
                 with pytest.raises(NotRealizableInput):
@@ -269,7 +265,7 @@ class TestVolumes:
 
 class TestHyperbolicProject:
     def test_reference_vertex_1(self, table_simplex):
-        res = hyperbolic_project(table_simplex, 1)
+        res = project(table_simplex, HYPERBOLIC, 1)
         assert np.allclose(res.foot.coords, [0.0, 0.80146, 0.15190, 0.04665], atol=1e-4)
         assert np.allclose(res.foot_model.coords,
                            [0.0, 0.22222, 0.04212, 0.01293], atol=1e-4)
@@ -278,11 +274,11 @@ class TestHyperbolicProject:
 
     def test_equilateral_symmetry(self):
         e = EdgeLengths(1.3 * (1 - np.eye(3)))
-        res = hyperbolic_project(e, 2)
+        res = project(e, HYPERBOLIC, 2)
         assert np.allclose(res.foot.coords, [0.5, 0.0, 0.5], atol=1e-12)
 
     def test_foot_model_on_hyperboloid(self, table_simplex):
-        res = hyperbolic_project(table_simplex, 3)
+        res = project(table_simplex, HYPERBOLIC, 3)
         q = curved_gram(table_simplex, HYPERBOLIC)
         assert hull_inner_product(q, res.foot_model, res.foot_model) == \
             pytest.approx(-1.0, abs=1e-9)
@@ -291,7 +287,7 @@ class TestHyperbolicProject:
         rng = np.random.default_rng(43)
         for n in (2, 3):
             e, vertex, res = inside_projection_case(
-                rng, random_hyperbolic, hyperbolic_project, n)
+                rng, random_hyperbolic, HYPERBOLIC, n)
             emb = embed(e, HYPERBOLIC)
             bf = brute_project(emb, vertex)
             v = BarycentricPoint.vertex(vertex, e.num_vertices)
@@ -301,7 +297,7 @@ class TestHyperbolicProject:
 
     def test_minimality_over_sampled_face(self, table_simplex):
         rng = np.random.default_rng(47)
-        res = hyperbolic_project(table_simplex, 1)
+        res = project(table_simplex, HYPERBOLIC, 1)
         v1 = BarycentricPoint.vertex(1, 4)
         for _ in range(500):
             w = random_interior_point(rng, 3)
@@ -315,7 +311,7 @@ class TestHyperbolicProject:
             e = random_hyperbolic(rng, n)
             m = e.num_vertices
             vertex = int(rng.integers(1, m + 1))
-            res = hyperbolic_project(e, vertex)
+            res = project(e, HYPERBOLIC, vertex)
             assert res.foot_model is not None
             q = curved_gram(e, HYPERBOLIC)
             v = BarycentricPoint.vertex(vertex, m)
@@ -329,7 +325,7 @@ class TestHyperbolicProject:
         # -<p,p>/<v1,p> equals the first minor over the signed first-row
         # minor sum of the vertex Gram matrix.
         q = curved_gram(table_simplex, HYPERBOLIC)
-        res = hyperbolic_project(table_simplex, 1)
+        res = project(table_simplex, HYPERBOLIC, 1)
         v1 = BarycentricPoint.vertex(1, 4)
         pp = hull_inner_product(q, res.foot, res.foot)
         vp = hull_inner_product(q, v1, res.foot)
@@ -340,7 +336,7 @@ class TestHyperbolicProject:
     def test_not_realizable_rejected(self):
         e = EdgeLengths(COLLINEAR_HYPERBOLIC_EDGES)
         with pytest.raises(NotRealizableInput):
-            hyperbolic_project(e, 1)
+            project(e, HYPERBOLIC, 1)
 
     def test_flat_set_realizable_at_tol_zero_projects_or_is_degenerate(self):
         # At tol 0 the noise minors of the foot from vertex 1 put its squared
@@ -363,14 +359,13 @@ class TestHyperbolicProject:
         g[0, 2] *= 0.98
         g[2, 0] *= 0.98
         e = EdgeLengths(g)
-        from curvsimplex import check_hyperbolic, Verdict
-        assert check_hyperbolic(e).verdict is Verdict.REALIZABLE
+        assert check(e, HYPERBOLIC).verdict is Verdict.REALIZABLE
         chord = np.sqrt(2.0 * np.cosh(e.gamma) - 2.0)
         np.fill_diagonal(chord, 0.0)
         hull_gram = euclidean_gram(EdgeLengths(chord), apex=1).matrix
         assert not hull_gram.is_positive_definite()
         # The synthetic route still produces a valid projection.
-        res = hyperbolic_project(e, 1)
+        res = project(e, HYPERBOLIC, 1)
         assert abs(res.foot.coords.sum() - 1.0) < 1e-9
 
 
@@ -441,7 +436,7 @@ class TestLongHyperbolicEdges:
     @pytest.mark.parametrize("name", REFERENCES)
     def test_matches_reference(self, name):
         edges, foot, altitude, lift = self.REFERENCES[name]
-        res = hyperbolic_project(EdgeLengths(edges), 1)
+        res = project(EdgeLengths(edges), HYPERBOLIC, 1)
         assert res.altitude == pytest.approx(altitude, rel=1e-15)
         assert np.allclose(res.foot.coords, foot, rtol=0, atol=1e-14)
         assert np.allclose(res.foot_model.coords, lift, rtol=1e-13, atol=0)
@@ -466,7 +461,7 @@ class TestBalancedMinors:
         assert np.frexp(np.abs(q).max(axis=1))[1].tolist() == [10, 6, 10, 8]
 
     def test_matches_reference(self):
-        res = hyperbolic_project(EdgeLengths(self.EDGES), 1)
+        res = project(EdgeLengths(self.EDGES), HYPERBOLIC, 1)
         assert res.altitude == pytest.approx(self.ALTITUDE, rel=1e-15)
         assert np.allclose(res.foot.coords, self.FOOT, rtol=0, atol=1e-15)
         assert np.allclose(res.foot_model.coords, self.LIFT, rtol=1e-14, atol=0)
@@ -476,19 +471,19 @@ class TestBalancedMinors:
 class TestSphericalProject:
     def test_equilateral_symmetry(self):
         e = EdgeLengths((math.pi / 3) * (1 - np.eye(3)))
-        res = spherical_project(e, 1)
+        res = project(e, SPHERICAL, 1)
         assert np.allclose(res.foot.coords, [0.0, 0.5, 0.5], atol=1e-12)
 
     def test_degenerate_rejected(self):
         e = EdgeLengths([[0, 0.1, 0.2], [0.1, 0, 0.1], [0.2, 0.1, 0]])
         with pytest.raises(NotRealizableInput):
-            spherical_project(e, 1)
+            project(e, SPHERICAL, 1)
 
     def test_matches_brute_minimization(self):
         rng = np.random.default_rng(59)
         for n in (2, 3):
             e, vertex, res = inside_projection_case(
-                rng, random_spherical, spherical_project, n)
+                rng, random_spherical, SPHERICAL, n)
             emb = embed(e, SPHERICAL)
             bf = brute_project(emb, vertex)
             assert np.max(np.abs(res.foot.coords - bf.coords)) < 1e-6
@@ -498,7 +493,7 @@ class TestSphericalProject:
     def test_foot_model_on_sphere(self):
         rng = np.random.default_rng(61)
         e = random_spherical(rng, 3)
-        res = spherical_project(e, 2)
+        res = project(e, SPHERICAL, 2)
         q = curved_gram(e, SPHERICAL)
         assert hull_inner_product(q, res.foot_model, res.foot_model) == \
             pytest.approx(1.0, abs=1e-9)
@@ -506,7 +501,7 @@ class TestSphericalProject:
 
 class TestDispatchAndSubface:
     def test_general_kappa_altitude_scaling(self, table_simplex):
-        res_unit = hyperbolic_project(table_simplex.scaled(2.0), 1)
+        res_unit = project(table_simplex.scaled(2.0), HYPERBOLIC, 1)
         res = project(table_simplex, CurvatureSpec(-4.0), 1)
         assert np.allclose(res.foot.coords, res_unit.foot.coords)
         assert res.altitude == pytest.approx(res_unit.altitude / 2.0, rel=1e-12)
@@ -515,13 +510,13 @@ class TestDispatchAndSubface:
     def test_general_kappa_is_unit_model_of_rescaled_edges(self, kappa):
         c = CurvatureSpec(kappa)
         scale = math.sqrt(abs(kappa))
-        unit_project = hyperbolic_project if kappa < 0 else spherical_project
+        unit_c = CurvatureSpec(math.copysign(1.0, kappa))
         rng = np.random.default_rng(int(abs(kappa) * 10) + 1)
         for n in (2, 3, 4):
             e = random_simplex(rng, n, c)
             for vertex in range(1, n + 2):
                 res = project(e, c, vertex)
-                unit = unit_project(e.scaled(scale), vertex)
+                unit = project(e.scaled(scale), unit_c, vertex)
                 assert np.array_equal(res.foot.coords, unit.foot.coords)
                 assert res.inside_face == unit.inside_face
                 assert res.foot_model is not None and unit.foot_model is not None
@@ -539,7 +534,7 @@ class TestDispatchAndSubface:
         rng = np.random.default_rng(67)
         for _ in range(10):
             e = random_hyperbolic(rng, 3)
-            res = hyperbolic_project(e, 1)
+            res = project(e, HYPERBOLIC, 1)
             assert res.foot.coords.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -579,7 +574,7 @@ class TestFootSheet:
 
     def test_wrong_sheet_tetrahedron(self):
         e = EdgeLengths(WRONG_SHEET_TETRAHEDRON)
-        res = hyperbolic_project(e, 4)
+        res = project(e, HYPERBOLIC, 4)
         altitude, lift = coordinate_foot(e, HYPERBOLIC, 4)
         assert altitude == pytest.approx(0.0501714576343651, rel=1e-10)
         assert res.altitude == pytest.approx(altitude, rel=1e-8)
@@ -595,7 +590,7 @@ class TestFootSheet:
 
     def test_antipode_4simplex(self):
         e = EdgeLengths(ANTIPODE_4SIMPLEX)
-        res = spherical_project(e, 4)
+        res = project(e, SPHERICAL, 4)
         altitude, lift = coordinate_foot(e, SPHERICAL, 4)
         assert res.altitude == pytest.approx(altitude, rel=1e-8)
         assert res.altitude < 0.1  # not pi minus the altitude

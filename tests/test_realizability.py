@@ -11,17 +11,16 @@ from curvsimplex import (
     CurvatureSpec,
     EdgeLengths,
     Embedding,
+    EUCLIDEAN,
     GeometryError,
     GramMatrix,
     GramOverflow,
     HYPERBOLIC,
     ProjectionResult,
     RealizabilityReport,
+    SPHERICAL,
     Verdict,
     check,
-    check_euclidean,
-    check_hyperbolic,
-    check_spherical,
     curved_gram,
     distance,
     embed,
@@ -45,17 +44,17 @@ from conftest import (
 
 class TestEuclidean:
     def test_reference_realizable(self, table_simplex):
-        assert check_euclidean(table_simplex).verdict is Verdict.REALIZABLE
+        assert check(table_simplex, EUCLIDEAN).verdict is Verdict.REALIZABLE
 
     def test_collinear_degenerate(self):
         e = EdgeLengths([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
-        report = check_euclidean(e)
+        report = check(e, EUCLIDEAN)
         assert report.verdict is Verdict.DEGENERATE
         assert report.signature.n_zero == 1
 
     def test_triangle_inequality_violated(self):
         e = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-        report = check_euclidean(e)
+        report = check(e, EUCLIDEAN)
         assert report.verdict is Verdict.NOT_REALIZABLE
         # Oracle: 2x2 gram [[9, 9/2], [9/2, 1]] has a negative eigenvalue by
         # the closed-form eigenvalue formula.
@@ -84,23 +83,23 @@ class TestEuclidean:
 
 class TestHyperbolic:
     def test_reference_realizable(self, table_simplex):
-        report = check_hyperbolic(table_simplex)
+        report = check(table_simplex, HYPERBOLIC)
         assert report.verdict is Verdict.REALIZABLE
         assert report.signature.as_tuple() == (3, 1, 0)
 
     def test_collinear_triple_degenerate(self):
         e = EdgeLengths(COLLINEAR_HYPERBOLIC_EDGES)
-        assert check_hyperbolic(e).verdict is Verdict.DEGENERATE
+        assert check(e, HYPERBOLIC).verdict is Verdict.DEGENERATE
 
     def test_tiny_equilateral_realizable(self):
         e = EdgeLengths(0.01 * (1 - np.eye(4)))
-        assert check_hyperbolic(e).verdict is Verdict.REALIZABLE
+        assert check(e, HYPERBOLIC).verdict is Verdict.REALIZABLE
 
     def test_near_euclidean_consistency(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             e = random_euclidean(rng, int(rng.integers(2, 5)))
-            assert check_hyperbolic(e.scaled(1e-2)).verdict is Verdict.REALIZABLE
+            assert check(e.scaled(1e-2), HYPERBOLIC).verdict is Verdict.REALIZABLE
 
 
 class TestSpectrumOverflow:
@@ -111,11 +110,11 @@ class TestSpectrumOverflow:
     def test_infinite_eigenvalue_raises(self, k, edge):
         e = EdgeLengths(edge * (1 - np.eye(k)))
         with pytest.raises(GramOverflow, match="eigenvalues"):
-            check_hyperbolic(e)
+            check(e, HYPERBOLIC)
         assert e._memo is None
 
     def test_finite_spectrum_below(self):
-        assert check_hyperbolic(EdgeLengths(709.0 * (1 - np.eye(4)))).verdict \
+        assert check(EdgeLengths(709.0 * (1 - np.eye(4))), HYPERBOLIC).verdict \
             is Verdict.REALIZABLE
 
 
@@ -154,7 +153,7 @@ class TestSmallUnitModelEdges:
 class TestSpherical:
     def test_equilateral_realizable(self):
         e = EdgeLengths((math.pi / 3) * (1 - np.eye(3)))
-        report = check_spherical(e)
+        report = check(e, SPHERICAL)
         assert report.verdict is Verdict.REALIZABLE
         # Eigenvalues of [[1,.5,.5],[.5,1,.5],[.5,.5,1]] are {2, 1/2, 1/2}.
         eig = sorted(curved_gram(e, CurvatureSpec(1.0)).matrix.eigenvalues())
@@ -163,38 +162,30 @@ class TestSpherical:
     def test_long_edge_rejected(self):
         g = (math.pi / 3) * (1 - np.eye(3))
         g[0, 1] = g[1, 0] = math.pi / 2 + 0.1
-        report = check_spherical(EdgeLengths(g))
+        report = check(EdgeLengths(g), SPHERICAL)
         assert report.verdict is Verdict.NOT_REALIZABLE
         assert "pi/2" in report.detail
 
     def test_collinear_arc_degenerate(self):
         e = EdgeLengths([[0, 0.1, 0.2], [0.1, 0, 0.1], [0.2, 0.1, 0]])
-        assert check_spherical(e).verdict is Verdict.DEGENERATE
+        assert check(e, SPHERICAL).verdict is Verdict.DEGENERATE
 
 
 class TestDispatch:
-    def test_kappa_minus_one(self, table_simplex):
-        assert check(table_simplex, HYPERBOLIC).verdict is \
-            check_hyperbolic(table_simplex).verdict
-
-    def test_kappa_zero(self, table_simplex):
-        assert check(table_simplex, CurvatureSpec(0.0)).verdict is \
-            check_euclidean(table_simplex).verdict
-
     def test_kappa_minus_four_matches_doubled_edges(self, table_simplex):
         assert check(table_simplex, CurvatureSpec(-4.0)).verdict is \
-            check_hyperbolic(table_simplex.scaled(2.0)).verdict
+            check(table_simplex.scaled(2.0), HYPERBOLIC).verdict
 
     @pytest.mark.parametrize("kappa", [-4.0, -0.3, 0.3, 4.0])
     def test_general_kappa_is_unit_model_of_rescaled_edges(self, table_simplex, kappa,
                                                             tmp_path, capsys):
         c = CurvatureSpec(kappa)
-        unit_check = check_hyperbolic if kappa < 0 else check_spherical
+        unit_c = CurvatureSpec(math.copysign(1.0, kappa))
         rng = np.random.default_rng(int(abs(kappa) * 10))
         cases = [table_simplex] + [random_simplex(rng, n, c) for n in (2, 3, 4)]
         for e in cases:
             report = check(e, c)
-            unit = unit_check(e.scaled(math.sqrt(abs(kappa))))
+            unit = check(e.scaled(math.sqrt(abs(kappa))), unit_c)
             assert report.verdict is unit.verdict
             assert report.signature == unit.signature
             assert report.detail == unit.detail
@@ -214,11 +205,11 @@ class TestPermutationInvariance:
             n = int(rng.integers(2, 5))
             perm = list(rng.permutation(n + 1) + 1)
             e = random_euclidean(rng, n)
-            assert check_euclidean(e.permuted(perm)).verdict is check_euclidean(e).verdict
+            assert check(e.permuted(perm), EUCLIDEAN).verdict is check(e, EUCLIDEAN).verdict
             h = random_hyperbolic(rng, n)
-            assert check_hyperbolic(h.permuted(perm)).verdict is check_hyperbolic(h).verdict
+            assert check(h.permuted(perm), HYPERBOLIC).verdict is check(h, HYPERBOLIC).verdict
             s = random_spherical(rng, n)
-            assert check_spherical(s.permuted(perm)).verdict is check_spherical(s).verdict
+            assert check(s.permuted(perm), SPHERICAL).verdict is check(s, SPHERICAL).verdict
 
 
 class TestOracleAgreement:
