@@ -6,7 +6,7 @@ Gram matrix for flat simplices and the full vertex Gram matrix for curved
 ones, which rescales the edges onto the unit model, stores its matrix and
 carries the curvature; ``model_gram`` picks one per curvature.
 All values are immutable and all functions are pure; the one cache is the
-verdict a checked ``EdgeLengths`` keeps (see its docstring).
+model Gram matrix and verdict an ``EdgeLengths`` keeps (see its docstring).
 """
 
 from __future__ import annotations
@@ -75,14 +75,16 @@ class EdgeLengths:
     break (the factor and the range of the scaled extremes, the vertex
     numbers) and carry the read-only matrix and its extremes over.
 
-    A checked edge set keeps its last verdict: ``check`` stores the curvature,
-    the model Gram matrix, the tolerance and the report (which holds the
-    eigenvalues) in one private entry, which later ``check`` and
-    ``model_gram`` calls at that curvature read instead of rebuilding.
-    ``model_gram`` (and so ``distance``) never writes it.  Derived edge sets, copies and unpickled ones start unchecked.
+    One private entry keeps the model Gram matrix at one curvature: the first
+    ``model_gram`` call (and so ``distance``) on a set with no entry stores it
+    with no verdict; ``check`` stores it with the tolerance and the report
+    (which holds the eigenvalues).  Later calls at that curvature read it, and
+    only ``check`` replaces it.  Derived edge sets, copies and unpickled ones
+    start with no entry.
     """
 
-    # _memo is None or (kappa, model Gram, tol, report), written by check.
+    # _memo is None, (kappa, model Gram, nan, None) from model_gram (a nan tol
+    # matches no tol), or (kappa, model Gram, tol, report) from check.
     __slots__ = ("gamma", "shortest", "longest", "_memo")
 
     def __init__(self, gamma) -> None:
@@ -313,14 +315,16 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
 def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     """Apex Gram matrix at the last vertex for kappa = 0, else ``curved_gram``.
 
-    An edge set checked at c returns the Gram matrix its check stored.
+    An edge set whose entry is at c returns the Gram matrix stored there; an
+    edge set with no entry stores the one built here, with no verdict.
     """
     memo = e._memo
     if memo is not None and memo[0] == c.kappa:
         return memo[1]
-    if c.kappa == 0:
-        return euclidean_gram(e, apex=e.num_vertices)
-    return curved_gram(e, c)
+    q = euclidean_gram(e, apex=e.num_vertices) if c.kappa == 0 else curved_gram(e, c)
+    if memo is None:
+        object.__setattr__(e, "_memo", (c.kappa, q, math.nan, None))
+    return q
 
 
 def _vertex_gram_data(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> np.ndarray:
@@ -356,7 +360,7 @@ def lift_to_model(q: GramMatrix, x: BarycentricPoint) -> BarycentricPoint:
     """
     s = float(x.coords @ _vertex_gram_data(q, x, x) @ x.coords)
     sign = math.copysign(1.0, q.curvature.kappa)
-    if not sign * s > 0:
+    if not (sign * s > 0 or math.isnan(s)):  # a NaN form overflowed: no side
         raise _MODEL[sign][1](f"<x,x> = {s} is not {'negative' if sign < 0 else 'positive'}")
     if not math.isfinite(s):
         raise GramOverflow(f"<x,x> = {s} leaves float64")

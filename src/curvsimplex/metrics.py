@@ -62,7 +62,8 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
     else:
         z = np.array((x.coords, y.coords, x.coords - y.coords))
         sx, sy, delta2 = (z @ _vertex_gram_data(q, x, y) * z).sum(axis=1).tolist()
-        if not (sign * sx > 0 and sign * sy > 0):
+        # A NaN norm overflowed and has no side: it raises GramOverflow below.
+        if not (sign * sx > 0 and sign * sy > 0) and not (math.isnan(sx) or math.isnan(sy)):
             side = "negative" if sign < 0 else "positive"
             raise _MODEL[sign][1](f"hull norms ({sx}, {sy}) must both be {side}")
         if not (math.isfinite(sx) and math.isfinite(sy) and math.isfinite(delta2)):
@@ -104,6 +105,6 @@ def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,
     realizability check runs (it would add an eigendecomposition to every
     call), so callers run ``check`` first: on edges it does not call
     Realizable the result is still a finite float or a ``GeometryError``, but
-    it is no distance.
+    it is no distance.  The Gram matrix is stored on a set with no entry.
     """
     return _geodesic(model_gram(e, c), x, y)

@@ -43,6 +43,7 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
     The result is stored on ``e``: a later call at the same curvature and
     ``tol`` returns it; any other call reads the Gram matrix through
     ``model_gram`` (the stored one at the same curvature) and classifies anew.
+    The NaN tol of an entry ``model_gram`` stored (Gram known, verdict not) matches none.
     """
     memo = e._memo
     if memo is not None and memo[0] == c.kappa and memo[2] == tol:
