@@ -359,6 +359,17 @@ class TestHyperbolicOverflow:
         assert "overflows" in err
 
 
+    def test_dist_nan_norm(self, capsys, files):
+        # The point's form cancels +-inf to NaN: GramOverflow, not outside the model.
+        path = files("long.json", {"edge_lengths": (700.0 * (1 - np.eye(3))).tolist()})
+        px = files("p.json", {"barycentric": [1e10, -1e10 + 0.5, 0.5]})
+        py = files("q.json", {"barycentric": [1 / 3, 1 / 3, 1 / 3]})
+        code, out, err = run(capsys, ["dist", path, px, py, "--geometry", "hyperbolic"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: quadratic forms (nan")
+
+
 class TestRescaleOverflow:
     """Edges times sqrt(|kappa|) beyond float64 exit 4, not with a traceback."""
 

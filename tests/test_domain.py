@@ -350,9 +350,15 @@ class TestCopyAndPickle:
 
 
 class TestModelGramMemo:
-    """model_gram reads the Gram matrix a check stored and never writes one."""
+    """An edge set builds its model Gram matrix once per curvature in use:
+    model_gram stores the one it builds on a set with no entry, check
+    classifies that matrix and stores its verdict, and model_gram never
+    replaces an entry."""
 
-    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0, -0.3, 0.3])
+    KAPPAS = [0.0, -1.0, 1.0, -0.3, 0.3]
+    X, Y = BarycentricPoint.vertex(1, 4), BarycentricPoint.vertex(2, 4)  # in every model
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
     def test_checked_set_returns_the_stored_gram(self, table_simplex, kappa):
         c = CurvatureSpec(kappa)
         fresh = model_gram(EdgeLengths(TABLE_3SIMPLEX), c)
@@ -363,6 +369,7 @@ class TestModelGramMemo:
         assert q.matrix.data.tobytes() == fresh.matrix.data.tobytes()
 
     def test_other_curvature_builds_its_own(self, table_simplex):
+        # model_gram never replaces a stored verdict: another curvature rebuilds.
         check(table_simplex, HYPERBOLIC)
         q = model_gram(table_simplex, SPHERICAL)
         assert q.curvature == SPHERICAL
@@ -370,12 +377,65 @@ class TestModelGramMemo:
         assert q.matrix.data.tobytes() == built.matrix.data.tobytes()
         assert model_gram(table_simplex, SPHERICAL) is not q
 
-    @pytest.mark.parametrize("kappa", [0.0, -1.0, -0.3])
-    def test_distance_alone_stores_nothing(self, table_simplex, kappa):
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_distance_stores_the_gram_it_built(self, table_simplex, kappa):
         c = CurvatureSpec(kappa)
-        x, y = BarycentricPoint.vertex(1, 4), BarycentricPoint([0.25] * 4)
-        distance(table_simplex, c, x, y)
-        assert model_gram(table_simplex, c) is not model_gram(table_simplex, c)
+        d = distance(table_simplex, c, self.X, self.Y)
+        q = model_gram(table_simplex, c)
+        assert q is model_gram(table_simplex, c)
+        fresh = EdgeLengths(TABLE_3SIMPLEX)
+        built = euclidean_gram(fresh, 4) if kappa == 0 else curved_gram(fresh, c)
+        assert (q.apex, q.curvature) == (built.apex, built.curvature)
+        assert q.matrix.data.tobytes() == built.matrix.data.tobytes()
+        assert distance(table_simplex, c, self.X, self.Y) == d
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, -0.3])
+    def test_distance_alone_stores_no_verdict(self, table_simplex, kappa):
+        c = CurvatureSpec(kappa)
+        distance(table_simplex, c, self.X, self.Y)
+        q = model_gram(table_simplex, c)
+        for tol in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                check(table_simplex, c, tol)
+        with pytest.raises(TypeError):
+            check(table_simplex, c, None)
+        report = check(table_simplex, c)
+        fresh = check(EdgeLengths(TABLE_3SIMPLEX), c)
+        assert report == fresh
+        assert report.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert model_gram(table_simplex, c) is q  # check classified the stored Gram
+        assert check(table_simplex, c) is report
+
+    def test_distance_at_another_curvature_keeps_the_verdict(self, table_simplex):
+        report = check(table_simplex, HYPERBOLIC)
+        q = model_gram(table_simplex, HYPERBOLIC)
+        distance(table_simplex, SPHERICAL, self.X, self.Y)
+        assert check(table_simplex, HYPERBOLIC) is report
+        assert model_gram(table_simplex, HYPERBOLIC) is q
+
+    def test_a_second_curvature_rebuilds_until_checked(self, table_simplex):
+        # The first curvature in use keeps the entry; check at another replaces it.
+        distance(table_simplex, HYPERBOLIC, self.X, self.Y)
+        q = model_gram(table_simplex, HYPERBOLIC)
+        distance(table_simplex, SPHERICAL, self.X, self.Y)
+        assert model_gram(table_simplex, SPHERICAL) is not model_gram(table_simplex, SPHERICAL)
+        assert model_gram(table_simplex, HYPERBOLIC) is q
+        report = check(table_simplex, SPHERICAL)
+        assert report == check(EdgeLengths(TABLE_3SIMPLEX), SPHERICAL)
+        assert model_gram(table_simplex, SPHERICAL) is model_gram(table_simplex, SPHERICAL)
+        assert model_gram(table_simplex, HYPERBOLIC) is not q
+
+    @pytest.mark.parametrize("derive", [
+        copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e)),
+        lambda e: e.scaled(1.0), lambda e: e.permuted([1, 2, 3, 4]),
+        lambda e: e.restricted([1, 2, 3, 4])],
+        ids=["copy", "deepcopy", "pickle", "scaled", "permuted", "restricted"])
+    def test_a_derived_set_starts_with_no_entry(self, table_simplex, derive):
+        distance(table_simplex, HYPERBOLIC, self.X, self.Y)
+        twin = derive(table_simplex)
+        assert table_simplex._memo is not None
+        assert twin._memo is None
+        assert model_gram(twin, HYPERBOLIC) is not model_gram(table_simplex, HYPERBOLIC)
 
 
 DERIVED_KAPPAS = [0.0, -1.0, 1.0, -0.3, 0.3]
@@ -589,6 +649,12 @@ class TestLiftToModel:
         assert np.isfinite(lift_to_model(q, BarycentricPoint([0.25] * 4)).coords).all()
         with pytest.raises(GramOverflow, match="leaves float64"):
             lift_to_model(q, BarycentricPoint.hull([0.5] * 4))
+
+    def test_nan_form_raises_gram_overflow(self):
+        # The form's terms are +-inf and cancel to NaN: an overflow, not a side.
+        q = curved_gram(EdgeLengths(700.0 * (1 - np.eye(3))), HYPERBOLIC)
+        with pytest.raises(GramOverflow, match="nan"):
+            lift_to_model(q, BarycentricPoint.hull([1e10, -1e10 + 0.5, 0.5]))
 
 
 class TestScalingLaw:

@@ -395,6 +395,13 @@ class TestFormOverflow:
             distance(self.LONG, HYPERBOLIC, x, y)
         assert distance(self.LONG, HYPERBOLIC, x, x) == 0.0
 
+    def test_nan_norm_raises_gram_overflow(self):
+        # x's form adds terms of +-inf that cancel to NaN: an overflow, not a side.
+        e = EdgeLengths(700.0 * (1 - np.eye(3)))
+        x = BarycentricPoint([1e10, -1e10 + 0.5, 0.5])
+        with pytest.raises(GramOverflow, match="quadratic forms \\(nan"):
+            distance(e, HYPERBOLIC, x, BarycentricPoint([1 / 3] * 3))
+
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_huge_coordinates(self, kappa):
         e = EdgeLengths(1 - np.eye(3))

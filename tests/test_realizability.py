@@ -111,7 +111,11 @@ class TestSpectrumOverflow:
         e = EdgeLengths(edge * (1 - np.eye(k)))
         with pytest.raises(GramOverflow, match="eigenvalues"):
             check(e, HYPERBOLIC)
-        assert e._memo is None
+        # The Gram matrix is stored, but no verdict: a second check fails again.
+        q = model_gram(e, HYPERBOLIC)
+        with pytest.raises(GramOverflow, match="eigenvalues"):
+            check(e, HYPERBOLIC)
+        assert model_gram(e, HYPERBOLIC) is q
 
     def test_finite_spectrum_below(self):
         assert check(EdgeLengths(709.0 * (1 - np.eye(4))), HYPERBOLIC).verdict \

@@ -13,6 +13,8 @@ underflow, flat and invalid inputs, feet whose minors normalize onto the
 wrong sheet, simplices too small for the verdict, segments, subnormal edges
 at kappa = +-1, flat Euclidean 4-simplices and a flat hyperbolic tetrahedron
 that only tol 0 calls realizable, and several eigenvalue cutoffs ``tol``.
+Fresh edge sets are read before any check: by ``distance``, ``model_gram``
+and ``project``, and by ``distance`` at two curvatures and then ``check``.
 Each line is ``KEY<TAB>VALUE``: the key names the case, the quantity and its
 arguments; a float is written with ``float.hex``, an array as its shape and
 hex entries, an exception as its type and message, and any warning a call
@@ -231,6 +233,12 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
     rec.put("fresh.distance", lambda: lib.distance(fresh, c, pts[2], pts[4]))
     rec.put("fresh.model_gram", lambda: lib.model_gram(fresh, c).matrix.data)
     rec.put("fresh.project[1]", lambda: lib.project(fresh, c, 1), project_fields)
+    # Another fresh edge set: distance at c, then at the other curvature, then check at c.
+    other = lib.CurvatureSpec(-kappa if kappa else -1.0)
+    unused = lib.EdgeLengths(g)
+    rec.put("unused.distance", lambda: lib.distance(unused, c, pts[0], pts[2]))
+    rec.put("unused.other.distance", lambda: lib.distance(unused, other, pts[0], pts[2]))
+    rec.put("unused.check", lambda: lib.check(unused, c), report_fields)
     for t, tol in enumerate(CHECK_TOLS):
         rec.put(f"check[{t}:{tol!r}]", lambda tol=tol: lib.check(e, c, tol), report_fields)
     q = rec.put("model_gram", lambda: lib.model_gram(e, c), lambda q: (q.matrix.data, q.apex))
@@ -283,7 +291,6 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
         rec.put("permuted.check", lambda: lib.check(perm, c), report_fields)
         rec.put("permuted.project[1]", lambda: lib.project(perm, c, 1), project_fields)
     # The same object at another curvature, then back.
-    other = lib.CurvatureSpec(-kappa if kappa else -1.0)
     rec.put("other.check", lambda: lib.check(e, other), report_fields)
     rec.put("other.distance", lambda: lib.distance(e, other, pts[0], pts[2]))
     rec.put("other.project[1]", lambda: lib.project(e, other, 1), project_fields)
