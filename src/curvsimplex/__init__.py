@@ -31,12 +31,7 @@ from .errors import (
     ProjectionDegenerate,
     WrongModel,
 )
-from .metrics import (
-    distance,
-    euclidean_distance,
-    hyperbolic_distance,
-    spherical_distance,
-)
+from .metrics import distance
 from .oracle import (Embedding, ModelSpace, brute_distance, brute_project,
                      edge_lengths_of, embed)
 from .projection import (
@@ -83,14 +78,11 @@ __all__ = [
     "curved_gram",
     "distance",
     "embed",
-    "euclidean_distance",
     "euclidean_face_volume",
     "euclidean_gram",
     "euclidean_volume",
     "hull_inner_product",
-    "hyperbolic_distance",
     "lift_to_model",
     "model_gram",
     "project",
-    "spherical_distance",
 ]

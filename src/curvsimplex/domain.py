@@ -24,7 +24,7 @@ from .errors import (
     OutsideLightCone,
     WrongModel,
 )
-from .symmat import SymMatrix, _other_vertices
+from .symmat import SymMatrix, _other_vertices, _vertex
 
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
@@ -131,7 +131,8 @@ class EdgeLengths:
         return self.gamma.shape[0]
 
     def length(self, i: int, j: int) -> float:
-        return float(self.gamma[i - 1, j - 1])
+        k = self.num_vertices
+        return float(self.gamma[_vertex(i, k) - 1, _vertex(j, k) - 1])
 
     @classmethod
     def _derived(cls, gamma: np.ndarray, shortest: float, longest: float) -> "EdgeLengths":
@@ -157,21 +158,18 @@ class EdgeLengths:
 
     def permuted(self, order) -> "EdgeLengths":
         """Relabel vertices so new vertex k is old vertex order[k] (1-based)."""
-        idx = np.asarray(order, dtype=int) - 1
-        if sorted(idx.tolist()) != list(range(self.num_vertices)):
+        k = self.num_vertices
+        idx = [_vertex(v, k) - 1 for v in order]
+        if sorted(idx) != list(range(k)):
             raise ValueError("order must be a permutation of 1..num_vertices")
         return self._derived(self.gamma.take(idx, 0).take(idx, 1), self.shortest, self.longest)
 
     def restricted(self, vertices) -> "EdgeLengths":
         """Sub-simplex spanned by the given vertices (1-based, >= 2 of them)."""
-        keep = sorted(set(vertices))
         k = self.num_vertices
-        for v in keep:
-            if not 1 <= v <= k:
-                raise IndexError(f"vertex {v} out of range 1..{k}")
-        if len(keep) < 2:
+        idx = sorted({_vertex(v, k) - 1 for v in vertices})
+        if len(idx) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
-        idx = np.asarray(keep, dtype=int) - 1
         g = self.gamma.take(idx, 0).take(idx, 1)
         off = _off_diagonal(g)
         return self._derived(g, float(off.min()), float(off.max()))
@@ -235,10 +233,8 @@ class BarycentricPoint:
     @classmethod
     def vertex(cls, i: int, num_vertices: int) -> "BarycentricPoint":
         """The i-th vertex (1-based) as a barycentric point."""
-        if not 1 <= i <= num_vertices:
-            raise IndexError(f"vertex {i} out of range 1..{num_vertices}")
         c = np.zeros(num_vertices)
-        c[i - 1] = 1.0
+        c[_vertex(i, num_vertices) - 1] = 1.0
         return cls.hull(c)  # a one-hot sums to exactly 1: nothing to normalize
 
     def __repr__(self) -> str:
@@ -276,8 +272,7 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
     Raises GramOverflow when k * longest^2 overflows or shortest^2 is subnormal.
     """
     k = e.num_vertices
-    if not 1 <= apex <= k:
-        raise IndexError(f"apex {apex} out of range 1..{k}")
+    apex = _vertex(apex, k)
     if not (SQRT_MIN <= e.shortest and e.longest * math.sqrt(k) <= SQRT_MAX):
         raise GramOverflow(
             f"squaring edges in [{e.shortest}, {e.longest}] overflows or underflows float64")

@@ -6,7 +6,9 @@ class GeometryError(Exception):
 
 
 class WrongModel(GeometryError):
-    """Operation invoked with a curvature class it does not support."""
+    """A Gram matrix of the wrong model: an apex that does not match its curvature,
+    ``curved_gram`` at curvature 0, or a Euclidean one passed to
+    ``hull_inner_product`` or ``lift_to_model``."""
 
 
 class OutsideLightCone(GeometryError):

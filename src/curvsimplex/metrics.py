@@ -26,7 +26,7 @@ from .domain import (
     _vertex_gram_data,
     model_gram,
 )
-from .errors import GramOverflow, WrongModel
+from .errors import GramOverflow
 from .symmat import _other_vertices
 
 # How far outside its range a squared chord may round and still be clamped into it.
@@ -34,22 +34,16 @@ SQUARED_DISTANCE_FLOOR = 1e-9
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a form past float64 raises GramOverflow
-def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
-              model: float | None = None) -> float:
+def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """Distance of x and y at q's curvature: the unit-model arc over sqrt(|kappa|).
 
-    ``model``, if given, is the sign of kappa (0.0, -1.0 or 1.0) q must have;
-    a Gram matrix of another model raises WrongModel.  With s = <x,x>,
-    n = sqrt|s| and sign * s > 0 for both points, the squared chord between
-    the lifts x/n_x and y/n_y is
+    With s = <x,x>, n = sqrt|s| and sign * s > 0 for both points, the squared
+    chord between the lifts x/n_x and y/n_y is
     (<x-y, x-y> - sign * ((s_x - s_y) / (n_x + n_y))^2) / (n_x n_y),
     which lies in [0, 4] on the sphere and in [0, inf) otherwise.
     """
     kappa = q.curvature.kappa
     sign = math.copysign(1.0, kappa) if kappa else 0.0
-    if model is not None and model != sign:
-        name = _MODEL[model][0]
-        raise WrongModel(f"{name}_distance needs a {name} Gram matrix, got kappa={kappa}")
     if sign == 0:
         m = q.matrix.data
         k = m.shape[0] + 1
@@ -79,21 +73,6 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint,
         return math.sqrt(chord2)
     arc = 2.0 * (math.asin if sign > 0 else math.asinh)(math.sqrt(chord2) / 2.0)
     return arc / q.curvature.scale
-
-
-def euclidean_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """sqrt([x-y]^T Q [x-y]) with the apex coordinate dropped."""
-    return _geodesic(q, x, y, 0.0)
-
-
-def hyperbolic_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """2 asinh(chord / 2) / sqrt(-kappa) between the lifts of timelike hull points."""
-    return _geodesic(q, x, y, -1.0)
-
-
-def spherical_distance(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """2 asin(chord / 2) / sqrt(kappa) between the lifts of positive-norm hull points."""
-    return _geodesic(q, x, y, 1.0)
 
 
 def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .metrics import _geodesic
 from .realizability import Verdict, check
-from .symmat import DEFAULT_TOL, Signature, SymMatrix, _other_vertices
+from .symmat import DEFAULT_TOL, Signature, SymMatrix, _other_vertices, _vertex
 
 # A foot counts as inside its face when every coordinate is >= -INSIDE_TOL.
 INSIDE_TOL = 1e-12
@@ -115,8 +115,7 @@ def euclidean_face_volume(e: EdgeLengths, vertex: int,
     empty, and its volume is 1.0 at every valid ``tol``.
     """
     k = e.num_vertices
-    if not 1 <= vertex <= k:
-        raise IndexError(f"vertex {vertex} out of range 1..{k}")
+    vertex = _vertex(vertex, k)
     if k == 2:
         Signature.of(np.empty(0), tol)  # rejects a bad tol, as every larger face does
         return 1.0
@@ -170,9 +169,7 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
     are computed on the unit-model Gram matrix carrying kappa, whose
     distances are already lengths at kappa.
     """
-    k = e.num_vertices
-    if not 1 <= vertex <= k:
-        raise IndexError(f"vertex {vertex} out of range 1..{k}")
+    vertex = _vertex(vertex, e.num_vertices)
     report = check(e, c, tol)
     if report.verdict is not Verdict.REALIZABLE:
         model = "Euclidean" if c.kappa == 0 else _MODEL[math.copysign(1.0, c.kappa)][0]

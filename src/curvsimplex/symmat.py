@@ -9,11 +9,20 @@ storage is 0-based numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+
+def _vertex(i, k: int) -> int:
+    """Vertex number i as an int: TypeError if it is no integer, IndexError outside 1..k."""
+    i = operator.index(i)
+    if not 1 <= i <= k:
+        raise IndexError(f"vertex {i} out of range 1..{k}")
+    return i
 
 
 def _other_vertices(k: int, vertex: int) -> list[int]:
@@ -106,9 +115,8 @@ class SymMatrix:
 
     def minor(self, i: int, j: int) -> float:
         """Determinant with row i and column j removed (1-based); 1.0, the empty one, at dim 1."""
-        self._check_index(i)
-        self._check_index(j)
         dim = self.dim
+        i, j = _vertex(i, dim), _vertex(j, dim)
         sub = self.data.take(_other_vertices(dim, i), axis=0).take(_other_vertices(dim, j), axis=1)
         return float(np.linalg.det(sub))
 
@@ -122,7 +130,3 @@ class SymMatrix:
 
     def is_positive_definite(self, tol: float = DEFAULT_TOL) -> bool:
         return self.signature(tol).as_tuple() == (self.dim, 0, 0)
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.dim:
-            raise IndexError(f"index {i} out of range 1..{self.dim}")

@@ -25,12 +25,9 @@ from curvsimplex import (
     curved_gram,
     distance,
     embed,
-    euclidean_distance,
     euclidean_gram,
     hull_inner_product,
-    hyperbolic_distance,
     project,
-    spherical_distance,
 )
 
 from conftest import (
@@ -76,7 +73,7 @@ def test_criterion_02_euclidean_gram_eigenvalues(report):
 
 
 def test_criterion_03_euclidean_distance(report):
-    d = euclidean_distance(euclidean_gram(TABLE, apex=1), P, Q)
+    d = distance(TABLE, EUCLIDEAN, P, Q)
     report(3, abs(d - 11.0 / 12.0) <= 1e-12, "d_E(p,q) = 11/12 within 1e-12")
 
 
@@ -97,8 +94,8 @@ def test_criterion_05_hull_inner_products(report):
 
 
 def test_criterion_06_hyperbolic_distance(report):
-    d_h = hyperbolic_distance(curved_gram(TABLE, HYPERBOLIC), P, Q)
-    d_e = euclidean_distance(euclidean_gram(TABLE, apex=1), P, Q)
+    d_h = distance(TABLE, HYPERBOLIC, P, Q)
+    d_e = distance(TABLE, EUCLIDEAN, P, Q)
     ok = abs(d_h - 0.63997) <= 1e-4 and d_h < d_e
     report(6, ok, "d_H(p,q) = 0.63997 within 1e-4 and d_H < d_E")
 
@@ -181,12 +178,10 @@ def test_criterion_11_oracle_equivalence(report):
         emb = embed(e, c)
         k = e.num_vertices
         if c.kappa == 0:
-            gram = euclidean_gram(e, apex=k)
-            synthetic = lambda x, y: euclidean_distance(gram, x, y)
+            synthetic = lambda x, y: distance(e, EUCLIDEAN, x, y)
         else:
-            gram = curved_gram(e.scaled(c.scale), CurvatureSpec(math.copysign(1.0, c.kappa)))
-            metric = hyperbolic_distance if c.kappa < 0 else spherical_distance
-            synthetic = lambda x, y: metric(gram, x, y) / c.scale
+            unit_e, unit_c = e.scaled(c.scale), CurvatureSpec(math.copysign(1.0, c.kappa))
+            synthetic = lambda x, y: distance(unit_e, unit_c, x, y) / c.scale
         pts = [BarycentricPoint(random_interior_point(rng, k)) for _ in range(20)]
         pairs = [(pts[int(a)], pts[int(b)])
                  for a, b in rng.integers(0, len(pts), size=(100, 2))]

@@ -1,30 +1,36 @@
-"""The public surface: one name per operation, and one tol check behind every tol."""
+"""The public surface: one name per operation, and one check behind every tol
+and every vertex number."""
 
 import math
 
+import numpy as np
 import pytest
 
 import curvsimplex
 from curvsimplex import (
     EUCLIDEAN,
     HYPERBOLIC,
+    BarycentricPoint,
     EdgeLengths,
     check,
     embed,
     euclidean_face_volume,
+    euclidean_gram,
     euclidean_volume,
     project,
 )
-from curvsimplex import projection, realizability
+from curvsimplex import metrics, projection, realizability
 
 from conftest import TABLE_3SIMPLEX
 
-# The per-model spellings of check and project; callers pass a CurvatureSpec instead.
+# The per-model spellings of check, project and distance; callers pass a CurvatureSpec instead.
 MODELS = ("euclidean", "hyperbolic", "spherical")
-DELETED_ALIASES = [f"check_{m}" for m in MODELS] + [f"{m}_project" for m in MODELS]
+DELETED_ALIASES = ([f"check_{m}" for m in MODELS] + [f"{m}_project" for m in MODELS]
+                   + [f"{m}_distance" for m in MODELS])
 
 EDGE = [[0.0, 1.0], [1.0, 0.0]]
 TRIANGLE = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+SCALENE = [[0.0, 1.0, 2.0], [1.0, 0.0, 2.5], [2.0, 2.5, 0.0]]
 
 
 class TestPublicNames:
@@ -34,11 +40,16 @@ class TestPublicNames:
         for name in names:
             getattr(curvsimplex, name)
 
-    @pytest.mark.parametrize("module", [curvsimplex, realizability, projection],
+    @pytest.mark.parametrize("module", [curvsimplex, realizability, projection, metrics],
                              ids=lambda m: m.__name__)
     def test_per_model_aliases_are_gone(self, module):
         for name in DELETED_ALIASES:
             assert not hasattr(module, name)
+
+    def test_only_flat_operations_are_named_after_a_model(self):
+        # Euclidean-only operations keep a model prefix; every other one takes a curvature.
+        named = {name for name in dir(curvsimplex) if name.startswith(MODELS)}
+        assert named == {"euclidean_gram", "euclidean_volume", "euclidean_face_volume"}
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
@@ -55,3 +66,44 @@ class TestPublicNames:
 def test_bad_tol_is_rejected(edges, call, tol):
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
         call(EdgeLengths(edges), tol)
+
+
+NOT_AN_INTEGER = (TypeError, "cannot be interpreted as an integer")
+
+
+def out_of_range(i, k=3):
+    return IndexError, rf"^vertex {i} out of range 1\.\.{k}$"
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda e: e.length(0, 2), out_of_range(0), id="length-0"),
+    pytest.param(lambda e: e.length(-1, 1), out_of_range(-1), id="length-negative"),
+    pytest.param(lambda e: e.length(1.0, 2), NOT_AN_INTEGER, id="length-float"),
+    pytest.param(lambda e: euclidean_face_volume(e, 1.5), NOT_AN_INTEGER,
+                 id="face_volume-float"),
+    pytest.param(lambda e: e.restricted([1, 1.5]), NOT_AN_INTEGER, id="restricted-float"),
+    pytest.param(lambda e: e.permuted([1.5, 2, 3]), NOT_AN_INTEGER, id="permuted-float"),
+    pytest.param(lambda e: e.permuted([1, 2, 4]), out_of_range(4), id="permuted-4"),
+    pytest.param(lambda e: BarycentricPoint.vertex(1.5, 3), NOT_AN_INTEGER, id="vertex-float"),
+    pytest.param(lambda e: euclidean_gram(e, 0), out_of_range(0), id="euclidean_gram-0"),
+    pytest.param(lambda e: euclidean_gram(e, 1.5), NOT_AN_INTEGER, id="euclidean_gram-float"),
+    pytest.param(lambda e: project(e, EUCLIDEAN, 1.5), NOT_AN_INTEGER, id="project-float"),
+    pytest.param(lambda e: euclidean_gram(e, 3).matrix.minor(1.5, 1), NOT_AN_INTEGER,
+                 id="minor-float"),
+    pytest.param(lambda e: euclidean_gram(e, 3).matrix.minor(1, 3), out_of_range(3, 2),
+                 id="minor-3"),
+])
+def test_bad_vertex_number_is_rejected(call, error):
+    with pytest.raises(error[0], match=error[1]):
+        call(EdgeLengths(SCALENE))
+
+
+def test_numpy_integer_vertex_numbers_are_accepted():
+    e = EdgeLengths(SCALENE)
+    one, three = np.int64(1), np.int32(3)
+    assert e.length(one, three) == 2.0
+    assert e.permuted(np.array([3, 2, 1])).length(1, 2) == 2.5
+    assert e.restricted(np.array([1, 3])).gamma.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+    assert BarycentricPoint.vertex(three, 3).coords.tolist() == [0.0, 0.0, 1.0]
+    assert euclidean_face_volume(e, three) == 1.0
+    assert project(e, EUCLIDEAN, one).foot.coords.tolist() == [0.0, 0.74, 0.26]

@@ -21,15 +21,12 @@ from curvsimplex import (
     WrongModel,
     brute_distance,
     check,
-    curved_gram,
     distance,
     embed,
-    euclidean_distance,
     euclidean_gram,
     hull_inner_product,
-    hyperbolic_distance,
-    spherical_distance,
 )
+from curvsimplex import metrics
 
 from conftest import (
     random_euclidean,
@@ -49,48 +46,43 @@ def pq():
 class TestEuclideanDistance:
     def test_reference_eleven_twelfths(self, table_simplex, pq):
         p, q = pq
-        g = euclidean_gram(table_simplex, apex=1)
-        assert euclidean_distance(g, p, q) == pytest.approx(11 / 12, abs=1e-12)
+        assert distance(table_simplex, EUCLIDEAN, p, q) == pytest.approx(11 / 12, abs=1e-12)
 
     def test_identical_points(self, table_simplex, pq):
         p, _ = pq
-        g = euclidean_gram(table_simplex, apex=2)
-        assert euclidean_distance(g, p, p) == 0.0
+        assert distance(table_simplex, EUCLIDEAN, p, p) == 0.0
 
     def test_edge_recovery_any_apex(self, table_simplex):
+        # distance puts the apex at the last vertex: call the kernel to cover every apex.
         for apex in range(1, 5):
             g = euclidean_gram(table_simplex, apex)
             for i in range(1, 5):
                 for j in range(1, 5):
                     x = BarycentricPoint.vertex(i, 4)
                     y = BarycentricPoint.vertex(j, 4)
-                    assert euclidean_distance(g, x, y) == pytest.approx(
+                    assert metrics._geodesic(g, x, y) == pytest.approx(
                         table_simplex.length(i, j), abs=1e-10)
 
 
 class TestHyperbolicDistance:
     def test_reference_value(self, table_simplex, pq):
         p, q = pq
-        g = curved_gram(table_simplex, HYPERBOLIC)
-        assert hyperbolic_distance(g, p, q) == pytest.approx(0.63997, abs=1e-4)
+        assert distance(table_simplex, HYPERBOLIC, p, q) == pytest.approx(0.63997, abs=1e-4)
 
     def test_identical_points(self, table_simplex, pq):
-        g = curved_gram(table_simplex, HYPERBOLIC)
-        assert hyperbolic_distance(g, pq[0], pq[0]) == 0.0
+        assert distance(table_simplex, HYPERBOLIC, pq[0], pq[0]) == 0.0
 
     def test_edge_recovery(self, table_simplex):
-        g = curved_gram(table_simplex, HYPERBOLIC)
         for i in range(1, 5):
             for j in range(1, 5):
-                d = hyperbolic_distance(g, BarycentricPoint.vertex(i, 4),
-                                        BarycentricPoint.vertex(j, 4))
+                d = distance(table_simplex, HYPERBOLIC, BarycentricPoint.vertex(i, 4),
+                             BarycentricPoint.vertex(j, 4))
                 assert d == pytest.approx(table_simplex.length(i, j), abs=1e-10)
 
     def test_spacelike_point_rejected(self, table_simplex):
-        g = curved_gram(table_simplex, HYPERBOLIC)
         x = BarycentricPoint.hull([1.0, -1.0, 0.0, 0.0])
         with pytest.raises(OutsideLightCone):
-            hyperbolic_distance(g, x, x)
+            distance(table_simplex, HYPERBOLIC, x, x)
 
 
     @pytest.mark.parametrize("x, y, reference", [
@@ -129,18 +121,16 @@ class TestSphericalDistance:
     def test_edge_recovery(self):
         rng = np.random.default_rng(17)
         e = random_spherical(rng, 3)
-        g = curved_gram(e, SPHERICAL)
         for i in range(1, 5):
             for j in range(1, 5):
-                d = spherical_distance(g, BarycentricPoint.vertex(i, 4),
-                                       BarycentricPoint.vertex(j, 4))
+                d = distance(e, SPHERICAL, BarycentricPoint.vertex(i, 4),
+                             BarycentricPoint.vertex(j, 4))
                 assert d == pytest.approx(e.length(i, j), abs=1e-10)
 
     def test_identical_points(self):
         e = EdgeLengths((math.pi / 3) * (1 - np.eye(3)))
-        g = curved_gram(e, SPHERICAL)
         p = BarycentricPoint([0.2, 0.3, 0.5])
-        assert spherical_distance(g, p, p) == 0.0
+        assert distance(e, SPHERICAL, p, p) == 0.0
 
     def test_equilateral_vertex_to_midpoint(self):
         # Oracle: explicit unit-sphere embedding of the equilateral pi/3
@@ -150,8 +140,7 @@ class TestSphericalDistance:
         x = BarycentricPoint([1.0, 0.0, 0.0])
         y = BarycentricPoint([0.0, 0.5, 0.5])
         expected = brute_distance(emb, x, y)
-        g = curved_gram(e, SPHERICAL)
-        assert spherical_distance(g, x, y) == pytest.approx(expected, abs=1e-12)
+        assert distance(e, SPHERICAL, x, y) == pytest.approx(expected, abs=1e-12)
 
 
 def point_along_edge(length: float, kappa: float, a: float) -> BarycentricPoint:
@@ -222,58 +211,18 @@ class TestTolerance:
 
 
 class TestDistanceDispatch:
-    def test_hyperbolic_agrees_exactly(self, table_simplex):
-        rng = np.random.default_rng(23)
-        g = curved_gram(table_simplex, HYPERBOLIC)
-        for _ in range(5):
-            x = BarycentricPoint(random_interior_point(rng, 4))
-            y = BarycentricPoint(random_interior_point(rng, 4))
-            assert distance(table_simplex, HYPERBOLIC, x, y) == \
-                hyperbolic_distance(g, x, y)
-
     def test_kappa_minus_four_scaling(self, table_simplex):
         p = BarycentricPoint([0.25] * 4)
         q = BarycentricPoint([1 / 3, 1 / 3, 1 / 3, 0.0])
-        doubled = curved_gram(table_simplex.scaled(2.0), HYPERBOLIC)
-        expected = 0.5 * hyperbolic_distance(doubled, p, q)
+        expected = 0.5 * distance(table_simplex.scaled(2.0), HYPERBOLIC, p, q)
         assert distance(table_simplex, CurvatureSpec(-4.0), p, q) == \
             pytest.approx(expected, abs=1e-15)
-
-    @pytest.mark.parametrize("kappa", [-4.0, -0.25, 0.25, 4.0])
-    def test_per_model_distance_reads_the_curvature_of_its_gram(self, kappa):
-        # curved_gram stores the unit model and carries kappa, so the per-model
-        # distance on it is the distance at kappa, bit for bit.
-        e = EdgeLengths([[0, 1, 1.2], [1, 0, 0.9], [1.2, 0.9, 0]])
-        if kappa > 0:
-            e = e.scaled(0.5 / math.sqrt(kappa))
-        c = CurvatureSpec(kappa)
-        per_model = hyperbolic_distance if kappa < 0 else spherical_distance
-        q = curved_gram(e, c)
-        rng = np.random.default_rng(7)
-        pairs = [(BarycentricPoint.vertex(1, 3), BarycentricPoint([0, 0.5, 0.5]))]
-        pairs += [(BarycentricPoint(random_interior_point(rng, 3)),
-                   BarycentricPoint(random_interior_point(rng, 3))) for _ in range(5)]
-        for x, y in pairs:
-            assert per_model(q, x, y) == distance(e, c, x, y)
 
     def test_kappa_minus_quarter_reference(self):
         e = EdgeLengths([[0, 1, 1.2], [1, 0, 0.9], [1.2, 0.9, 0]])
         x, y = BarycentricPoint.vertex(1, 3), BarycentricPoint([0, 0.5, 0.5])
-        d = hyperbolic_distance(curved_gram(e, CurvatureSpec(-0.25)), x, y)
+        d = distance(e, CurvatureSpec(-0.25), x, y)
         assert d == pytest.approx(1.00096, abs=1e-5)
-
-    @pytest.mark.parametrize("per_model,gram_kappa", [
-        (euclidean_distance, -1.0), (euclidean_distance, 1.0),
-        (hyperbolic_distance, 0.0), (hyperbolic_distance, 1.0), (hyperbolic_distance, 0.3),
-        (spherical_distance, 0.0), (spherical_distance, -1.0), (spherical_distance, -0.3),
-    ])
-    def test_gram_of_another_model_is_wrong_model(self, table_simplex, per_model, gram_kappa):
-        e = table_simplex.scaled(0.1) if gram_kappa > 0 else table_simplex
-        c = CurvatureSpec(gram_kappa)
-        q = euclidean_gram(e, apex=4) if gram_kappa == 0 else curved_gram(e, c)
-        x, y = BarycentricPoint([0.25] * 4), BarycentricPoint([1 / 3, 1 / 3, 1 / 3, 0.0])
-        with pytest.raises(WrongModel):
-            per_model(q, x, y)
 
     def test_flat_gram_without_apex_is_wrong_model(self, table_simplex):
         # Refused where it is built, so no distance kernel ever sees it.

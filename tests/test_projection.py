@@ -22,7 +22,6 @@ from curvsimplex import (
     curved_gram,
     distance,
     embed,
-    euclidean_distance,
     euclidean_face_volume,
     euclidean_gram,
     euclidean_volume,
@@ -124,13 +123,12 @@ class TestEuclideanProject:
 
     def test_minimizes_distance_over_face(self, table_simplex):
         rng = np.random.default_rng(13)
-        g = euclidean_gram(table_simplex, apex=1)
         res = project(table_simplex, EUCLIDEAN, 1)
         v1 = BarycentricPoint.vertex(1, 4)
         for _ in range(500):
             w = random_interior_point(rng, 3)
             y = BarycentricPoint(np.concatenate(([0.0], w)))
-            assert res.altitude <= euclidean_distance(g, v1, y) + 1e-9
+            assert res.altitude <= distance(table_simplex, EUCLIDEAN, v1, y) + 1e-9
 
 
 def signed_minor_sum(q):

@@ -15,6 +15,8 @@ at kappa = +-1, flat Euclidean 4-simplices and a flat hyperbolic tetrahedron
 that only tol 0 calls realizable, and several eigenvalue cutoffs ``tol``.
 Fresh edge sets are read before any check: by ``distance``, ``model_gram``
 and ``project``, and by ``distance`` at two curvatures and then ``check``.
+``length``, ``euclidean_face_volume``, ``restricted`` and ``permuted`` are
+also given vertex numbers out of range or not integers.
 Each line is ``KEY<TAB>VALUE``: the key names the case, the quantity and its
 arguments; a float is written with ``float.hex``, an array as its shape and
 hex entries, an exception as its type and message, and any warning a call
@@ -260,12 +262,6 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
             for i in (0, 2, 6):
                 rec.put(f"lift_to_model[{i}]", lambda i=i: lib.lift_to_model(qc, pts[i]),
                         lambda p: p.coords)
-            per_model = lib.hyperbolic_distance if kappa < 0 else lib.spherical_distance
-            rec.put("per_model_distance", lambda: per_model(qc, pts[0], pts[3]))
-    else:
-        for apex in (1, k):
-            rec.put(f"per_model_distance[{apex}]", lambda a=apex: lib.euclidean_distance(
-                lib.euclidean_gram(e, a), pts[0], pts[3]))
     for a, b in PAIRS:
         rec.put(f"distance[{a},{b}]", lambda a=a, b=b: lib.distance(e, c, pts[a], pts[b]))
     for v in range(1, k + 1):
@@ -287,6 +283,13 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
     rec.put("restricted", lambda: e.restricted(range(1, k)),
             lambda r: (r.gamma, r.shortest, r.longest))
     rec.put("scaled", lambda: e.scaled(0.3), lambda s: (s.gamma, s.shortest, s.longest))
+    # Vertex numbers out of range or not integers.
+    rec.put("length[0,2]", lambda: e.length(0, 2))
+    rec.put("euclidean_face_volume[1.5]", lambda: lib.euclidean_face_volume(e, 1.5))
+    rec.put("restricted[1,1.5]", lambda: e.restricted([1, 1.5]),
+            lambda r: (r.gamma, r.shortest, r.longest))
+    rec.put("permuted[1.5,2..k]", lambda: e.permuted([1.5, *range(2, k + 1)]),
+            lambda p: (p.gamma, p.shortest))
     if perm is not None:
         rec.put("permuted.check", lambda: lib.check(perm, c), report_fields)
         rec.put("permuted.project[1]", lambda: lib.project(perm, c, 1), project_fields)
