@@ -3,8 +3,9 @@
 An n-simplex is described purely by the geodesic lengths of its edges.  The
 builders here turn those lengths into bilinear-form data: the apex-difference
 Gram matrix for flat simplices and the full vertex Gram matrix for curved
-ones, which rescales the edges onto the unit model, stores its matrix and
-carries the curvature; ``model_gram`` picks one per curvature.
+ones, which rescales the edges onto the unit model and carries the curvature;
+both store the half squared chords E beside the matrix, and ``model_gram``
+picks one per curvature.
 All values are immutable and all functions are pure; the one cache is the
 model Gram matrix and verdict an ``EdgeLengths`` keeps (see its docstring).
 """
@@ -243,7 +244,7 @@ class BarycentricPoint:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """A Gram matrix derived from edge lengths.
+    """A Gram matrix derived from edge lengths, with the half squared chords.
 
     Apex Gram (curvature 0, ``apex`` set): n x n matrix of apex-difference
     inner products, with vertex ``apex`` at the origin.  Full vertex Gram
@@ -251,11 +252,17 @@ class GramMatrix:
     position inner products on the unit model; a form or length at
     ``curvature`` is that of the unit model over |kappa| or sqrt(|kappa|).
     Any other pairing of ``apex`` and ``curvature`` raises WrongModel.
+
+    ``half_chords`` holds E, the half squared chords c_ij^2 / 2 of the vertices
+    on the unit model: gamma^2 / 2 at kappa = 0, else 2 sinh^2(g / 2) (kappa < 0)
+    or 2 sin^2(g / 2) (kappa > 0) of g = sqrt(|kappa|) gamma.  The vertex Gram is
+    sign(kappa) (11^T - sign(kappa) E), but E keeps the digits of short edges.
     """
 
     matrix: SymMatrix
     curvature: CurvatureSpec
     apex: int | None = None
+    half_chords: SymMatrix | None = None
 
     def __post_init__(self):
         if self.apex is None and self.curvature.kappa == 0:
@@ -266,7 +273,7 @@ class GramMatrix:
 
 
 def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
-    """Apex-difference Gram matrix q_ij = (g_ia^2 + g_ja^2 - g_ij^2) / 2.
+    """Apex-difference Gram matrix q_ij = (g_ia^2 + g_ja^2 - g_ij^2) / 2, beside E = g^2 / 2.
 
     Rows and columns run over the non-apex vertices in ascending order.
     Raises GramOverflow when k * longest^2 overflows or shortest^2 is subnormal.
@@ -280,15 +287,15 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
     g2 = e.gamma ** 2
     col = g2[others, apex - 1]
     q = 0.5 * (col[:, None] + col[None, :] - g2.take(others, 0).take(others, 1))
-    return GramMatrix(SymMatrix._exact(q), EUCLIDEAN, apex=apex)
+    return GramMatrix(SymMatrix._exact(q), EUCLIDEAN, apex, SymMatrix._exact(0.5 * g2))
 
 
 def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     """Full vertex Gram matrix of the unit model, carrying the nonzero curvature c.
 
-    The unit-model edges are g = sqrt(|kappa|) gamma, and q_ij = cos(g_ij) for
-    kappa > 0, -cosh(g_ij) for kappa < 0.  GramOverflow if a g_ij is infinite,
-    below the smallest normal, or past COSH_ARG_MAX at kappa < 0.
+    The unit-model edges are g = sqrt(|kappa|) gamma; q_ij = cos(g_ij) and E_ij =
+    2 sin^2(g_ij / 2) for kappa > 0, -cosh and 2 sinh^2 for kappa < 0.  GramOverflow
+    if a g_ij is infinite, below the smallest normal, or past COSH_ARG_MAX at kappa < 0.
     """
     if c.kappa == 0:
         raise WrongModel("curvature 0 has no full vertex Gram; use euclidean_gram")
@@ -299,12 +306,13 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
                            f"at kappa={c.kappa} overflows or underflows float64")
     g = e.gamma * scale
     if c.kappa > 0:
-        q = np.cos(g)
+        q, half = np.cos(g), np.sin(g * 0.5)
     elif longest > COSH_ARG_MAX:
         raise GramOverflow(f"hyperbolic edge {longest} at kappa=-1.0 overflows the Gram matrix")
     else:
-        q = -np.cosh(g)
-    return GramMatrix(SymMatrix._exact(q), c)
+        q, half = -np.cosh(g), np.sinh(g * 0.5)
+    half *= half + half
+    return GramMatrix(SymMatrix._exact(q), c, half_chords=SymMatrix._exact(half))
 
 
 def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:

@@ -1,14 +1,13 @@
-"""Distances between barycentric points: one chord kernel for every curvature.
+"""Distances between barycentric points: one chord formula for every curvature.
 
-A distance is measured on the unit model as the arc over the chord between
-the two points.  At kappa = 0 the chord is the apex Gram quadratic form.  At
-kappa != 0 the points are lifted radially onto the unit model and the chord is
-formed from <x,x>, <y,y> and <x-y, x-y> alone, so short distances keep their
-digits and no product of hull norms is formed; the arc is 2 asinh(chord / 2)
-on the hyperboloid and 2 asin(chord / 2) on the sphere, and the length at the
-Gram matrix's curvature is that arc over sqrt(|kappa|).  A squared chord that
-rounds at most ``SQUARED_DISTANCE_FLOOR`` outside its range is clamped into
-it; beyond that the input is rejected.
+A distance is the arc over the chord between the radial lifts of the two
+points on the unit model, over sqrt(|kappa|).  The chord is formed from the
+Gram matrix's half squared chords E alone (Blumenthal, *Theory and
+Applications of Distance Geometry*, 1953, ch. IV) the same way at every
+kappa, with no 1/kappa term that must cancel: so the distance is continuous
+through kappa = 0, and short unit-model edges keep their digits.  A squared
+chord that rounds at most ``SQUARED_DISTANCE_FLOOR`` outside its range is
+clamped into it; beyond that the input is rejected.
 """
 
 from __future__ import annotations
@@ -17,17 +16,8 @@ import math
 
 import numpy as np
 
-from .domain import (
-    _MODEL,
-    BarycentricPoint,
-    CurvatureSpec,
-    EdgeLengths,
-    GramMatrix,
-    _vertex_gram_data,
-    model_gram,
-)
+from .domain import _MODEL, BarycentricPoint, CurvatureSpec, EdgeLengths, GramMatrix, model_gram
 from .errors import GramOverflow
-from .symmat import _other_vertices
 
 # How far outside its range a squared chord may round and still be clamped into it.
 SQUARED_DISTANCE_FLOOR = 1e-9
@@ -37,38 +27,40 @@ SQUARED_DISTANCE_FLOOR = 1e-9
 def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """Distance of x and y at q's curvature: the unit-model arc over sqrt(|kappa|).
 
-    With s = <x,x>, n = sqrt|s| and sign * s > 0 for both points, the squared
-    chord between the lifts x/n_x and y/n_y is
-    (<x-y, x-y> - sign * ((s_x - s_y) / (n_x + n_y))^2) / (n_x n_y),
-    which lies in [0, 4] on the sphere and in [0, inf) otherwise.
+    For z = x, y and d = x - y let h_z = z^T E z and s_z = sum(z), with
+    sigma = sign(kappa), A = s_x^2 - sigma h_x and B = s_y^2 - sigma h_y (so
+    <x,x> = sigma A on the unit model).  Both points lie in the model when A > 0
+    and B > 0, and the squared chord between their lifts, in [0, 4] on the
+    sphere and [0, inf) otherwise, is (sigma (s_d^2 - (sqrt A - sqrt B)^2) - h_d) / sqrt(AB).
+    s_d is 0 for barycentric pairs, up to rounding, and 2 from a vertex to a
+    mirrored foot.  The bracket is 2 (|s_x s_y| - s_x s_y), which is 0 unless
+    the sums differ in sign, minus mu (2 (|s_x| - |s_y|) + mu), with mu = m_x - m_y
+    and m_z = sqrt A_z - |s_z| = -sigma h_z / (sqrt A_z + |s_z|): so sums an ulp
+    apart leave no residue beside h_d as kappa -> 0.  The arc is the chord at
+    kappa = 0, else 2 asinh (hyperboloid) or 2 asin (sphere) of chord / 2.
     """
-    kappa = q.curvature.kappa
-    sign = math.copysign(1.0, kappa) if kappa else 0.0
-    if sign == 0:
-        m = q.matrix.data
-        k = m.shape[0] + 1
-        if x.coords.size != k or y.coords.size != k:
-            raise ValueError("coordinate length does not match the simplex")
-        diff = (x.coords - y.coords).take(_other_vertices(k, q.apex))
-        chord2 = float(diff @ m @ diff)
-        if not math.isfinite(chord2):
-            raise GramOverflow(f"quadratic form {chord2} leaves float64")
-    else:
-        z = np.array((x.coords, y.coords, x.coords - y.coords))
-        sx, sy, delta2 = (z @ _vertex_gram_data(q, x, y) * z).sum(axis=1).tolist()
-        # A NaN norm overflowed and has no side: it raises GramOverflow below.
-        if not (sign * sx > 0 and sign * sy > 0) and not (math.isnan(sx) or math.isnan(sy)):
-            side = "negative" if sign < 0 else "positive"
-            raise _MODEL[sign][1](f"hull norms ({sx}, {sy}) must both be {side}")
-        if not (math.isfinite(sx) and math.isfinite(sy) and math.isfinite(delta2)):
-            raise GramOverflow(f"quadratic forms ({sx}, {sy}, {delta2}) leave float64")
-        nx, ny = math.sqrt(abs(sx)), math.sqrt(abs(sy))
-        chord2 = (delta2 - sign * ((sx - sy) / (nx + ny)) ** 2) / (nx * ny)
+    e = q.half_chords.data
+    if x.coords.size != e.shape[0] or y.coords.size != e.shape[0]:
+        raise ValueError("coordinate length does not match the simplex")
+    z = np.array((x.coords, y.coords, x.coords - y.coords))
+    hx, hy, hd = np.add.reduce(z @ e * z, 1).tolist()
+    sx, sy = sum(x.coords.tolist()), sum(y.coords.tolist())  # a numpy reduce costs more
+    sign = math.copysign(1.0, q.curvature.kappa) if q.curvature.kappa else 0.0
+    a, b = sx * sx - sign * hx, sy * sy - sign * hy
+    if not (a > 0 and b > 0) and not (math.isnan(a) or math.isnan(b)):  # NaN: GramOverflow below
+        side, norm = ("negative" if sign < 0 else "positive"), sign or 1.0  # <z,z> = sigma A
+        raise _MODEL[sign][1](f"hull norms ({norm * a}, {norm * b}) must both be {side}")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(hd)):
+        raise GramOverflow(f"quadratic forms ({hx}, {hy}, {hd}) leave float64")
+    ax, ay, ra, rb = abs(sx), abs(sy), math.sqrt(a), math.sqrt(b)
+    mu = sign * (hy / (rb + ay) - hx / (ra + ax))
+    bracket = 2.0 * (abs(sx * sy) - sx * sy) - mu * (2.0 * (ax - ay) + mu)
+    chord2 = (sign * bracket - hd) / (ra * rb)
     top = 4.0 if sign > 0 else math.inf
-    if not 0 <= chord2 <= top:
+    if not 0 < chord2 <= top:  # a zero chord takes the clamp too, which returns +0.0
         if not -SQUARED_DISTANCE_FLOOR <= chord2 <= top + SQUARED_DISTANCE_FLOOR:
             raise _MODEL[sign][1](f"squared chord {chord2} outside [0, {top}]")
-        chord2 = min(max(chord2, 0.0), top)
+        chord2 = min(max(0.0, chord2), top)
     if sign == 0:
         return math.sqrt(chord2)
     arc = 2.0 * (math.asin if sign > 0 else math.asinh)(math.sqrt(chord2) / 2.0)

@@ -258,6 +258,36 @@ class TestCurvedGram:
         assert np.all(np.isfinite(curved_gram(e, HYPERBOLIC).matrix.data))
 
 
+class TestHalfChords:
+    """Both builders store E, the unit-model half squared chords, read-only."""
+
+    def test_euclidean_is_half_the_squared_edges_at_every_apex(self, table_simplex):
+        for apex in range(1, 5):
+            e = euclidean_gram(table_simplex, apex).half_chords.data
+            assert np.array_equal(e, 0.5 * table_simplex.gamma ** 2)
+            assert not e.flags.writeable
+
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0, -0.3, 0.3])
+    def test_curved_is_the_gram_without_its_ones(self, table_simplex, kappa):
+        # The vertex Gram is sign(kappa) (11^T - sign(kappa) E) on the unit model.
+        e = table_simplex.scaled(0.2)
+        q = curved_gram(e, CurvatureSpec(kappa))
+        sign = math.copysign(1.0, kappa)
+        assert np.allclose(sign * (1.0 - sign * q.half_chords.data), q.matrix.data,
+                           rtol=1e-15, atol=1e-15)
+        assert not q.half_chords.data.flags.writeable
+
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
+    def test_short_edges_keep_their_digits(self, kappa):
+        # cos and cosh of 1e-8 round to 1, so the Gram matrix alone loses these chords.
+        q = curved_gram(EdgeLengths(1e-8 * (1 - np.eye(3))), CurvatureSpec(kappa))
+        assert np.allclose(q.half_chords.data, 0.5e-16 * (1 - np.eye(3)), rtol=1e-15, atol=0)
+        assert np.array_equal(q.matrix.data, kappa * np.ones((3, 3)))
+
+    def test_hand_built_gram_has_none(self):
+        assert GramMatrix(SymMatrix(-np.eye(3)), HYPERBOLIC).half_chords is None
+
+
 class TestModelGram:
     def test_kappa_zero_is_apex_gram_at_last_vertex(self, table_simplex):
         q = model_gram(table_simplex, EUCLIDEAN)

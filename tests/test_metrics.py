@@ -169,6 +169,37 @@ class TestShortDistances:
         assert distance(e, CurvatureSpec(kappa), x, y) == pytest.approx(h, rel=rel)
 
 
+def classical_distance(e: EdgeLengths, kappa: float, x: BarycentricPoint,
+                       y: BarycentricPoint) -> float:
+    """50-digit distance by the classical route on the float64 edges and coordinates:
+    the cos/cosh vertex Gram Q, then arccos or arccosh of <x,y> / sqrt(<x,x><y,y>)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = mpmath.sqrt(abs(mpmath.mpf(kappa)))
+        f = mpmath.cos if kappa > 0 else (lambda t: -mpmath.cosh(t))
+        q = mpmath.matrix([[f(s * mpmath.mpf(g)) for g in row] for row in e.gamma.tolist()])
+        u, v = mpmath.matrix(x.coords.tolist()), mpmath.matrix(y.coords.tolist())
+        xy, xx, yy = ((a.T * q * b)[0] for a, b in ((u, v), (u, u), (v, v)))
+        c = xy / mpmath.sqrt(xx * yy)
+        return float((mpmath.acos(c) if kappa > 0 else mpmath.acosh(-c)) / s)
+
+
+class TestHighPrecisionReference:
+    """Short unit-model edges, from small simplices or tiny |kappa|: the
+    half-chord form keeps every digit that the cos/cosh Gram rounds away."""
+
+    @pytest.mark.parametrize("edge, kappa", [
+        (5e-5, 1.0), (5e-5, -1.0), (1e-3, -1.0), (1.0, 1e-14), (1.0, -1e-14), (1.0, -1e-9),
+    ])
+    def test_regular_tetrahedron(self, edge, kappa):
+        rng = np.random.default_rng(29)
+        e, c = EdgeLengths(edge * (1 - np.eye(4))), CurvatureSpec(kappa)
+        for _ in range(20):
+            x, y = (BarycentricPoint(random_interior_point(rng, 4)) for _ in range(2))
+            assert distance(e, c, x, y) == pytest.approx(
+                classical_distance(e, kappa, x, y), rel=1e-14, abs=0.0)
+
+
 class TestSquaredDistanceFloor:
     def test_unrealizable_squared_distance_rejected(self):
         e = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]])

@@ -126,11 +126,12 @@ ROADMAP_ITEM_4 = pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 
 
 class TestSmallUnitModelEdges:
-    """Open defect: the zero cutoff is tol * max|lambda| of the unit-model vertex
-    Gram, whose largest |lambda| ~ k comes from the model, while a regular
-    simplex of edge L has smallest eigenvalue ~ L^2 / 2.  So at kappa = +-1 it
-    reads Degenerate below L = sqrt(2 k tol), and as kappa -> 0 the same holds
-    for sqrt|kappa| times its edges."""
+    """Open defect of the verdict: the zero cutoff is tol * max|lambda| of the
+    unit-model vertex Gram, whose largest |lambda| ~ k comes from the model,
+    while a regular simplex of edge L has smallest eigenvalue ~ L^2 / 2.  So at
+    kappa = +-1 it reads Degenerate below L = sqrt(2 k tol), and as kappa -> 0
+    the same holds for sqrt|kappa| times its edges.  Distances on the same
+    simplices are read from the half squared chords, which keep their digits."""
 
     @ROADMAP_ITEM_4
     @pytest.mark.parametrize("kappa", [-1.0, 1.0])
@@ -145,7 +146,6 @@ class TestSmallUnitModelEdges:
         e = EdgeLengths(1 - np.eye(4))
         assert check(e, CurvatureSpec(kappa)).verdict is Verdict.REALIZABLE
 
-    @ROADMAP_ITEM_4
     @pytest.mark.parametrize("kappa", [-1e-14, 1e-14])
     def test_opposite_edge_midpoints_at_tiny_kappa(self, kappa):
         e = EdgeLengths(1 - np.eye(4))

@@ -1,0 +1,116 @@
+"""Relations between results that need no reference implementation.
+
+Distances are continuous through kappa = 0, an altitude is the distance from
+the vertex to its foot, and a distance between two points of a face is the
+distance on that face's own edges.  Near kappa = 0 the oracle is no reference
+(its cos/cosh Gram loses the digits there), so these relations are the check.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from curvsimplex import EUCLIDEAN, BarycentricPoint, CurvatureSpec, EdgeLengths, distance, project
+
+from conftest import random_euclidean, random_interior_point, random_simplex
+
+KAPPAS = [0.0, 1.0, -1.0, 0.3, -0.3]
+
+
+def well_shaped(rng: np.random.Generator, n: int, c: CurvatureSpec) -> EdgeLengths:
+    """A regular n-simplex of unit-model edge 0.6, each vertex moved by about 0.05,
+    in the model of c's sign (hyperboloid sheet, or sphere around (1, 0, ..., 0)),
+    with its edges rescaled to c."""
+    p = np.eye(n + 1) - 1.0 / (n + 1)
+    x = p @ np.linalg.svd(p)[2][:n].T * (0.6 / math.sqrt(2))
+    x += rng.normal(scale=0.05 / math.sqrt(n), size=x.shape)
+    if c.kappa == 0:
+        g = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1))
+    elif c.kappa < 0:
+        t = np.sqrt(1.0 + (x ** 2).sum(axis=1))
+        g = np.arccosh(np.clip(np.outer(t, t) - x @ x.T, 1.0, None))
+    else:
+        v = np.column_stack([np.ones(n + 1), x])
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        g = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
+    np.fill_diagonal(g, 0.0)
+    return EdgeLengths(g / c.scale if c.kappa else g)
+
+
+class TestContinuityThroughZero:
+    """On a Euclidean simplex with longest edge L, |d(kappa) - d(0)| <= C |kappa| L^2 d(0).
+
+    Both distances are rounded, so the bound also allows ROUNDING d(0): at
+    |kappa| = 1e-300 that allowance is all that is left of it.
+    """
+
+    C = 1.0
+    ROUNDING = 1e-14
+
+    @pytest.mark.parametrize("kappa", [1e-300, -1e-300, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    def test_distance(self, kappa):
+        rng = np.random.default_rng(47)
+        c = CurvatureSpec(kappa)
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            e = random_euclidean(rng, n)
+            x, y = (BarycentricPoint(random_interior_point(rng, n + 1)) for _ in range(2))
+            d0 = distance(e, EUCLIDEAN, x, y)
+            bound = (self.C * abs(kappa) * e.longest ** 2 + self.ROUNDING) * d0
+            assert abs(distance(e, c, x, y) - d0) <= bound
+
+    @pytest.mark.parametrize("kappa", [1e-300, -1e-300])
+    def test_coordinate_sums_an_ulp_apart(self, kappa):
+        # The two points' sums differ by an ulp.  Left in the chord, a residue of
+        # the sums' squares (about 1e-48) would swamp h_d, which is about 1e-300 here.
+        e = EdgeLengths(1 - np.eye(4))
+        x = BarycentricPoint.hull([0.10543665496545085, 0.45740769571377476,
+                                   0.20900307639273202, 0.22815257292804225])
+        y = BarycentricPoint.hull([0.033503824142309346, 0.13289774747351743,
+                                   0.5132248252551757, 0.3203736031289975])
+        d0 = distance(e, EUCLIDEAN, x, y)
+        assert distance(e, CurvatureSpec(kappa), x, y) == pytest.approx(d0, rel=self.ROUNDING)
+
+
+class TestAltitudeIsADistance:
+    """A foot inside its face is the nearest point of the face's span, so the
+    altitude is the distance from the vertex to it."""
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_feet_inside_their_face(self, n, kappa):
+        rng = np.random.default_rng(round(100 * (n + kappa)))
+        c = CurvatureSpec(kappa)
+        inside = 0
+        for _ in range(4):
+            e = well_shaped(rng, n, c)
+            for v in range(1, n + 2):
+                r = project(e, c, v)
+                if r.inside_face:
+                    inside += 1
+                    vertex = BarycentricPoint.vertex(v, n + 1)
+                    assert r.altitude == pytest.approx(distance(e, c, vertex, r.foot), rel=1e-12)
+        assert inside > 0
+
+
+class TestFaceRestriction:
+    """Points supported on a face F are as far apart as on ``e.restricted(F)``."""
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_distance_on_a_face(self, n, kappa):
+        rng = np.random.default_rng(round(100 * (n - kappa)))
+        c = CurvatureSpec(kappa)
+        for _ in range(10):
+            e = random_simplex(rng, n, c)
+            face = np.sort(rng.choice(n + 1, size=int(rng.integers(2, n + 1)), replace=False))
+            sub = e.restricted(face + 1)
+            x, y = random_interior_point(rng, face.size), random_interior_point(rng, face.size)
+            on_face = []
+            for p in (x, y):
+                full = np.zeros(n + 1)
+                full[face] = p
+                on_face.append(BarycentricPoint(full))
+            assert distance(e, c, *on_face) == pytest.approx(
+                distance(sub, c, BarycentricPoint(x), BarycentricPoint(y)), rel=1e-12)

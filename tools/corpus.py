@@ -15,6 +15,8 @@ at kappa = +-1, flat Euclidean 4-simplices and a flat hyperbolic tetrahedron
 that only tol 0 calls realizable, and several eigenvalue cutoffs ``tol``.
 Fresh edge sets are read before any check: by ``distance``, ``model_gram``
 and ``project``, and by ``distance`` at two curvatures and then ``check``.
+Beside each matrix of ``model_gram`` and ``curved_gram`` it records the half
+squared chords that the Gram matrix stores.
 ``length``, ``euclidean_face_volume``, ``restricted`` and ``permuted`` are
 also given vertex numbers out of range or not integers.
 Each line is ``KEY<TAB>VALUE``: the key names the case, the quantity and its
@@ -245,6 +247,7 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
         rec.put(f"check[{t}:{tol!r}]", lambda tol=tol: lib.check(e, c, tol), report_fields)
     q = rec.put("model_gram", lambda: lib.model_gram(e, c), lambda q: (q.matrix.data, q.apex))
     if q is not None:
+        rec.put("model_gram.half_chords", lambda: q.half_chords.data)
         m = q.matrix
         rec.put("determinant", m.determinant)
         rec.put("signature", lambda: m.signature().as_tuple())
@@ -258,6 +261,7 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
         qc = rec.put("curved_gram", lambda: lib.curved_gram(e, c),
                      lambda q: (q.matrix.data, q.curvature.kappa))
         if qc is not None:
+            rec.put("curved_gram.half_chords", lambda: qc.half_chords.data)
             rec.put("hull_inner_product", lambda: lib.hull_inner_product(qc, pts[2], pts[4]))
             for i in (0, 2, 6):
                 rec.put(f"lift_to_model[{i}]", lambda i=i: lib.lift_to_model(qc, pts[i]),
