@@ -3,6 +3,14 @@
 Realizability tests, barycentric distances, vertex-onto-face projections, and
 volumes for Euclidean, hyperbolic, spherical, and general constant-curvature
 simplices, cross-checked by an explicit model-space embedding oracle.
+
+``import curvsimplex`` loads the value types of ``domain``, ``errors`` and
+``symmat``, which every call needs.  The operations and the modules
+``realizability``, ``metrics``, ``projection`` and ``oracle`` are loaded on
+first use (PEP 562), so a call loads only the modules it runs: ``check`` loads
+``realizability``, ``distance`` loads ``metrics``, ``project`` and the volumes
+load ``projection`` (with ``metrics`` and ``realizability``), and the oracle
+names load ``oracle`` (with ``realizability``).
 """
 
 __version__ = "0.1.0"
@@ -30,20 +38,6 @@ from .errors import (
     OutsideLightCone,
     ProjectionDegenerate,
     WrongModel,
-)
-from .metrics import distance
-from .oracle import (Embedding, ModelSpace, brute_distance, brute_project,
-                     edge_lengths_of, embed)
-from .projection import (
-    ProjectionResult,
-    euclidean_face_volume,
-    euclidean_volume,
-    project,
-)
-from .realizability import (
-    RealizabilityReport,
-    Verdict,
-    check,
 )
 from .symmat import DEFAULT_TOL, Signature, SymMatrix
 
@@ -86,3 +80,28 @@ __all__ = [
     "model_gram",
     "project",
 ]
+
+# Deferred names and the module that defines each; the four modules resolve to themselves.
+_DEFERRED = {
+    **dict.fromkeys(("RealizabilityReport", "Verdict", "check", "realizability"), "realizability"),
+    **dict.fromkeys(("distance", "metrics"), "metrics"),
+    **dict.fromkeys(("ProjectionResult", "euclidean_face_volume", "euclidean_volume", "project",
+                     "projection"), "projection"),
+    **dict.fromkeys(("Embedding", "ModelSpace", "brute_distance", "brute_project",
+                     "edge_lengths_of", "embed", "oracle"), "oracle"),
+}
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{_DEFERRED[name]}")
+    # Stored, so that every later read is a plain attribute lookup.
+    globals()[name] = value = module if name == _DEFERRED[name] else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_DEFERRED})

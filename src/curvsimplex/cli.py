@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 invalid input (non-finite numbers included),
 3 geometric verdict failure (degenerate / not realizable), 4 numerical
 failure (inconsistent embedding; edges, a Gram matrix or a volume outside
 float64).  All numeric logic lives in the library modules; this module only
-parses, dispatches, and formats.
+parses, dispatches, and formats.  Each subcommand imports the operation it
+runs when it runs, so a call loads no library module it does not use.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ import numpy as np
 from . import __version__
 from .domain import _MODEL, BarycentricPoint, CurvatureSpec, EdgeLengths
 from .errors import EmbeddingInconsistency, GeometryError, GramOverflow
-from .metrics import distance
-from .oracle import embed
-from .projection import euclidean_face_volume, euclidean_volume, project
-from .realizability import Verdict, check
 from .symmat import DEFAULT_TOL
 
 EXIT_OK = 0
@@ -101,6 +98,8 @@ def _sig(value: float) -> str:
 
 
 def cmd_check(args) -> int:
+    from .realizability import Verdict, check
+
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
     report = check(e, c, args.tol)
@@ -113,6 +112,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    from .metrics import distance
+
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
     x = _load_point(args.point_x, e.num_vertices)
@@ -122,6 +123,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from .projection import project
+
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
     if not 1 <= args.vertex <= e.num_vertices:
@@ -139,6 +142,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    from .projection import euclidean_face_volume, euclidean_volume
+
     e = _load_simplex(args.simplex)
     if args.face_opposite is not None:
         if not 1 <= args.face_opposite <= e.num_vertices:
@@ -152,6 +157,8 @@ def cmd_volume(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .oracle import embed
+
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
     emb = embed(e, c, args.tol)

@@ -8,11 +8,15 @@ data.
 
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvsimplex
 from curvsimplex import (
     CurvatureSpec,
     EUCLIDEAN,
@@ -102,6 +106,14 @@ def random_simplex(rng: np.random.Generator, n: int, c: CurvatureSpec) -> EdgeLe
 def random_interior_point(rng: np.random.Generator, num_vertices: int) -> np.ndarray:
     """Dirichlet-distributed interior barycentric coordinates."""
     return rng.dirichlet(np.ones(num_vertices))
+
+
+def fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this curvsimplex; return stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(curvsimplex.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return proc.stdout
 
 
 # The collinear hyperbolic triple from the non-positive-definite-hull remark:

@@ -1,6 +1,7 @@
 """The public surface: one name per operation, and one check behind every tol
 and every vertex number."""
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from curvsimplex import (
 )
 from curvsimplex import metrics, projection, realizability
 
-from conftest import TABLE_3SIMPLEX
+from conftest import TABLE_3SIMPLEX, fresh_python
 
 # The per-model spellings of check, project and distance; callers pass a CurvatureSpec instead.
 MODELS = ("euclidean", "hyperbolic", "spherical")
@@ -50,6 +51,73 @@ class TestPublicNames:
         # Euclidean-only operations keep a model prefix; every other one takes a curvature.
         named = {name for name in dir(curvsimplex) if name.startswith(MODELS)}
         assert named == {"euclidean_gram", "euclidean_volume", "euclidean_face_volume"}
+
+
+# The operations `import curvsimplex` leaves unloaded, by the module that defines them.
+DEFERRED = {
+    "realizability": ["RealizabilityReport", "Verdict", "check"],
+    "metrics": ["distance"],
+    "projection": ["ProjectionResult", "euclidean_face_volume", "euclidean_volume", "project"],
+    "oracle": ["Embedding", "ModelSpace", "brute_distance", "brute_project", "edge_lengths_of",
+               "embed"],
+}
+
+# Reads every public name and module of a fresh import, by getattr or by a
+# from-import, and prints dir() before the first read and, per name: stored in
+# the package before the read, the defining module's object, stored after.
+RESOLVE = """
+import importlib, json, sys
+import curvsimplex
+listed = dir(curvsimplex)
+deferred = {DEFERRED!r}
+home = {{name: mod for mod, names in deferred.items() for name in names}}
+rows = {{}}
+for name in curvsimplex.__all__ + list(deferred):
+    before = name in vars(curvsimplex)
+    if {how!r} == "getattr":
+        value = getattr(curvsimplex, name)
+    else:
+        scope = {{}}
+        exec(f"from curvsimplex import {{name}} as value", scope)
+        value = scope["value"]
+    if name in deferred:
+        want = sys.modules["curvsimplex." + name]
+    elif name in home:
+        want = getattr(importlib.import_module("curvsimplex." + home[name]), name)
+    else:
+        want = value
+    rows[name] = [before, value is want, name in vars(curvsimplex)]
+print(json.dumps([listed, rows]))
+"""
+
+
+class TestDeferredNames:
+    """Operations and their modules load on first use, and then stay in the namespace."""
+
+    @pytest.mark.parametrize("how", ["getattr", "from"])
+    def test_every_name_resolves_on_a_fresh_import(self, how):
+        listed, rows = json.loads(fresh_python(RESOLVE.format(DEFERRED=DEFERRED, how=how)))
+        assert set(curvsimplex.__all__) | set(DEFERRED) <= set(listed)
+        assert set(rows) == set(curvsimplex.__all__) | set(DEFERRED)
+        for name, (_, same, stored) in rows.items():
+            assert same and stored, name
+        # The first read of an operation went through the package's __getattr__.
+        for names in DEFERRED.values():
+            for name in names:
+                assert not rows[name][0], name
+
+    def test_resolved_name_is_stored(self, monkeypatch):
+        monkeypatch.delitem(vars(curvsimplex), "distance")
+        assert "distance" in dir(curvsimplex)
+        assert curvsimplex.distance is metrics.distance
+        # Stored, so that reads in a hot loop do not run __getattr__ each time.
+        assert vars(curvsimplex)["distance"] is metrics.distance
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="'curvsimplex' has no attribute 'no_such_name'"):
+            curvsimplex.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            from curvsimplex import no_such_name  # noqa: F401
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])

@@ -9,11 +9,7 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +26,7 @@ from conftest import (
     NON_EUCLIDEAN_FACE_EDGES,
     TABLE_3SIMPLEX,
     WRONG_SHEET_TETRAHEDRON,
+    fresh_python,
     random_simplex,
 )
 
@@ -481,14 +478,6 @@ class TestLongHyperbolicEdges:
         assert err.startswith("error: Gram eigenvalues")
 
 
-def _fresh_python(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports this curvsimplex; return stdout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(curvsimplex.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    return proc.stdout
-
-
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
@@ -496,11 +485,11 @@ class TestLazyScipy:
     """scipy is imported by oracle.brute_project alone, on its first call."""
 
     def test_cli_import_loads_no_scipy(self):
-        out = _fresh_python(f"import sys, curvsimplex.cli; print({SCIPY_MODULES})")
+        out = fresh_python(f"import sys, curvsimplex.cli; print({SCIPY_MODULES})")
         assert out.strip() == "[]"
 
     def test_brute_project_in_fresh_interpreter(self):
-        out = _fresh_python(
+        out = fresh_python(
             "import json, sys\n"
             "from curvsimplex import HYPERBOLIC, EdgeLengths, brute_project, embed, project\n"
             f"e = EdgeLengths({TABLE_3SIMPLEX!r})\n"
@@ -512,6 +501,49 @@ class TestLazyScipy:
         assert before == []
         assert loaded
         assert np.allclose(brute, closed, atol=1e-6)
+
+
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'curvsimplex')"
+VALUE_TYPES = {"curvsimplex", "curvsimplex.domain", "curvsimplex.errors", "curvsimplex.symmat"}
+
+
+class TestLazyModules:
+    """A call loads the value types and the modules of the operation it runs, no others."""
+
+    def test_package_import_loads_only_the_value_types(self):
+        loaded = json.loads(fresh_python(f"import json, sys, curvsimplex; "
+                                         f"print(json.dumps({LOADED}))"))
+        assert set(loaded) == VALUE_TYPES
+
+    def test_cli_import_loads_no_oracle(self):
+        loaded = json.loads(fresh_python(f"import json, sys, curvsimplex.cli; "
+                                         f"print(json.dumps({LOADED}))"))
+        assert "curvsimplex.oracle" not in loaded
+        assert set(loaded) == VALUE_TYPES | {"curvsimplex.cli"}
+
+    @pytest.mark.parametrize("argv, modules", [
+        pytest.param(["check", "{simplex}"], {"realizability"}, id="check"),
+        pytest.param(["dist", "{simplex}", "{point}", "{point}"], {"metrics"}, id="dist"),
+        pytest.param(["project", "{simplex}", "--vertex", "1"],
+                     {"projection", "metrics", "realizability"}, id="project"),
+        pytest.param(["volume", "{simplex}"], {"projection", "metrics", "realizability"},
+                     id="volume"),
+        pytest.param(["embed", "{simplex}"], {"oracle", "realizability"}, id="embed"),
+    ])
+    def test_subcommand_loads_only_its_modules(self, files, argv, modules):
+        paths = {"simplex": files("simplex.json", {"edge_lengths": TABLE_3SIMPLEX}),
+                 "point": files("point.json", {"barycentric": [0.25] * 4})}
+        argv = [arg.format(**paths) for arg in argv]
+        out = fresh_python(
+            "import contextlib, io, json, sys\n"
+            "from curvsimplex.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            f"print(json.dumps([code, {LOADED}]))\n")
+        code, loaded = json.loads(out)
+        assert code == 0
+        assert set(loaded) == VALUE_TYPES | {"curvsimplex.cli"} | {
+            f"curvsimplex.{m}" for m in modules}
 
 
 class TestDeterminism:

@@ -1,9 +1,11 @@
 """Relations between results that need no reference implementation.
 
 Distances are continuous through kappa = 0, an altitude is the distance from
-the vertex to its foot, and a distance between two points of a face is the
-distance on that face's own edges.  Near kappa = 0 the oracle is no reference
-(its cos/cosh Gram loses the digits there), so these relations are the check.
+the vertex to its foot, a distance between two points of a face is the
+distance on that face's own edges, relabelling the vertices permutes the
+results, and scaling the edges by s at kappa / s^2 scales every length by s.
+Near kappa = 0 the oracle is no reference (its cos/cosh Gram loses the digits
+there), so these relations are the check.
 """
 
 import math
@@ -11,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from curvsimplex import EUCLIDEAN, BarycentricPoint, CurvatureSpec, EdgeLengths, distance, project
+from curvsimplex import (EUCLIDEAN, BarycentricPoint, CurvatureSpec, EdgeLengths, check, distance,
+                         project)
 
 from conftest import random_euclidean, random_interior_point, random_simplex
 
@@ -114,3 +117,59 @@ class TestFaceRestriction:
                 on_face.append(BarycentricPoint(full))
             assert distance(e, c, *on_face) == pytest.approx(
                 distance(sub, c, BarycentricPoint(x), BarycentricPoint(y)), rel=1e-12)
+
+
+class TestRelabelling:
+    """Relabelling the vertices permutes the foot and leaves altitudes and distances.
+
+    Vertex k of ``e.permuted(order)`` is e's vertex order[k], so a point p of e
+    has the coordinates p[order - 1] there.
+    """
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_project_and_distance(self, n, kappa):
+        rng = np.random.default_rng(round(100 * (n + 2 * kappa)) + 7)
+        c = CurvatureSpec(kappa)
+        for _ in range(6):
+            e = well_shaped(rng, n, c)
+            order = rng.permutation(n + 1) + 1
+            relabelled = e.permuted(order)
+            for v in range(1, n + 2):
+                r = project(e, c, v)
+                s = project(relabelled, c, int(np.flatnonzero(order == v)[0]) + 1)
+                np.testing.assert_allclose(s.foot.coords, r.foot.coords[order - 1],
+                                           rtol=0, atol=1e-12)
+                assert s.altitude == pytest.approx(r.altitude, rel=1e-12)
+                assert s.inside_face == r.inside_face
+            x, y = random_interior_point(rng, n + 1), np.eye(n + 1)[rng.integers(n + 1)]
+            assert distance(relabelled, c, BarycentricPoint(x[order - 1]),
+                            BarycentricPoint(y[order - 1])) == pytest.approx(
+                distance(e, c, BarycentricPoint(x), BarycentricPoint(y)), rel=1e-12)
+
+
+class TestScaling:
+    """``e.scaled(s)`` at kappa / s^2 is the same simplex s times larger: the verdict
+    and the foot stay, and altitudes and distances are multiplied by s."""
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_verdict_foot_altitude_and_distance(self, n, kappa):
+        rng = np.random.default_rng(round(100 * (n - 2 * kappa)) + 11)
+        c = CurvatureSpec(kappa)
+        for s in (1e-3, 0.5, 3.0, 1e3):
+            cs = CurvatureSpec(kappa / s ** 2)
+            e = well_shaped(rng, n, c)
+            inflated = e.gamma.copy()
+            inflated[0, 1] = inflated[1, 0] = 3 * e.longest
+            for edges in (e, EdgeLengths(inflated)):
+                assert check(edges.scaled(s), cs).verdict is check(edges, c).verdict
+            scaled = e.scaled(s)
+            for v in range(1, n + 2):
+                r, rs = project(e, c, v), project(scaled, cs, v)
+                np.testing.assert_allclose(rs.foot.coords, r.foot.coords, rtol=0, atol=1e-12)
+                assert rs.altitude == pytest.approx(s * r.altitude, rel=1e-12)
+                assert rs.inside_face == r.inside_face
+            x, y = (BarycentricPoint(random_interior_point(rng, n + 1)) for _ in range(2))
+            assert distance(scaled, cs, x, y) == pytest.approx(s * distance(e, c, x, y),
+                                                               rel=1e-12)
