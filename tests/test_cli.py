@@ -511,12 +511,12 @@ class TestLazyModules:
     """A call loads the value types and the modules of the operation it runs, no others."""
 
     def test_package_import_loads_only_the_value_types(self):
-        loaded = json.loads(fresh_python(f"import json, sys, curvsimplex; "
+        loaded = json.loads(fresh_python("import json, sys, curvsimplex; "
                                          f"print(json.dumps({LOADED}))"))
         assert set(loaded) == VALUE_TYPES
 
     def test_cli_import_loads_no_oracle(self):
-        loaded = json.loads(fresh_python(f"import json, sys, curvsimplex.cli; "
+        loaded = json.loads(fresh_python("import json, sys, curvsimplex.cli; "
                                          f"print(json.dumps({LOADED}))"))
         assert "curvsimplex.oracle" not in loaded
         assert set(loaded) == VALUE_TYPES | {"curvsimplex.cli"}
