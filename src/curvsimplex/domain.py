@@ -192,9 +192,11 @@ def _off_diagonal(g: np.ndarray) -> np.ndarray:
 class BarycentricPoint:
     """Coordinate vector over the simplex vertices, normalized to sum 1.
 
-    Inputs whose sum deviates from 1 by more than ``BARYCENTRIC_SUM_TOL`` are
-    rejected; smaller deviations are renormalized.  ``hull`` builds raw
-    hull-frame coefficient vectors (used by the model lift), which skip
+    The sum is Python's ``sum`` of the coordinates as floats, the sum
+    ``distance`` forms.  Inputs whose sum deviates from 1 by more than
+    ``BARYCENTRIC_SUM_TOL`` are rejected; smaller deviations are divided out,
+    and a sum of exactly 1 leaves the coordinates untouched.  ``hull`` builds
+    raw hull-frame coefficient vectors (used by the model lift), which skip
     normalization entirely.
     """
 
@@ -207,12 +209,14 @@ class BarycentricPoint:
             raise ValueError("barycentric coordinates must be finite to sum to 1") from exc
         if c.ndim != 1 or c.size < 2:
             raise ValueError("coords must be a vector of length >= 2")
-        if not all(map(math.isfinite, c.tolist())):  # before the sum: inf - inf warns
+        values = c.tolist()
+        s = sum(values)  # a numpy reduce costs more, and warns when it overflows
+        if not math.isfinite(s) and not all(map(math.isfinite, values)):
             raise ValueError("barycentric coordinates must be finite to sum to 1")
-        s = float(c.sum())
         if not abs(s - 1.0) <= BARYCENTRIC_SUM_TOL:
             raise ValueError(f"barycentric coordinates sum to {s}, not 1")
-        c = c / s
+        if s != 1.0:  # x / 1.0 is x
+            c /= s  # c is this point's own copy
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 

@@ -26,6 +26,7 @@ from conftest import (
     NON_EUCLIDEAN_FACE_EDGES,
     TABLE_3SIMPLEX,
     WRONG_SHEET_TETRAHEDRON,
+    fresh_cli,
     fresh_python,
     random_simplex,
 )
@@ -99,6 +100,13 @@ class TestDist:
                                     "--geometry", "hyperbolic"])
         assert code == 0
         assert float(out) == pytest.approx(0.63997, abs=1e-4)
+
+    def test_overflowing_coordinate_sum_is_one_error_line(self, files, simplex_file):
+        px = files("p.json", {"barycentric": [1e308, 1e308, -1e308, 0.0]})
+        proc = fresh_cli(["dist", simplex_file, px, px])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: {px}: field 'barycentric': barycentric coordinates sum to inf, not 1"]
 
     def test_tol_is_not_an_option(self, capsys, files, simplex_file):
         px = files("p.json", {"barycentric": [0.25, 0.25, 0.25, 0.25]})

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvsimplex import (
@@ -29,6 +29,7 @@ from curvsimplex import (
     lift_to_model,
     model_gram,
 )
+from curvsimplex.domain import BARYCENTRIC_SUM_TOL
 from curvsimplex.symmat import SymMatrix
 
 from conftest import (
@@ -136,12 +137,17 @@ class TestBarycentricPoint:
         with pytest.raises(ValueError, match="sum"):
             BarycentricPoint([0.5, 0.6])
 
-    # inf + -inf would make numpy warn in the sum; RuntimeWarning is an error here.
+    # Each case sums to NaN or inf; the message says which coordinates made it so.
     @pytest.mark.parametrize("coords", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0],
                                         [0.5, 0.5, -math.inf], [math.inf, -math.inf, 1.0]])
     def test_rejects_non_finite(self, coords):
         with pytest.raises(ValueError, match="sum"):
             BarycentricPoint(coords)
+
+    def test_rejects_an_overflowing_sum(self):
+        # Finite coordinates whose sum overflows; a numpy reduce would warn here.
+        with pytest.raises(ValueError, match="sum to inf, not 1"):
+            BarycentricPoint([1e308, 1e308, -1e308])
 
     def test_rejects_int_past_the_float_max(self):
         with pytest.raises(ValueError, match="finite"):
@@ -162,6 +168,46 @@ class TestBarycentricPoint:
         total = sum(weights)
         p = BarycentricPoint([w / total for w in weights])
         assert abs(p.coords.sum() - 1.0) <= 1e-12
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_normalization_divides_by_the_float_sum(self, data):
+        coords = data.draw(near_unit_sums())
+        given_array = np.array(coords)
+        p = BarycentricPoint(given_array)
+        s = sum(coords)
+        assert p.coords.tobytes() == (np.array(coords) / s).tobytes()
+        if s == 1.0:  # untouched, -0.0 included
+            assert p.coords.tobytes() == np.array(coords).tobytes()
+        assert given_array.tobytes() == np.array(coords).tobytes()
+        assert not np.shares_memory(p.coords, given_array)
+        assert not p.coords.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            p.coords[0] = 0.5
+
+
+@st.composite
+def near_unit_sums(draw):
+    """2 to 41 coordinates whose float sum is within BARYCENTRIC_SUM_TOL of 1:
+    multiples of 2^-20 that sum to exactly 1, any zero among them possibly -0.0,
+    or a random vector divided by its sum and scaled by 1 + d, |d| < the tolerance."""
+    k = draw(st.integers(2, 41))
+    if draw(st.booleans()):
+        units = draw(st.lists(st.sampled_from([0, 1, -1]) | st.integers(-2 ** 20, 2 ** 20),
+                              min_size=k - 1, max_size=k - 1))
+        units.append(2 ** 20 - sum(units))
+        negative_zero = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        coords = [-0.0 if u == 0 and neg else u / 2 ** 20
+                  for u, neg in zip(units, negative_zero)]
+        assert sum(coords) == 1.0
+        return coords
+    weights = draw(st.lists(st.floats(-1.0, 2.0), min_size=k, max_size=k))
+    total = sum(weights)
+    assume(abs(total) > 0.1)
+    d = draw(st.floats(-0.99 * BARYCENTRIC_SUM_TOL, 0.99 * BARYCENTRIC_SUM_TOL))
+    coords = [w / total * (1.0 + d) for w in weights]
+    assume(abs(sum(coords) - 1.0) <= BARYCENTRIC_SUM_TOL)
+    return coords
 
 
 class TestEuclideanGram:

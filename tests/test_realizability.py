@@ -35,6 +35,7 @@ from curvsimplex.oracle import edge_lengths_of
 
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
+    ROADMAP_ITEM_4,
     random_euclidean,
     random_hyperbolic,
     random_simplex,
@@ -120,9 +121,6 @@ class TestSpectrumOverflow:
     def test_finite_spectrum_below(self):
         assert check(EdgeLengths(709.0 * (1 - np.eye(4))), HYPERBOLIC).verdict \
             is Verdict.REALIZABLE
-
-
-ROADMAP_ITEM_4 = pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 
 
 class TestSmallUnitModelEdges:

@@ -1,9 +1,10 @@
 """Relations between results that need no reference implementation.
 
-Distances are continuous through kappa = 0, an altitude is the distance from
-the vertex to its foot, a distance between two points of a face is the
-distance on that face's own edges, relabelling the vertices permutes the
-results, and scaling the edges by s at kappa / s^2 scales every length by s.
+Distances, verdicts, feet and altitudes are continuous through kappa = 0, an
+altitude is the distance from the vertex to its foot, a distance between two
+points of a face is the distance on that face's own edges, relabelling the
+vertices permutes the results, and scaling the edges by s at kappa / s^2
+scales every length by s.
 Near kappa = 0 the oracle is no reference (its cos/cosh Gram loses the digits
 there), so these relations are the check.
 """
@@ -16,7 +17,7 @@ import pytest
 from curvsimplex import (EUCLIDEAN, BarycentricPoint, CurvatureSpec, EdgeLengths, check, distance,
                          project)
 
-from conftest import random_euclidean, random_interior_point, random_simplex
+from conftest import ROADMAP_ITEM_4, random_euclidean, random_interior_point, random_simplex
 
 KAPPAS = [0.0, 1.0, -1.0, 0.3, -0.3]
 
@@ -74,6 +75,37 @@ class TestContinuityThroughZero:
                                    0.5132248252551757, 0.3203736031289975])
         d0 = distance(e, EUCLIDEAN, x, y)
         assert distance(e, CurvatureSpec(kappa), x, y) == pytest.approx(d0, rel=self.ROUNDING)
+
+
+class TestVerdictFootAndAltitudeThroughZero:
+    """On a well-shaped Euclidean simplex with longest edge L, at |kappa| L^2 = t
+    the verdict is the one at kappa = 0, each foot coordinate moves by at most
+    C_FOOT t, and each altitude by at most C_ALTITUDE t of itself.  The first-order
+    terms read up to 0.04 (foot) and 0.045 (altitude); at t = 1e-7 rounding adds
+    about as much again to the foot."""
+
+    C_FOOT = 0.2
+    C_ALTITUDE = 0.1
+
+    def compare(self, t):
+        for n in (2, 3, 5, 10):
+            e = well_shaped(np.random.default_rng(5), n, EUCLIDEAN)
+            c = CurvatureSpec(t / e.longest ** 2)
+            assert check(e, c).verdict is check(e, EUCLIDEAN).verdict
+            for v in range(1, n + 2):
+                r0, r = project(e, EUCLIDEAN, v), project(e, c, v)
+                assert np.abs(r.foot.coords - r0.foot.coords).max() <= self.C_FOOT * abs(t)
+                assert abs(r.altitude - r0.altitude) <= self.C_ALTITUDE * abs(t) * r0.altitude
+
+    @pytest.mark.parametrize("t", [1e-3, -1e-3, 1e-5, -1e-5, 1e-7, -1e-7])
+    def test_small_kappa(self, t):
+        self.compare(t)
+
+    # Below about 1e-8 the verdict reads Degenerate and project raises NotRealizableInput.
+    @ROADMAP_ITEM_4
+    @pytest.mark.parametrize("t", [1e-9, -1e-9, 1e-12, -1e-12])
+    def test_tiny_kappa(self, t):
+        self.compare(t)
 
 
 class TestAltitudeIsADistance:

@@ -18,7 +18,9 @@ and ``project``, and by ``distance`` at two curvatures and then ``check``.
 Beside each matrix of ``model_gram`` and ``curved_gram`` it records the half
 squared chords that the Gram matrix stores.
 ``length``, ``euclidean_face_volume``, ``restricted`` and ``permuted`` are
-also given vertex numbers out of range or not integers.
+also given vertex numbers out of range or not integers.  Named barycentric
+points sum to exactly 1, to 1 +- 0.9 and 1 +- 1.1 times the sum tolerance, or
+to an overflowing float; others hold a -0.0 coordinate or 41 coordinates.
 Each line is ``KEY<TAB>VALUE``: the key names the case, the quantity and its
 arguments; a float is written with ``float.hex``, an array as its shape and
 hex entries, an exception as its type and message, and any warning a call
@@ -222,6 +224,18 @@ def points(rng: np.random.Generator, k: int) -> list[list[float]]:
 PAIRS = ((0, 1), (0, 2), (3, 2), (4, 5), (2, 7), (6, 4), (0, 0))
 
 
+def named_points(rng: np.random.Generator, tol: float) -> dict[str, list[float]]:
+    """Barycentric points at the edges of normalization; tol is the sum tolerance."""
+    pts = {"sum 1": [0.25, 0.25, 0.5], "sum 1 k=8": [0.125] * 8,
+           "-0.0": [0.5, -0.0, 0.5], "-0.0 sum 1+0.5tol": [0.5, -0.0, 0.5 + 0.5 * tol],
+           "overflowing sum": [1e308, 1e308, -1e308],
+           "k=41": rng.dirichlet(np.ones(41)).tolist(), "k=41 centroid": [1 / 41] * 41}
+    for f in (0.9, -0.9, 1.1, -1.1):
+        pts[f"sum 1{f:+}tol"] = [0.25, 0.25, 0.5 + f * tol]
+        pts[f"k=11 sum 1{f:+}tol"] = [(1 + f * tol) / 11] * 11
+    return pts
+
+
 def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tmp: str) -> None:
     c = rec.put("curvature", lambda: lib.CurvatureSpec(kappa), lambda s: s.kappa)
     e = rec.put("edges", lambda: lib.EdgeLengths(g), lambda e: (e.gamma, e.shortest, e.longest))
@@ -388,6 +402,10 @@ def run(size: str, seed: int) -> list[str]:
             run_case(lib, rec, rng, kappa, g, cli, tmp)
         rec.case = "bad documents"
         run_bad_documents(rec, tmp)
+    from curvsimplex.domain import BARYCENTRIC_SUM_TOL
+    rec.case = "named points"
+    for name, p in named_points(np.random.default_rng(seed + 2), BARYCENTRIC_SUM_TOL).items():
+        rec.put(f"point[{name}]", lambda p=p: lib.BarycentricPoint(p), lambda p: p.coords)
     return rec.lines
 
 
