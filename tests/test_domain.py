@@ -182,8 +182,6 @@ class TestBarycentricPoint:
         assert given_array.tobytes() == np.array(coords).tobytes()
         assert not np.shares_memory(p.coords, given_array)
         assert not p.coords.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            p.coords[0] = 0.5
 
 
 @st.composite
