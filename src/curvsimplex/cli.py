@@ -67,11 +67,31 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
+# What json.load returns for a value that is not a number (lists are walked into).
+_NOT_A_NUMBER = {str: "a string", bool: "a boolean", type(None): "null", dict: "an object"}
+
+
+def _first_non_number(value) -> str | None:
+    """What the first entry of ``value``, walked into nested lists, is when not a JSON number."""
+    stack = [value]
+    while stack:  # no recursion: a document may nest lists as deep as json.load allows
+        v = stack.pop()
+        if type(v) is list:
+            stack.extend(reversed(v))
+        elif type(v) in _NOT_A_NUMBER:
+            return _NOT_A_NUMBER[type(v)]
+    return None
+
+
 def _read_field(path: str, name: str, build):
-    """The document at ``path`` and ``build`` applied to its required field ``name``."""
+    """The document at ``path`` and ``build`` applied to its required field ``name``,
+    whose entries must all be JSON numbers."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or name not in doc:
         raise InputError(f"{path}: missing required field '{name}'")
+    bad = _first_non_number(doc[name])
+    if bad is not None:
+        raise InputError(f"{path}: field '{name}': entries must be JSON numbers, got {bad}")
     try:
         return doc, build(doc[name])
     except (ValueError, TypeError) as exc:

@@ -1,10 +1,11 @@
 """Domain types for metric simplices and the Gram-matrix builders.
 
 An n-simplex is described purely by the geodesic lengths of its edges.  The
-builders here turn those lengths into bilinear-form data: the apex-difference
-Gram matrix for flat simplices and the full vertex Gram matrix for curved
-ones, which rescales the edges onto the unit model and carries the curvature;
-both store the half squared chords E beside the matrix, and ``model_gram``
+builders here turn those lengths into the half squared chords E, the only
+matrix built from them, and rearrange E exactly into bilinear-form data: the
+apex-difference Gram matrix for flat simplices and the full vertex Gram
+matrix for curved ones, which rescales the edges onto the unit model and
+carries the curvature; both store E beside the matrix, and ``model_gram``
 picks one per curvature.
 All values are immutable and all functions are pure; the one cache is the
 model Gram matrix and verdict an ``EdgeLengths`` keeps (see its docstring).
@@ -31,7 +32,7 @@ BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
 EDGE_SYMMETRY_TOL = 1e-9
 # Largest unit-model edge at kappa < 0, ln(float max): up to it e^gamma, and so
-# every -cosh(gamma) Gram entry, stays finite.
+# every half chord 2 sinh^2(gamma / 2) = cosh(gamma) - 1 and Gram entry -1 - E, stays finite.
 COSH_ARG_MAX = math.log(sys.float_info.max)
 # Edge lengths whose squares are normal float64 numbers lie in [SQRT_MIN, SQRT_MAX].
 SQRT_MIN, SQRT_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
@@ -259,8 +260,10 @@ class GramMatrix:
 
     ``half_chords`` holds E, the half squared chords c_ij^2 / 2 of the vertices
     on the unit model: gamma^2 / 2 at kappa = 0, else 2 sinh^2(g / 2) (kappa < 0)
-    or 2 sin^2(g / 2) (kappa > 0) of g = sqrt(|kappa|) gamma.  The vertex Gram is
-    sign(kappa) (11^T - sign(kappa) E), but E keeps the digits of short edges.
+    or 2 sin^2(g / 2) (kappa > 0) of g = sqrt(|kappa|) gamma.  The builders derive
+    the matrix from E: the apex Gram is E_ia + E_ja - E_ij, the vertex Gram
+    sigma - E with sigma = sign(kappa) (cos g or -cosh g to rounding; only the
+    oracle forms those), but E keeps the digits of short edges.
     """
 
     matrix: SymMatrix
@@ -277,9 +280,12 @@ class GramMatrix:
 
 
 def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
-    """Apex-difference Gram matrix q_ij = (g_ia^2 + g_ja^2 - g_ij^2) / 2, beside E = g^2 / 2.
+    """Apex-difference Gram matrix q_ij = E_ia + E_ja - E_ij, beside E = g^2 / 2.
 
-    Rows and columns run over the non-apex vertices in ascending order.
+    That is (g_ia^2 + g_ja^2 - g_ij^2) / 2 bit for bit wherever the halves are normal
+    (halving is exact there); only squares below twice the smallest normal, edges
+    under about 2.1e-154, round when halved.  Rows and columns run over the
+    non-apex vertices in ascending order.
     Raises GramOverflow when k * longest^2 overflows or shortest^2 is subnormal.
     """
     k = e.num_vertices
@@ -288,18 +294,20 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
         raise GramOverflow(
             f"squaring edges in [{e.shortest}, {e.longest}] overflows or underflows float64")
     others = _other_vertices(k, apex)
-    g2 = e.gamma ** 2
-    col = g2[others, apex - 1]
-    q = 0.5 * (col[:, None] + col[None, :] - g2.take(others, 0).take(others, 1))
-    return GramMatrix(SymMatrix._exact(q), EUCLIDEAN, apex, SymMatrix._exact(0.5 * g2))
+    half = 0.5 * e.gamma ** 2
+    col = half[others, apex - 1]
+    q = col[:, None] + col[None, :] - half.take(others, 0).take(others, 1)
+    return GramMatrix(SymMatrix._exact(q), EUCLIDEAN, apex, SymMatrix._exact(half))
 
 
 def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     """Full vertex Gram matrix of the unit model, carrying the nonzero curvature c.
 
-    The unit-model edges are g = sqrt(|kappa|) gamma; q_ij = cos(g_ij) and E_ij =
-    2 sin^2(g_ij / 2) for kappa > 0, -cosh and 2 sinh^2 for kappa < 0.  GramOverflow
-    if a g_ij is infinite, below the smallest normal, or past COSH_ARG_MAX at kappa < 0.
+    The unit-model edges are g = sqrt(|kappa|) gamma; E_ij = 2 sin^2(g_ij / 2) for
+    kappa > 0 and 2 sinh^2(g_ij / 2) for kappa < 0, one transcendental pass, and the
+    matrix is q = sign(kappa) - E exactly (cos g or -cosh g to rounding), with the
+    diagonal exactly sign(kappa).  GramOverflow if a g_ij is infinite, below the
+    smallest normal, or past COSH_ARG_MAX at kappa < 0.
     """
     if c.kappa == 0:
         raise WrongModel("curvature 0 has no full vertex Gram; use euclidean_gram")
@@ -308,15 +316,12 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     if not (sys.float_info.min <= e.shortest * scale and longest < math.inf):
         raise GramOverflow(f"the unit-model rescale of edges in [{e.shortest}, {e.longest}] "
                            f"at kappa={c.kappa} overflows or underflows float64")
-    g = e.gamma * scale
-    if c.kappa > 0:
-        q, half = np.cos(g), np.sin(g * 0.5)
-    elif longest > COSH_ARG_MAX:
+    if c.kappa < 0 and longest > COSH_ARG_MAX:
         raise GramOverflow(f"hyperbolic edge {longest} at kappa=-1.0 overflows the Gram matrix")
-    else:
-        q, half = -np.cosh(g), np.sinh(g * 0.5)
+    half = (np.sin if c.kappa > 0 else np.sinh)(e.gamma * scale * 0.5)
     half *= half + half
-    return GramMatrix(SymMatrix._exact(q), c, half_chords=SymMatrix._exact(half))
+    sign = math.copysign(1.0, c.kappa)
+    return GramMatrix(SymMatrix._exact(sign - half), c, half_chords=SymMatrix._exact(half))
 
 
 def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:

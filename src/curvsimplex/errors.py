@@ -28,7 +28,8 @@ class ProjectionDegenerate(GeometryError):
 
 
 class GramOverflow(GeometryError):
-    """A cosh Gram entry, squared edge, unit-model rescale or volume leaves float64's range."""
+    """A half chord or vertex Gram entry (past COSH_ARG_MAX), squared edge, unit-model
+    rescale or volume leaves float64's range."""
 
 
 class EmbeddingInconsistency(GeometryError):

@@ -23,7 +23,6 @@ from .domain import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
-    curved_gram,
     euclidean_gram,
 )
 from .errors import (
@@ -97,8 +96,10 @@ def embed(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Embeddi
     """Place the vertices in the model space of curvature ``c``.
 
     Euclidean vertices come from a Cholesky factor of the apex Gram matrix,
-    with the apex at the origin.  Curved ones come from the unit-model cos /
-    cosh Gram matrix (``curved_gram``), divided by sqrt(|kappa|).  The
+    with the apex at the origin.  Curved ones come from the classical unit-model
+    Gram matrix cos(g) or -cosh(g) of the edges g = sqrt(|kappa|) gamma, built
+    here (the library derives its own from the half squared chords), divided by
+    sqrt(|kappa|).  The
     configuration is only determined up to model isometry; consumers should
     rely on pairwise distances and inner products, not positions.
     """
@@ -108,7 +109,8 @@ def embed(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Embeddi
     if c.kappa == 0:
         q = euclidean_gram(e, apex=e.num_vertices).matrix.data
         return Embedding(ModelSpace.EUCLIDEAN, np.vstack([_cholesky(q), np.zeros(q.shape[0])]), c)
-    q = curved_gram(e, c).matrix.data
+    g = e.gamma * c.scale
+    q = np.cos(g) if c.kappa > 0 else -np.cosh(g)
     if c.kappa < 0:
         return Embedding(ModelSpace.MINKOWSKI, _embed_minkowski(q) / c.scale, c)
     return Embedding(ModelSpace.SPHERE, _cholesky(q) / c.scale, c)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .domain import (
     _MODEL,
+    BARYCENTRIC_SUM_TOL,
     EUCLIDEAN,
     BarycentricPoint,
     CurvatureSpec,
@@ -81,13 +82,23 @@ def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[BarycentricPoint, floa
     total = float(w.sum())
     if not 0 < total < math.inf:
         raise ProjectionDegenerate(f"1^T m^-1 1 = {total} is not positive")
-    coords = np.zeros(e.num_vertices)
-    coords[_other_vertices(e.num_vertices, vertex)] = w / total
-    try:
-        foot = BarycentricPoint(coords)
-    except ValueError as exc:  # w / (1^T w) lost its unit sum to cancellation
-        raise ProjectionDegenerate(f"foot is not determined: {exc}") from exc
+    foot = _foot(e.num_vertices, _other_vertices(e.num_vertices, vertex), w / total)
     return foot, 1.0 / math.sqrt(total), None
+
+
+def _foot(k: int, face: list[int], quotient: np.ndarray) -> BarycentricPoint:
+    """The foot with coordinates ``quotient`` on ``face``, divided once, and 0 elsewhere.
+
+    ProjectionDegenerate unless their Python ``sum`` is within
+    ``BARYCENTRIC_SUM_TOL`` of 1 (a quotient can lose its unit sum to cancellation).
+    """
+    s = sum(quotient.tolist())
+    if not abs(s - 1.0) <= BARYCENTRIC_SUM_TOL:
+        raise ProjectionDegenerate(
+            f"foot is not determined: barycentric coordinates sum to {s}, not 1")
+    coords = np.zeros(k)
+    coords[face] = quotient
+    return BarycentricPoint.hull(coords)
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
@@ -147,9 +158,7 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
     denom = float(signed.sum())
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise ProjectionDegenerate("signed first-row minors sum to zero")
-    coords = np.zeros(k)
-    coords[face] = signed / denom
-    foot = BarycentricPoint(coords)
+    foot = _foot(k, face, signed / denom)
     # Compare signs (kappa * denom underflows); 0.0 - coords keeps the vertex's +0.0.
     point = foot if (c.kappa < 0) == (denom > 0) else BarycentricPoint.hull(0.0 - foot.coords)
     q = curved_gram(e, c)

@@ -283,6 +283,30 @@ class TestInputErrors:
         assert code == 2
         assert "coordinates" in err
 
+    @pytest.mark.parametrize("entry, kind", [
+        ("1", "a string"), (True, "a boolean"), (None, "null"), ({"v": 1}, "an object")])
+    @pytest.mark.parametrize("field", ["edge_lengths", "barycentric"])
+    def test_entry_that_is_not_a_json_number(self, capsys, files, simplex_file, field,
+                                             entry, kind):
+        # Read as numbers, "1" and true would give the unit triangle or a valid point.
+        unit = [[0, entry, 1], [entry, 0, 1], [1, 1, 0]]
+        if field == "edge_lengths":
+            path = files("bad.json", {"edge_lengths": unit})
+            code, out, err = run(capsys, ["check", path])
+        else:
+            path = files("bad.json", {"barycentric": [0.5, entry, 0.5, 0]})
+            good = files("p.json", {"barycentric": [0.25, 0.25, 0.25, 0.25]})
+            code, out, err = run(capsys, ["dist", simplex_file, good, path])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: field '{field}': "
+                       f"entries must be JSON numbers, got {kind}\n")
+
+    @pytest.mark.parametrize("doc", [{"edge_lengths": "abc"}, {"edge_lengths": None}])
+    def test_field_that_is_not_a_list(self, capsys, files, doc):
+        code, out, err = run(capsys, ["check", files("bad.json", doc)])
+        assert (code, out) == (2, "")
+        assert "entries must be JSON numbers" in err
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["check", "dist", "project", "volume", "embed"])
     def test_bad_tol(self, capsys, files, command, tol):

@@ -250,10 +250,22 @@ class TestEuclideanGram:
 
 class TestCurvedGram:
     def test_reference_hyperbolic(self, table_simplex):
+        # The vertex Gram is -1 - E bit for bit, and the classical -cosh to rounding.
         q = curved_gram(table_simplex, HYPERBOLIC)
+        assert np.array_equal(q.matrix.data, -1.0 - q.half_chords.data)
         expected = -np.cosh(np.array(TABLE_3SIMPLEX))
-        assert np.array_equal(q.matrix.data, expected)
+        assert np.all(np.abs(q.matrix.data - expected) <= 4 * np.spacing(-expected))
         assert np.all(np.diag(q.matrix.data) == -1.0)
+
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
+    def test_one_transcendental_pass_and_no_cos_or_cosh(self, monkeypatch, table_simplex,
+                                                        kappa):
+        calls = []
+        for name in ("sin", "sinh", "cos", "cosh"):
+            f = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda x, f=f, name=name: calls.append(name) or f(x))
+        curved_gram(table_simplex.scaled(0.2), CurvatureSpec(kappa))
+        assert calls == ["sin" if kappa > 0 else "sinh"]
 
     def test_spherical_equilateral(self):
         e = EdgeLengths((math.pi / 3) * (1 - np.eye(3)))
@@ -327,6 +339,13 @@ class TestHalfChords:
         q = curved_gram(EdgeLengths(1e-8 * (1 - np.eye(3))), CurvatureSpec(kappa))
         assert np.allclose(q.half_chords.data, 0.5e-16 * (1 - np.eye(3)), rtol=1e-15, atol=0)
         assert np.array_equal(q.matrix.data, kappa * np.ones((3, 3)))
+
+    def test_curved_gram_is_sign_minus_half_chords(self, derived_grid):
+        for kappa, e in derived_grid:
+            if kappa != 0:
+                q = curved_gram(e, CurvatureSpec(kappa))
+                assert np.array_equal(q.matrix.data,
+                                      math.copysign(1.0, kappa) - q.half_chords.data)
 
     def test_hand_built_gram_has_none(self):
         assert GramMatrix(SymMatrix(-np.eye(3)), HYPERBOLIC).half_chords is None
@@ -580,9 +599,10 @@ def raw_euclidean_gram(e, apex):
 
 
 def raw_curved_gram(e, kappa):
-    """The unit-model vertex Gram formula on the rescaled edges, before any symmetrization."""
-    g = e.gamma * math.sqrt(abs(kappa))
-    return np.cos(g) if kappa > 0 else -np.cosh(g)
+    """The unit-model vertex Gram sign(kappa) - E, with E = 2 sin^2 or 2 sinh^2 of half
+    the rescaled edges, before any symmetrization."""
+    half = (np.sin if kappa > 0 else np.sinh)(e.gamma * math.sqrt(abs(kappa)) * 0.5)
+    return math.copysign(1.0, kappa) - half * (half + half)
 
 
 def assert_symmetrization_is_exact(raw, data):

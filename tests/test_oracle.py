@@ -23,6 +23,7 @@ from curvsimplex import (
     SPHERICAL,
     brute_distance,
     brute_project,
+    check,
     distance,
     edge_lengths_of,
     embed,
@@ -73,6 +74,24 @@ class TestEmbedRoundTrip:
             e = random_simplex(rng, 3, c)
             emb = embed(e, c)
             assert np.max(np.abs(edge_lengths_of(emb).gamma - e.gamma)) < 1e-8
+
+
+class TestIndependentRoute:
+    """embed builds its own cos/cosh vertex Gram: it never calls the library's builder."""
+
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0, -0.3, 4.0])
+    def test_embed_without_the_library_gram_builder(self, monkeypatch, kappa):
+        c = CurvatureSpec(kappa)
+        e = random_simplex(np.random.default_rng(15), 3, c)
+        check(e, c)  # stores the verdict that embed's own check reads
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called curved_gram")
+
+        monkeypatch.setattr("curvsimplex.domain.curved_gram", refuse)
+        monkeypatch.setattr("curvsimplex.oracle.curved_gram", refuse, raising=False)
+        emb = embed(e, c)
+        assert np.max(np.abs(edge_lengths_of(emb).gamma - e.gamma)) < 1e-8
 
 
 class TestTinyCurvature:

@@ -28,6 +28,7 @@ from curvsimplex import (
     hull_inner_product,
     project,
 )
+from curvsimplex.projection import _foot
 
 from conftest import (
     ANTIPODE_4SIMPLEX,
@@ -53,6 +54,31 @@ def inside_projection_case(rng, generator, c, n):
         res = project(e, c, vertex)
         if res.inside_face:
             return e, vertex, res
+
+
+class TestFootIsDividedOnce:
+    """A foot is its own quotient w / (1^T w) or s / sum(s), checked and never divided again."""
+
+    def test_euclidean_foot_is_the_solve_quotient(self):
+        rng = np.random.default_rng(31)
+        for n in (3, 5, 10):
+            e = random_euclidean(rng, n)
+            for vertex in range(1, n + 2):
+                w = np.linalg.solve(euclidean_gram(e, vertex).matrix.data, np.ones(n))
+                coords = project(e, EUCLIDEAN, vertex).foot.coords
+                assert np.array_equal(np.delete(coords, vertex - 1), w / float(w.sum()))
+
+    @pytest.mark.parametrize("quotient", [[0.5, 0.5 + 2e-6], [math.inf, -math.inf],
+                                          [math.nan, 1.0], [1e308, 1e308]])
+    def test_a_quotient_off_the_unit_sum_is_degenerate(self, quotient):
+        with pytest.raises(ProjectionDegenerate,
+                           match="foot is not determined: barycentric coordinates sum to"):
+            _foot(3, [0, 2], np.array(quotient))
+
+    def test_a_quotient_near_the_unit_sum_is_kept_as_it_is(self):
+        foot = _foot(3, [0, 2], np.array([0.25, 0.75 + 1e-7]))
+        assert foot.coords.tolist() == [0.25, 0.0, 0.75 + 1e-7]
+        assert not foot.coords.flags.writeable
 
 
 class TestEuclideanProject:
