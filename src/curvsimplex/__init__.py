@@ -10,10 +10,13 @@ simplices, cross-checked by an explicit model-space embedding oracle.
 first use (PEP 562), so a call loads only the modules it runs: ``check`` loads
 ``realizability``, ``distance`` loads ``metrics``, ``project`` and the volumes
 load ``projection`` (with ``metrics`` and ``realizability``), and the oracle
-names load ``oracle`` (with ``realizability``).
+names load ``oracle`` (with ``realizability``); the CLI reads them here too.
+``__all__`` is the sorted public names that the imports and ``_DEFERRED`` bind.
 """
 
 __version__ = "0.1.0"
+
+from types import ModuleType as _ModuleType
 
 from .domain import (
     EUCLIDEAN,
@@ -41,46 +44,6 @@ from .errors import (
 )
 from .symmat import DEFAULT_TOL, Signature, SymMatrix
 
-__all__ = [
-    "BarycentricPoint",
-    "CurvatureSpec",
-    "DEFAULT_TOL",
-    "DegenerateDirection",
-    "EdgeLengths",
-    "Embedding",
-    "EmbeddingInconsistency",
-    "EUCLIDEAN",
-    "GeometryError",
-    "GramMatrix",
-    "GramOverflow",
-    "HYPERBOLIC",
-    "ModelSpace",
-    "NotRealizableInput",
-    "OutsideLightCone",
-    "ProjectionDegenerate",
-    "ProjectionResult",
-    "RealizabilityReport",
-    "Signature",
-    "SPHERICAL",
-    "SymMatrix",
-    "Verdict",
-    "WrongModel",
-    "brute_distance",
-    "brute_project",
-    "edge_lengths_of",
-    "check",
-    "curved_gram",
-    "distance",
-    "embed",
-    "euclidean_face_volume",
-    "euclidean_gram",
-    "euclidean_volume",
-    "hull_inner_product",
-    "lift_to_model",
-    "model_gram",
-    "project",
-]
-
 # Deferred names and the module that defines each; the four modules resolve to themselves.
 _DEFERRED = {
     **dict.fromkeys(("RealizabilityReport", "Verdict", "check", "realizability"), "realizability"),
@@ -90,6 +53,11 @@ _DEFERRED = {
     **dict.fromkeys(("Embedding", "ModelSpace", "brute_distance", "brute_project",
                      "edge_lengths_of", "embed", "oracle"), "oracle"),
 }
+
+# The public names, each written once above: what the imports bound, and the deferred operations.
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)}
+                 | {name for name, module in _DEFERRED.items() if name != module})
 
 
 def __getattr__(name):

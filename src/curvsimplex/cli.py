@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 invalid input (non-finite numbers included),
 3 geometric verdict failure (degenerate / not realizable), 4 numerical
 failure (inconsistent embedding; edges, a Gram matrix or a volume outside
 float64).  All numeric logic lives in the library modules; this module only
-parses, dispatches, and formats.  Each subcommand imports the operation it
-runs when it runs, so a call loads no library module it does not use.
+parses, dispatches, and formats.  Each subcommand reads its operation from
+the package when it runs, so a call loads no library module it does not use.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _sig(value: float) -> str:
 
 
 def cmd_check(args) -> int:
-    from .realizability import Verdict, check
+    from . import Verdict, check
 
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
@@ -132,7 +132,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    from .metrics import distance
+    from . import distance
 
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
@@ -143,7 +143,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from .projection import project
+    from . import project
 
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)
@@ -162,7 +162,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    from .projection import euclidean_face_volume, euclidean_volume
+    from . import euclidean_face_volume, euclidean_volume
 
     e = _load_simplex(args.simplex)
     if args.face_opposite is not None:
@@ -177,7 +177,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from .oracle import embed
+    from . import embed
 
     e = _load_simplex(args.simplex)
     c = _parse_geometry(args.geometry)

@@ -3,6 +3,7 @@ and every vertex number."""
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ class TestPublicNames:
         assert len(set(names)) == len(names)
         for name in names:
             getattr(curvsimplex, name)
+
+    def test_all_is_derived_from_the_imports_and_the_deferred_table(self):
+        names = curvsimplex.__all__
+        assert names == sorted(names)
+        for name in names:
+            assert not name.startswith("_"), name
+            assert not isinstance(getattr(curvsimplex, name), types.ModuleType), name
+        operations = {name for name, module in curvsimplex._DEFERRED.items() if name != module}
+        assert operations <= set(names)
 
     @pytest.mark.parametrize("module", [curvsimplex, realizability, projection, metrics],
                              ids=lambda m: m.__name__)
