@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    BarycentricPoint,
-    CurvatureSpec,
-    EdgeLengths,
-    euclidean_gram,
-)
+from .domain import BarycentricPoint, CurvatureSpec, EdgeLengths
 from .errors import (
     DegenerateDirection,
     EmbeddingInconsistency,
@@ -95,19 +90,21 @@ def _embed_minkowski(q: np.ndarray) -> np.ndarray:
 def embed(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Embedding:
     """Place the vertices in the model space of curvature ``c``.
 
-    Euclidean vertices come from a Cholesky factor of the apex Gram matrix,
-    with the apex at the origin.  Curved ones come from the classical unit-model
-    Gram matrix cos(g) or -cosh(g) of the edges g = sqrt(|kappa|) gamma, built
-    here (the library derives its own from the half squared chords), divided by
-    sqrt(|kappa|).  The
-    configuration is only determined up to model isometry; consumers should
-    rely on pairwise distances and inner products, not positions.
+    Euclidean vertices come from a Cholesky factor of the classical apex Gram
+    matrix (gamma_ia^2 + gamma_ja^2 - gamma_ij^2) / 2, with the last vertex a as
+    the apex at the origin.  Curved ones come from the classical unit-model Gram
+    matrix cos(g) or -cosh(g) of the edges g = sqrt(|kappa|) gamma, divided by
+    sqrt(|kappa|).  Both matrices are built here, not by the library's builders,
+    which derive theirs from the half squared chords.  The configuration is only
+    determined up to model isometry; consumers should rely on pairwise distances
+    and inner products, not positions.
     """
     report = check(e, c, tol)
     if report.verdict is not Verdict.REALIZABLE:
         raise NotRealizableInput(f"cannot embed: {report.detail}")
     if c.kappa == 0:
-        q = euclidean_gram(e, apex=e.num_vertices).matrix.data
+        sq = e.gamma ** 2
+        q = (sq[:-1, -1, None] + sq[None, :-1, -1] - sq[:-1, :-1]) / 2
         return Embedding(ModelSpace.EUCLIDEAN, np.vstack([_cholesky(q), np.zeros(q.shape[0])]), c)
     g = e.gamma * c.scale
     q = np.cos(g) if c.kappa > 0 else -np.cosh(g)

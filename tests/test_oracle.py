@@ -77,19 +77,21 @@ class TestEmbedRoundTrip:
 
 
 class TestIndependentRoute:
-    """embed builds its own cos/cosh vertex Gram: it never calls the library's builder."""
+    """embed builds its own classical apex or cos/cosh vertex Gram: it never calls a
+    library builder."""
 
-    @pytest.mark.parametrize("kappa", [-1.0, 1.0, -0.3, 4.0])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0, -0.3, 4.0])
     def test_embed_without_the_library_gram_builder(self, monkeypatch, kappa):
         c = CurvatureSpec(kappa)
         e = random_simplex(np.random.default_rng(15), 3, c)
         check(e, c)  # stores the verdict that embed's own check reads
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the oracle called curved_gram")
+            raise AssertionError("the oracle called a library Gram builder")
 
-        monkeypatch.setattr("curvsimplex.domain.curved_gram", refuse)
-        monkeypatch.setattr("curvsimplex.oracle.curved_gram", refuse, raising=False)
+        for builder in ("curved_gram", "euclidean_gram"):
+            monkeypatch.setattr(f"curvsimplex.domain.{builder}", refuse)
+            monkeypatch.setattr(f"curvsimplex.oracle.{builder}", refuse, raising=False)
         emb = embed(e, c)
         assert np.max(np.abs(edge_lengths_of(emb).gamma - e.gamma)) < 1e-8
 
