@@ -193,8 +193,9 @@ def _off_diagonal(g: np.ndarray) -> np.ndarray:
 class BarycentricPoint:
     """Coordinate vector over the simplex vertices, normalized to sum 1.
 
-    The sum is Python's ``sum`` of the coordinates as floats, the sum
-    ``distance`` forms.  Inputs whose sum deviates from 1 by more than
+    The sum is ``math.fsum`` of the coordinates as floats, correctly rounded
+    (Python's ``sum`` only where ``fsum`` cannot finish: an intermediate past
+    float64, or inf - inf).  Inputs whose sum deviates from 1 by more than
     ``BARYCENTRIC_SUM_TOL`` are rejected; smaller deviations are divided out,
     and a sum of exactly 1 leaves the coordinates untouched.  ``hull`` builds
     raw hull-frame coefficient vectors (used by the model lift), which skip
@@ -211,7 +212,10 @@ class BarycentricPoint:
         if c.ndim != 1 or c.size < 2:
             raise ValueError("coords must be a vector of length >= 2")
         values = c.tolist()
-        s = sum(values)  # a numpy reduce costs more, and warns when it overflows
+        try:
+            s = math.fsum(values)  # a numpy reduce costs more, and warns when it overflows
+        except (OverflowError, ValueError):  # a partial sum past float64, or inf - inf
+            s = sum(values)
         if not math.isfinite(s) and not all(map(math.isfinite, values)):
             raise ValueError("barycentric coordinates must be finite to sum to 1")
         if not abs(s - 1.0) <= BARYCENTRIC_SUM_TOL:

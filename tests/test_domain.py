@@ -2,6 +2,7 @@
 
 import copy
 import math
+from fractions import Fraction
 import pickle
 import warnings
 
@@ -162,6 +163,19 @@ class TestBarycentricPoint:
         with pytest.raises(IndexError, match=f"vertex {i} out of range 1..3"):
             BarycentricPoint.vertex(i, 3)
 
+    def test_normalization_is_within_1_5_ulp_of_the_exact_quotient(self):
+        # A correctly rounded sum leaves one rounding of the sum and one of the quotient
+        # between each coordinate and x_i / sum(x) in exact arithmetic; a left-to-right
+        # float sum drifts by up to (k - 1) roundings: 2.8 ulp on the 41-coordinate centroid.
+        rng = np.random.default_rng(25)
+        points = [[1 / 41] * 41] + [[(1 + f * BARYCENTRIC_SUM_TOL) / 11] * 11 for f in (0.9, -0.9)]
+        points += [rng.dirichlet(np.ones(k)).tolist() for k in (8, 11, 41) for _ in range(200)]
+        for coords in points:
+            total = sum(map(Fraction, coords))
+            for got, x in zip(BarycentricPoint(coords).coords.tolist(), coords):
+                exact = Fraction(x) / total
+                assert abs(Fraction(got) - exact) <= 1.5 * Fraction(math.ulp(float(exact))), coords
+
     @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_sum_one_after_normalization(self, weights):
@@ -175,7 +189,7 @@ class TestBarycentricPoint:
         coords = data.draw(near_unit_sums())
         given_array = np.array(coords)
         p = BarycentricPoint(given_array)
-        s = sum(coords)
+        s = math.fsum(coords)
         assert p.coords.tobytes() == (np.array(coords) / s).tobytes()
         if s == 1.0:  # untouched, -0.0 included
             assert p.coords.tobytes() == np.array(coords).tobytes()
