@@ -2,9 +2,9 @@
 
 import copy
 import math
-from fractions import Fraction
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
