@@ -14,6 +14,7 @@ model Gram matrix and verdict an ``EdgeLengths`` keeps (see its docstring).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .errors import (
     OutsideLightCone,
     WrongModel,
 )
-from .symmat import SymMatrix, _other_vertices, _vertex
+from .symmat import SymMatrix, _vertex, _without
 
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
@@ -159,17 +160,42 @@ class EdgeLengths:
         return self._derived(self.gamma * factor, shortest, longest)
 
     def permuted(self, order) -> "EdgeLengths":
-        """Relabel vertices so new vertex k is old vertex order[k] (1-based)."""
+        """Relabel vertices so new vertex k is old vertex order[k] (1-based).
+
+        A permutation of 1..num_vertices is validated in one sort.  Otherwise
+        the first entry, in order, that is no integer (TypeError) or out of
+        range (IndexError) raises, as ``_vertex`` does, and else ValueError.
+        """
         k = self.num_vertices
-        idx = [_vertex(v, k) - 1 for v in order]
-        if sorted(idx) != list(range(k)):
+        order = list(order)
+        try:
+            idx = [operator.index(v) - 1 for v in order]
+            valid = sorted(idx) == list(range(k))
+        except TypeError:
+            valid = False
+        if not valid:
+            for v in order:
+                _vertex(v, k)
             raise ValueError("order must be a permutation of 1..num_vertices")
         return self._derived(self.gamma.take(idx, 0).take(idx, 1), self.shortest, self.longest)
 
     def restricted(self, vertices) -> "EdgeLengths":
-        """Sub-simplex spanned by the given vertices (1-based, >= 2 of them)."""
+        """Sub-simplex spanned by the given vertices (1-based, >= 2 of them).
+
+        Repeats are dropped and the vertices sorted.  The first entry, in order,
+        that is no integer (TypeError) or out of range (IndexError) raises, as
+        ``_vertex`` does; fewer than 2 distinct vertices raise ValueError.
+        """
         k = self.num_vertices
-        idx = sorted({_vertex(v, k) - 1 for v in vertices})
+        vertices = list(vertices)  # read twice when one is bad; callers may pass a generator
+        try:
+            idx = sorted({operator.index(v) - 1 for v in vertices})
+            valid = not idx or (idx[0] >= 0 and idx[-1] < k)
+        except TypeError:
+            valid = False
+        if not valid:
+            for v in vertices:
+                _vertex(v, k)
         if len(idx) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
         g = self.gamma.take(idx, 0).take(idx, 1)
@@ -297,10 +323,9 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
     if not (SQRT_MIN <= e.shortest and e.longest * math.sqrt(k) <= SQRT_MAX):
         raise GramOverflow(
             f"squaring edges in [{e.shortest}, {e.longest}] overflows or underflows float64")
-    others = _other_vertices(k, apex)
     half = 0.5 * e.gamma ** 2
-    col = half[others, apex - 1]
-    q = col[:, None] + col[None, :] - half.take(others, 0).take(others, 1)
+    col = np.concatenate((half[:apex - 1, apex - 1], half[apex:, apex - 1]))
+    q = col[:, None] + col[None, :] - _without(half, apex, apex)
     return GramMatrix(SymMatrix._exact(q), EUCLIDEAN, apex, SymMatrix._exact(half))
 
 

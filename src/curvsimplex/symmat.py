@@ -30,6 +30,20 @@ def _other_vertices(k: int, vertex: int) -> list[int]:
     return [*range(vertex - 1), *range(vertex, k)]
 
 
+def _without(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """A new array of the square a with row i and column j (1-based, in range) removed.
+
+    The rows are the view ``a[1:]`` or one concatenation; the two column slices
+    on either side of j fill one empty array, so no index list is built.
+    """
+    n = a.shape[0] - 1
+    rows = a[1:] if i == 1 else np.concatenate((a[:i - 1], a[i:]))
+    sub = np.empty((n, n))
+    sub[:, :j - 1] = rows[:, :j - 1]
+    sub[:, j - 1:] = rows[:, j:]
+    return sub
+
+
 @dataclass(frozen=True)
 class Signature:
     """Eigenvalue sign counts of a symmetric bilinear form."""
@@ -114,11 +128,13 @@ class SymMatrix:
         return float(np.linalg.det(self.data))
 
     def minor(self, i: int, j: int) -> float:
-        """Determinant with row i and column j removed (1-based); 1.0, the empty one, at dim 1."""
+        """Determinant with row i and column j removed (1-based); 1.0, the empty one, at dim 1.
+
+        The submatrix is copied once, from slices (``_without``), and has the
+        entries of the ``np.delete`` reference, so the LU determinant is the same.
+        """
         dim = self.dim
-        i, j = _vertex(i, dim), _vertex(j, dim)
-        sub = self.data.take(_other_vertices(dim, i), axis=0).take(_other_vertices(dim, j), axis=1)
-        return float(np.linalg.det(sub))
+        return float(np.linalg.det(_without(self.data, _vertex(i, dim), _vertex(j, dim))))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum (symmetric eigendecomposition)."""

@@ -121,6 +121,43 @@ class TestEdgeLengths:
         with pytest.raises(ValueError, match="at least 2 vertices"):
             table_simplex.restricted(vertices)
 
+    @pytest.mark.parametrize("vertices, error, message", [
+        ([1, 4, 2], IndexError, r"^vertex 4 out of range 1\.\.3$"),
+        ([3, 1, 2, 2, 0], IndexError, r"^vertex 0 out of range 1\.\.3$"),
+        ([2, 4, 1.5], IndexError, r"^vertex 4 out of range 1\.\.3$"),
+        ([2, 1.5, 4], TypeError, "cannot be interpreted as an integer"),
+        ((v for v in [2, 3, 4]), IndexError, r"^vertex 4 out of range 1\.\.3$"),
+    ], ids=["inside", "last", "before-float", "float-first", "generator"])
+    def test_restricted_raises_at_the_first_bad_vertex(self, vertices, error, message):
+        e = EdgeLengths([row[:3] for row in TABLE_3SIMPLEX[:3]])
+        with pytest.raises(error, match=message):
+            e.restricted(vertices)
+
+    @pytest.mark.parametrize("order", [[1, 1, 3], [1, 2], [3, 2, 1, 1], []])
+    def test_permuted_rejects_a_non_permutation(self, order):
+        e = EdgeLengths([row[:3] for row in TABLE_3SIMPLEX[:3]])
+        with pytest.raises(ValueError, match=r"^order must be a permutation of 1\.\.num_vertices$"):
+            e.permuted(order)
+
+    @pytest.mark.parametrize("order, error, message", [
+        ([1, 2, 3, 4], IndexError, r"^vertex 4 out of range 1\.\.3$"),
+        ([2, 3, 1, 3, 0], IndexError, r"^vertex 0 out of range 1\.\.3$"),
+        ([99, 1.5], IndexError, r"^vertex 99 out of range 1\.\.3$"),
+        ([1.5, 99], TypeError, "cannot be interpreted as an integer"),
+        ((v for v in [3, 1, 4]), IndexError, r"^vertex 4 out of range 1\.\.3$"),
+    ], ids=["long", "long-0", "range-first", "float-first", "generator"])
+    def test_permuted_raises_at_the_first_bad_vertex(self, order, error, message):
+        e = EdgeLengths([row[:3] for row in TABLE_3SIMPLEX[:3]])
+        with pytest.raises(error, match=message):
+            e.permuted(order)
+
+    def test_generators_are_read_once(self, table_simplex):
+        expected = table_simplex.permuted([4, 2, 3, 1])
+        assert np.array_equal(table_simplex.permuted(v for v in [4, 2, 3, 1]).gamma,
+                              expected.gamma)
+        assert table_simplex.restricted(v for v in [4, 2]).gamma.tolist() == [
+            [0.0, table_simplex.length(2, 4)], [table_simplex.length(2, 4), 0.0]]
+
 
 class TestCurvatureSpec:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -246,6 +283,16 @@ class TestEuclideanGram:
                 assert q.matrix.data[row, row] == pytest.approx(
                     table_simplex.length(v, apex) ** 2)
 
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 11, 41])
+    def test_every_apex_equals_the_delete_reference(self, k):
+        e = random_simplex(np.random.default_rng(k), k - 1, EUCLIDEAN)
+        half = 0.5 * e.gamma ** 2
+        for apex in range(1, k + 1):
+            col = np.delete(half[:, apex - 1], apex - 1)
+            block = np.delete(np.delete(half, apex - 1, axis=0), apex - 1, axis=1)
+            expected = col[:, None] + col[None, :] - block
+            assert np.array_equal(euclidean_gram(e, apex).matrix.data, expected)
 
     @pytest.mark.parametrize("k, edge", [(4, 1e200), (11, 9e153), (4, 1e-157)])
     def test_squared_edges_outside_float_range_raise(self, k, edge):
