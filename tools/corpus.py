@@ -7,12 +7,14 @@
 this directory) and pushes a seeded corpus through the public API and the
 in-process CLI (``cli.main``).  It covers kappa in {0, +-1, +-0.3, +-0.25, +-4}
 and n in {2, 3, 5, 10}: realizable simplices from points in the model, edge
-sets with one edge inflated, long regular hyperbolic simplices with 3, 4 and
-6 vertices up to and past the overflow bound, rescales that overflow or
-underflow, flat and invalid inputs, feet whose minors normalize onto the
-wrong sheet, simplices too small for the verdict, segments, subnormal edges
-at kappa = +-1, flat Euclidean 4-simplices and a flat hyperbolic tetrahedron
-that only tol 0 calls realizable, and several eigenvalue cutoffs ``tol``.
+sets with one edge inflated, one realizable n = 40 simplex at kappa in {0, +-1}
+(full size only: the size of the benchmark's large projections), long regular
+hyperbolic simplices with 3, 4 and 6 vertices up to and past the overflow
+bound, rescales that overflow or underflow, flat and invalid inputs, feet
+whose minors normalize onto the wrong sheet, simplices too small for the
+verdict, segments, subnormal edges at kappa = +-1, flat Euclidean 4-simplices
+and a flat hyperbolic tetrahedron that only tol 0 calls realizable, and
+several eigenvalue cutoffs ``tol``.
 Fresh edge sets are read before any check: by ``distance``, ``model_gram``
 and ``project``, and by ``distance`` at two curvatures and then ``check``.
 Beside each matrix of ``model_gram`` and ``curved_gram`` it records the half
@@ -59,8 +61,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 KAPPAS = (0.0, -1.0, 1.0, -0.3, 0.3, -0.25, 0.25, -4.0, 4.0)
-SIZES = {"full": {"kappas": KAPPAS, "ns": (2, 3, 5, 10), "per_cell": 3},
-         "smoke": {"kappas": (0.0, -1.0, 0.3), "ns": (2, 3), "per_cell": 1}}
+# "large": the curvatures of one realizable n = LARGE_N simplex each, after every other case.
+SIZES = {"full": {"kappas": KAPPAS, "ns": (2, 3, 5, 10), "per_cell": 3, "large": (0.0, -1.0, 1.0)},
+         "smoke": {"kappas": (0.0, -1.0, 0.3), "ns": (2, 3), "per_cell": 1, "large": ()}}
+LARGE_N = 40
 CHECK_TOLS = (1e-9, 1e-3, 0.0, 1e-9)
 # Realizable simplices whose foot from vertex 4 has signed first-row minors of
 # the wrong sign: normalized to sum 1, they are its mirror on the hyperboloid's
@@ -124,9 +128,13 @@ class Recorder:
         return result
 
 
-def model_points(rng: np.random.Generator, kappa: float, n: int) -> np.ndarray:
-    """Edge matrix of n + 1 random points in the model of curvature kappa."""
-    x = rng.normal(size=(n + 1, n)) * rng.uniform(0.3, 0.8)
+def model_points(rng: np.random.Generator, kappa: float, n: int,
+                 spread: float = 1.0) -> np.ndarray:
+    """Edge matrix of n + 1 random points in the model of curvature kappa.
+
+    Their tangent coordinates are normal with a deviation of 0.3 to 0.8 times ``spread``.
+    """
+    x = rng.normal(size=(n + 1, n)) * rng.uniform(0.3, 0.8) * spread
     if kappa == 0:
         diff = x[:, None, :] - x[None, :, :]
         return np.sqrt((diff ** 2).sum(axis=-1))
@@ -207,6 +215,9 @@ def cases(size: str, seed: int):
     yield "flat 4-simplex A", 0.0, np.sqrt(np.array(FLAT_4SIMPLEX_A, dtype=float))
     yield "flat 4-simplex B", 0.0, np.sqrt(np.array(FLAT_4SIMPLEX_B, dtype=float))
     yield "flat hyperbolic tetrahedron", -1.0, hyperboloid_edges(FLAT_HYPERBOLIC_POINTS)
+    # Spread 0.15 keeps every spherical edge under pi/2; appended last, so no other key moves.
+    for kappa in spec["large"]:
+        yield f"k={kappa!r} n={LARGE_N} real0", kappa, model_points(rng, kappa, LARGE_N, 0.15)
 
 
 def points(rng: np.random.Generator, k: int) -> list[list[float]]:
