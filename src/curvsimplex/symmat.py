@@ -130,8 +130,8 @@ class SymMatrix:
     def minor(self, i: int, j: int) -> float:
         """Determinant with row i and column j removed (1-based); 1.0, the empty one, at dim 1.
 
-        The submatrix is copied once, from slices (``_without``), and has the
-        entries of the ``np.delete`` reference, so the LU determinant is the same.
+        The submatrix is copied once, from slices (``_without``); its entries
+        are those of the ``np.delete`` reference, so the determinant is too, bit for bit.
         """
         dim = self.dim
         return float(np.linalg.det(_without(self.data, _vertex(i, dim), _vertex(j, dim))))

@@ -162,6 +162,14 @@ def out_of_range(i, k=3):
     pytest.param(lambda e: e.restricted([1, 1.5]), NOT_AN_INTEGER, id="restricted-float"),
     pytest.param(lambda e: e.permuted([1.5, 2, 3]), NOT_AN_INTEGER, id="permuted-float"),
     pytest.param(lambda e: e.permuted([1, 2, 4]), out_of_range(4), id="permuted-4"),
+    # The first bad entry, in order, decides the error.
+    pytest.param(lambda e: e.restricted([2, 1.5, 4]), NOT_AN_INTEGER, id="restricted-float-first"),
+    pytest.param(lambda e: e.restricted([2, 4, 1.5]), out_of_range(4), id="restricted-4-first"),
+    pytest.param(lambda e: e.permuted([1.5, 99]), NOT_AN_INTEGER, id="permuted-float-first"),
+    pytest.param(lambda e: e.permuted([99, 1.5]), out_of_range(99), id="permuted-99-first"),
+    pytest.param(lambda e: e.permuted([1, 2, 3, 4]), out_of_range(4), id="permuted-long"),
+    pytest.param(lambda e: e.permuted(v for v in [3, 1, 4]), out_of_range(4),
+                 id="permuted-generator"),
     pytest.param(lambda e: BarycentricPoint.vertex(1.5, 3), NOT_AN_INTEGER, id="vertex-float"),
     pytest.param(lambda e: euclidean_gram(e, 0), out_of_range(0), id="euclidean_gram-0"),
     pytest.param(lambda e: euclidean_gram(e, 1.5), NOT_AN_INTEGER, id="euclidean_gram-float"),
