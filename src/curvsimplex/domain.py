@@ -335,14 +335,14 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     The unit-model edges are g = sqrt(|kappa|) gamma; E_ij = 2 sin^2(g_ij / 2) for
     kappa > 0 and 2 sinh^2(g_ij / 2) for kappa < 0, one transcendental pass, and the
     matrix is q = sign(kappa) - E exactly (cos g or -cosh g to rounding), with the
-    diagonal exactly sign(kappa).  GramOverflow if a g_ij is infinite, below the
-    smallest normal, or past COSH_ARG_MAX at kappa < 0.
+    diagonal exactly sign(kappa).  GramOverflow if a g_ij is infinite, below SQRT_MIN
+    (E underflows there, as at kappa = 0), or past COSH_ARG_MAX at kappa < 0.
     """
     if c.kappa == 0:
         raise WrongModel("curvature 0 has no full vertex Gram; use euclidean_gram")
     scale = c.scale
     longest = e.longest * scale
-    if not (sys.float_info.min <= e.shortest * scale and longest < math.inf):
+    if not (SQRT_MIN <= e.shortest * scale and longest < math.inf):
         raise GramOverflow(f"the unit-model rescale of edges in [{e.shortest}, {e.longest}] "
                            f"at kappa={c.kappa} overflows or underflows float64")
     if c.kappa < 0 and longest > COSH_ARG_MAX:

@@ -6,7 +6,7 @@ altitude is always finite, and its foot has a lift onto the model exactly
 when kappa != 0.  A Euclidean foot comes from one solve w = m^-1 1 on the apex
 Gram matrix m at the projected vertex: the foot is w / (1^T w) and the
 altitude 1 / sqrt(1^T w).  A Euclidean volume is prod sqrt(lambda) / n! over
-the apex Gram eigenvalues that its realizability report already holds, and a
+the eigenvalues of the apex Gram matrix that ``check`` stored, and a
 face volume is the volume of the face's own edges.  Curved feet come from the
 first-row minors of the vertex Gram matrix, which ``curved_gram`` builds on
 the unit model, its rows balanced by powers of two;
@@ -36,6 +36,7 @@ from .domain import (
     curved_gram,
     euclidean_gram,
     lift_to_model,
+    model_gram,
 )
 from .errors import (
     DegenerateDirection,
@@ -102,7 +103,7 @@ def _foot(k: int, face: list[int], quotient: np.ndarray) -> BarycentricPoint:
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
-    """prod sqrt(lambda) / n! over the apex Gram eigenvalues that ``check`` classified.
+    """prod sqrt(lambda) / n! over the eigenvalues of the apex Gram matrix at the last vertex.
 
     Degenerate (flat) edge sets have volume 0.0; GramOverflow if it leaves float64.
     """
@@ -111,7 +112,8 @@ def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
         raise NotRealizableInput(f"not a Euclidean edge set: {report.detail}")
     if report.verdict is Verdict.DEGENERATE:
         return 0.0
-    volume = math.prod(np.sqrt(report.eigenvalues).tolist()) / math.factorial(e.n)
+    eig = model_gram(e, EUCLIDEAN).matrix.eigenvalues()
+    volume = math.prod(np.sqrt(eig).tolist()) / math.factorial(e.n)
     if not 0 < volume < math.inf:
         raise GramOverflow(f"volume of edges in [{e.shortest}, {e.longest}] "
                            "overflows or underflows float64")

@@ -1,11 +1,11 @@
 """Realizability checks: do the edge lengths define a non-degenerate simplex?
 
-One body serves every curvature.  ``model_gram`` supplies the Gram matrix:
-the apex Gram matrix for kappa = 0, otherwise the full vertex Gram matrix of
-the edges rescaled onto the unit model.  Its signature must be (n, 0) for
-kappa = 0, (n, 1) for kappa < 0 and (n+1, 0) for kappa > 0; for kappa > 0
-every edge must also be shorter than pi / (2 sqrt(kappa)).  The unit models
-are ``check(e, EUCLIDEAN)``, ``check(e, HYPERBOLIC)`` and ``check(e, SPHERICAL)``.
+One matrix serves every curvature: with E the unit-model half squared chords of k
+vertices, sigma = sign(kappa) and s = max E / sqrt(1 + |sigma| max E), the bordered
+M = [[-E, s 1], [s 1^T, -sigma s^2]] must have inertia (k, 1, 0).  Less the border's,
+(1, 0), (0, 1) or (1, 1) at kappa <, > or = 0 (from the zeros where tol reads it as zero),
+M's inertia is the model Gram signature (Haynsworth, Linear Algebra Appl. 1 (1968) 73-81;
+Schoenberg's Cayley-Menger form at 0).  Spherical edges must be below pi / (2 sqrt(kappa)).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class RealizabilityReport:
-    """Verdict, the signature it rests on, and the ascending Gram eigenvalues."""
+    """Verdict, the model Gram signature it rests on, and the k + 1 ascending eigenvalues of M."""
 
     verdict: Verdict
     signature: Signature
@@ -38,7 +38,7 @@ class RealizabilityReport:
 
 
 def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> RealizabilityReport:
-    """Compare the model Gram signature with the target, then gate long spherical edges.
+    """Compare the inertia of the bordered matrix M with (k, 1, 0), then gate long spherical edges.
 
     The result is stored on ``e``: a later call at the same curvature and
     ``tol`` returns it; any other call reads the Gram matrix through
@@ -49,15 +49,22 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
     if memo is not None and memo[0] == c.kappa and memo[2] == tol:
         return memo[3]
     q = model_gram(e, c)
-    eig = q.matrix.eigenvalues()
+    k, largest = q.half_chords.dim, float(q.half_chords.data.max())
+    sigma = math.copysign(1.0, c.kappa) if c.kappa else 0.0
+    s = largest / math.sqrt(1.0 + abs(sigma) * largest)
+    m = np.full((k + 1, k + 1), s)
+    np.negative(q.half_chords.data, out=m[:k, :k])
+    m[k, k] = -sigma * s * s
+    eig = np.linalg.eigvalsh(m)
     if not (math.isfinite(eig[0]) and math.isfinite(eig[-1])):
         raise GramOverflow(f"Gram eigenvalues [{eig[0]}, {eig[-1]}] leave float64")
     eig.setflags(write=False)
-    sig = Signature.of(eig, tol)
-    minus = 1 if c.kappa < 0 else 0
-    plus = q.matrix.dim - minus
+    inertia, bp, bm = Signature.of(eig, tol), int(sigma <= 0), int(sigma >= 0)
+    p, n = max(inertia.n_plus - bp, 0), max(inertia.n_minus - bm, 0)
+    sig = Signature(p, n, k + 1 - bp - bm - p - n)
+    plus, minus = k - bp, 1 - bm
     if sig.as_tuple() == (plus, minus, 0):
-        gram = "apex" if q.apex is not None else "vertex"
+        gram = "vertex" if sigma else "apex"
         form = f"has signature ({plus},1)" if minus else "is positive definite"
         verdict, detail = Verdict.REALIZABLE, f"{gram} Gram matrix {form}"
     elif sig.n_zero > 0 and sig.n_plus <= plus and sig.n_minus <= minus:

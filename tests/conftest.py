@@ -125,8 +125,8 @@ def _fresh_run(args: list[str], check: bool) -> subprocess.CompletedProcess:
                           text=True, check=check, timeout=120)
 
 
-# Open defect of the verdict at short unit-model edges (ROADMAP item 4).
-ROADMAP_ITEM_4 = pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+# Open defect of the first-row-minor foot at tiny |kappa| L^2 (ROADMAP item 3).
+ROADMAP_ITEM_3 = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 
 # The collinear hyperbolic triple from the non-positive-definite-hull remark:
 # Minkowski points (0,0,1), (0,1,sqrt 2), (0,2,sqrt 5) lie on a common line.
@@ -151,8 +151,10 @@ NON_EUCLIDEAN_FACE_EDGES = [
 # sign: normalized to sum 1 they are the foot's mirror on the hyperboloid's
 # lower sheet, and its antipode on the sphere (at pi minus the altitude); two
 # flat Euclidean 4-simplices, given by squared edges, and a flat hyperbolic
-# tetrahedron, given by the spatial coordinates of its vertices, that only
-# tol 0 calls realizable.
+# tetrahedron, given by the spatial coordinates of its vertices, which every
+# tol > 0 here calls Degenerate.  At tol 0 rounding decides: the bordered matrix
+# reads each NotRealizable in its given order, and Realizable once relabeled by
+# its order in FLAT_TOL0_ORDERS (``EdgeLengths.permuted``).
 _spec = importlib.util.spec_from_file_location(
     "corpus", Path(__file__).resolve().parent.parent / "tools" / "corpus.py")
 CORPUS_TOOL = importlib.util.module_from_spec(_spec)
@@ -161,3 +163,4 @@ WRONG_SHEET_TETRAHEDRON = CORPUS_TOOL.WRONG_SHEET_TETRAHEDRON
 ANTIPODE_4SIMPLEX = CORPUS_TOOL.ANTIPODE_4SIMPLEX
 FLAT_4SIMPLICES = {"A": CORPUS_TOOL.FLAT_4SIMPLEX_A, "B": CORPUS_TOOL.FLAT_4SIMPLEX_B}
 FLAT_HYPERBOLIC_TETRAHEDRON = CORPUS_TOOL.hyperboloid_edges(CORPUS_TOOL.FLAT_HYPERBOLIC_POINTS)
+FLAT_TOL0_ORDERS = {"A": (1, 2, 3, 5, 4), "B": (1, 3, 2, 5, 4), "hyperbolic": (1, 2, 4, 3)}

@@ -23,6 +23,7 @@ from curvsimplex.cli import main
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
     FLAT_4SIMPLICES,
+    FLAT_TOL0_ORDERS,
     NON_EUCLIDEAN_FACE_EDGES,
     TABLE_3SIMPLEX,
     WRONG_SHEET_TETRAHEDRON,
@@ -147,13 +148,14 @@ class TestProject:
         assert "out of range" in err
 
     def test_singular_apex_gram_at_tol_zero(self, capsys, files):
-        # Flat set A passes check only at tol 0; its apex Gram at vertex 2 is singular.
-        edges = np.sqrt(np.array(FLAT_4SIMPLICES["A"], dtype=float))
+        # Relabeled, flat set A passes check only at tol 0; its apex Gram at vertex 2 is singular.
+        e = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES["A"], dtype=float)))
+        edges = e.permuted(FLAT_TOL0_ORDERS["A"]).gamma
         path = files("flat.json", {"edge_lengths": edges.tolist()})
         code, out, err = run(capsys, ["project", path, "--tol", "0", "--vertex", "2"])
         assert code == 3
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error: apex Gram matrix at vertex 2 is singular")
 
 
 class TestVolume:
@@ -210,10 +212,16 @@ class TestEmbed:
                 assert got == pytest.approx(table[i, j], abs=1e-8)
 
     def test_inconsistent_embedding_at_tol_zero(self, capsys, files):
-        # Flat set A passes check only at tol 0, where its Cholesky factor fails.
-        edges = np.sqrt(np.array(FLAT_4SIMPLICES["A"], dtype=float))
-        path = files("flat.json", {"edge_lengths": edges.tolist()})
-        code, out, err = run(capsys, ["embed", path, "--tol", "0"])
+        # Relabeled, flat set A passes check only at tol 0, where its Cholesky factor
+        # fails; in its given order tol 0 calls it not realizable.
+        e = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES["A"], dtype=float)))
+        given = files("flat.json", {"edge_lengths": e.gamma.tolist()})
+        code, out, err = run(capsys, ["embed", given, "--tol", "0"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot embed: signature")
+        edges = e.permuted(FLAT_TOL0_ORDERS["A"]).gamma
+        relabeled = files("relabeled.json", {"edge_lengths": edges.tolist()})
+        code, out, err = run(capsys, ["embed", relabeled, "--tol", "0"])
         assert (code, out) == (4, "")
         assert err.startswith("error: Cholesky failed")
 

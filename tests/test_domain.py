@@ -29,6 +29,7 @@ from curvsimplex import (
     hull_inner_product,
     lift_to_model,
     model_gram,
+    project,
 )
 from curvsimplex.domain import BARYCENTRIC_SUM_TOL
 from curvsimplex.symmat import SymMatrix
@@ -423,6 +424,19 @@ class TestModelGram:
     def test_underflowing_rescale_raises_gram_overflow(self, kappa, edges):
         with pytest.raises(GramOverflow, match="rescale"):
             check(EdgeLengths(edges), CurvatureSpec(kappa))
+
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
+    def test_underflowing_half_chords_raise_gram_overflow(self, kappa):
+        # Unit-model edges of 1e-157 are normal, but their half squared chords
+        # (about 5e-315) are not: every curvature has euclidean_gram's range.
+        e = EdgeLengths(1e-157 * (1 - np.eye(4)))
+        with pytest.raises(GramOverflow, match="squaring"):
+            euclidean_gram(e, 1)
+        c = CurvatureSpec(kappa)
+        with pytest.raises(GramOverflow, match="rescale"):
+            check(e, c)
+        with pytest.raises(GramOverflow, match="rescale"):
+            project(e, c, 1)
 
 
 ROUND_TRIPS = {

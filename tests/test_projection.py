@@ -35,6 +35,7 @@ from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
     FLAT_4SIMPLICES,
     FLAT_HYPERBOLIC_TETRAHEDRON,
+    FLAT_TOL0_ORDERS,
     NON_EUCLIDEAN_FACE_EDGES,
     WRONG_SHEET_TETRAHEDRON,
     edges_from_points,
@@ -136,7 +137,9 @@ class TestEuclideanProject:
     def test_flat_set_realizable_at_tol_zero_projects_or_is_degenerate(self, name):
         # At tol 0 some apex Gram matrices are singular in float64 or give a foot
         # whose coordinates lose their unit sum: those feet are ProjectionDegenerate.
-        e = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES[name], dtype=float)))
+        flat = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES[name], dtype=float)))
+        assert check(flat, EUCLIDEAN, 0.0).verdict is Verdict.NOT_REALIZABLE
+        e = flat.permuted(FLAT_TOL0_ORDERS[name])
         assert check(e, EUCLIDEAN).verdict is Verdict.DEGENERATE
         assert check(e, EUCLIDEAN, 0.0).verdict is Verdict.REALIZABLE
         for vertex in range(1, 6):
@@ -365,7 +368,9 @@ class TestHyperbolicProject:
     def test_flat_set_realizable_at_tol_zero_projects_or_is_degenerate(self):
         # At tol 0 the noise minors of the foot from vertex 1 put its squared
         # chord below -SQUARED_DISTANCE_FLOOR: that foot is ProjectionDegenerate.
-        e = EdgeLengths(FLAT_HYPERBOLIC_TETRAHEDRON)
+        flat = EdgeLengths(FLAT_HYPERBOLIC_TETRAHEDRON)
+        assert check(flat, HYPERBOLIC, 0.0).verdict is Verdict.NOT_REALIZABLE
+        e = flat.permuted(FLAT_TOL0_ORDERS["hyperbolic"])
         for tol in (1e-9, 1e-12, 1e-15):
             assert check(e, HYPERBOLIC, tol).verdict is Verdict.DEGENERATE
         assert check(e, HYPERBOLIC, 0.0).verdict is Verdict.REALIZABLE

@@ -35,7 +35,6 @@ from curvsimplex.oracle import edge_lengths_of
 
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
-    ROADMAP_ITEM_4,
     random_euclidean,
     random_hyperbolic,
     random_simplex,
@@ -103,9 +102,40 @@ class TestHyperbolic:
             assert check(e.scaled(1e-2), HYPERBOLIC).verdict is Verdict.REALIZABLE
 
 
+class TestBorderedMatrix:
+    """The verdict classifies the bordered matrix M of k + 1 rows; less the
+    border's inertia, M's inertia is the model Gram matrix's signature."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0, 0.3, -0.3, -4.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_signature_is_the_model_gram_signature(self, n, kappa):
+        rng = np.random.default_rng(round(10 * abs(kappa)) + 100 * n + (kappa < 0))
+        c = CurvatureSpec(kappa)
+        verdicts = set()
+        for _ in range(5):
+            e = random_simplex(rng, n, c)
+            g = e.gamma.copy()
+            g[0, 1] = g[1, 0] = 3.0 * g[0, 1]  # inflated: mostly not realizable
+            for edges in (e, EdgeLengths(g)):
+                report = check(edges, c)
+                assert report.signature == model_gram(edges, c).matrix.signature()
+                assert len(report.eigenvalues) == n + 2
+                verdicts.add(report.verdict)
+        assert verdicts == {Verdict.REALIZABLE, Verdict.NOT_REALIZABLE}
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
+    def test_border_read_as_zero_leaves_the_zeros(self, table_simplex, kappa):
+        # At tol 1 every eigenvalue of M, the border's included, reads as zero.
+        e, c = table_simplex.scaled(0.1), CurvatureSpec(kappa)
+        report = check(e, c, 1.0)
+        assert report.signature.as_tuple() == (0, 0, model_gram(e, c).matrix.dim)
+        assert report.verdict is Verdict.DEGENERATE
+
+
 class TestSpectrumOverflow:
-    """The regular simplex's largest |eigenvalue| is 1 + (k - 1) cosh a: it
-    leaves float64 from edge a ~ 710.48 - ln(k - 1), below COSH_ARG_MAX."""
+    """The regular simplex's largest |eigenvalue| is 1 + (k - 1) cosh a on the
+    vertex Gram and about (k - 1) cosh a on the bordered matrix: both leave
+    float64 from edge a ~ 710.48 - ln(k - 1), below COSH_ARG_MAX."""
 
     @pytest.mark.parametrize("k, edge", [(4, 709.5), (6, 709.0)])
     def test_infinite_eigenvalue_raises(self, k, edge):
@@ -124,21 +154,18 @@ class TestSpectrumOverflow:
 
 
 class TestSmallUnitModelEdges:
-    """Open defect of the verdict: the zero cutoff is tol * max|lambda| of the
-    unit-model vertex Gram, whose largest |lambda| ~ k comes from the model,
-    while a regular simplex of edge L has smallest eigenvalue ~ L^2 / 2.  So at
-    kappa = +-1 it reads Degenerate below L = sqrt(2 k tol), and as kappa -> 0
-    the same holds for sqrt|kappa| times its edges.  Distances on the same
-    simplices are read from the half squared chords, which keep their digits."""
+    """Short unit-model edges, at kappa = +-1 or as kappa -> 0, keep their verdict.
+    The zero cutoff is tol * max|lambda| of the bordered matrix, built from the
+    half squared chords E with a border of the size of max E, so its eigenvalues
+    all scale with E: on the regular simplex with k vertices and edge 5e-5 the
+    smallest |lambda| is 1/k of the largest.  Distances are read from E too."""
 
-    @ROADMAP_ITEM_4
     @pytest.mark.parametrize("kappa", [-1.0, 1.0])
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_small_regular_simplex_realizable(self, k, kappa):
         e = EdgeLengths(5e-5 * (1 - np.eye(k)))
         assert check(e, CurvatureSpec(kappa)).verdict is Verdict.REALIZABLE
 
-    @ROADMAP_ITEM_4
     @pytest.mark.parametrize("kappa", [-1e-14, 1e-14])
     def test_unit_tetrahedron_at_tiny_kappa_realizable(self, kappa):
         e = EdgeLengths(1 - np.eye(4))

@@ -11,10 +11,10 @@ sets with one edge inflated, one realizable n = 40 simplex at kappa in {0, +-1}
 (full size only: the size of the benchmark's large projections), long regular
 hyperbolic simplices with 3, 4 and 6 vertices up to and past the overflow
 bound, rescales that overflow or underflow, flat and invalid inputs, feet
-whose minors normalize onto the wrong sheet, simplices too small for the
-verdict, segments, subnormal edges at kappa = +-1, flat Euclidean 4-simplices
-and a flat hyperbolic tetrahedron that only tol 0 calls realizable, and
-several eigenvalue cutoffs ``tol``.
+whose minors normalize onto the wrong sheet, simplices with very short
+unit-model edges, segments, subnormal edges at kappa = +-1, flat Euclidean
+4-simplices and a flat hyperbolic tetrahedron whose tol-0 verdict rounding
+decides, and several eigenvalue cutoffs ``tol``.
 Fresh edge sets are read before any check: by ``distance``, ``model_gram``
 and ``project``, and by ``distance`` at two curvatures and then ``check``.
 Beside each matrix of ``model_gram`` and ``curved_gram`` it records the half
@@ -200,7 +200,7 @@ def cases(size: str, seed: int):
     yield "nan edge", 1.0, np.array([[0.0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]])
     yield "wrong-sheet tetrahedron", -1.0, np.array(WRONG_SHEET_TETRAHEDRON)
     yield "antipode 4-simplex", 1.0, np.array(ANTIPODE_4SIMPLEX)
-    # Unit-model edges so short that the verdict reads Degenerate (ROADMAP item 4).
+    # Unit-model edges so short that the vertex Gram's eigenvalues read them as flat.
     for kappa in (-1.0, 1.0):
         for k in (3, 4, 6):
             yield f"k={kappa!r} regular{k} edge=5e-05", kappa, regular(k, 5e-5)
