@@ -216,6 +216,12 @@ def _off_diagonal(g: np.ndarray) -> np.ndarray:
     return g.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k]
 
 
+def _check_vector(c: np.ndarray) -> None:
+    """ValueError unless c is one vector of at least 2 coordinates."""
+    if c.ndim != 1 or c.size < 2:
+        raise ValueError("coords must be a vector of length >= 2")
+
+
 class BarycentricPoint:
     """Coordinate vector over the simplex vertices, normalized to sum 1.
 
@@ -235,8 +241,7 @@ class BarycentricPoint:
             c = np.array(coords, dtype=float)
         except OverflowError as exc:  # an int past the float max
             raise ValueError("barycentric coordinates must be finite to sum to 1") from exc
-        if c.ndim != 1 or c.size < 2:
-            raise ValueError("coords must be a vector of length >= 2")
+        _check_vector(c)
         values = c.tolist()
         try:
             s = math.fsum(values)  # a numpy reduce costs more, and warns when it overflows
@@ -259,9 +264,10 @@ class BarycentricPoint:
 
     @classmethod
     def hull(cls, coords) -> "BarycentricPoint":
-        """Raw hull-frame coefficients; no sum-to-1 normalization."""
+        """Raw hull-frame coefficients; no sum-to-1 normalization, but one vector of >= 2."""
         obj = object.__new__(cls)
         c = np.array(coords, dtype=float)
+        _check_vector(c)
         c.setflags(write=False)
         object.__setattr__(obj, "coords", c)
         return obj

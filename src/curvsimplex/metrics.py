@@ -43,9 +43,10 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     if x.coords.size != e.shape[0] or y.coords.size != e.shape[0]:
         raise ValueError("coordinate length does not match the simplex")
     z = np.array((x.coords, y.coords, x.coords - y.coords))
-    hx, hy, hd = np.add.reduce(z @ e * z, 1).tolist()
+    hx, hy, hd = np.vecdot(z @ e, z).tolist()
     sx, sy = sum(x.coords.tolist()), sum(y.coords.tolist())  # a numpy reduce costs more
-    sign = math.copysign(1.0, q.curvature.kappa) if q.curvature.kappa else 0.0
+    kappa = q.curvature.kappa
+    sign = math.copysign(1.0, kappa) if kappa else 0.0
     a, b = sx * sx - sign * hx, sy * sy - sign * hy
     if not (a > 0 and b > 0) and not (math.isnan(a) or math.isnan(b)):  # NaN: GramOverflow below
         side, norm = ("negative" if sign < 0 else "positive"), sign or 1.0  # <z,z> = sigma A
@@ -64,7 +65,7 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     if sign == 0:
         return math.sqrt(chord2)
     arc = 2.0 * (math.asin if sign > 0 else math.asinh)(math.sqrt(chord2) / 2.0)
-    return arc / q.curvature.scale
+    return arc / math.sqrt(abs(kappa))
 
 
 def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,

@@ -48,6 +48,11 @@ def test_churn_bounds_a_numeric_change():
     b = ["c|project[1]\t(0x0.0p+0, 0x0.0p+0)"]
     assert corpus.churn(a, b) == [
         "churn project: 1 differ only in numbers (worst inf relative), 0 in other text"]
+    # An inf in a message is no scale: -0.75 becoming -0.5 moves by a third of 0.75.
+    a = ["c|distance[0]\t!OutsideLightCone: squared chord -0.75 outside [0, inf]"]
+    b = ["c|distance[0]\t!OutsideLightCone: squared chord -0.5 outside [0, inf]"]
+    assert corpus.churn(a, b) == [
+        "churn distance: 1 differ only in numbers (worst 0.33 relative), 0 in other text"]
 
 
 def test_churn_counts_a_text_change():

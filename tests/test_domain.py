@@ -179,6 +179,18 @@ class TestBarycentricPoint:
         with pytest.raises(IndexError, match=f"vertex {i} out of range 1..3"):
             BarycentricPoint.vertex(i, 3)
 
+    # A (2, 2) hull point has the size of a 4-vertex simplex's rows, so only
+    # its shape can reject it, before numpy broadcasts or multiplies it.
+    @pytest.mark.parametrize("call", [
+        lambda e, x: distance(e, HYPERBOLIC, x, BarycentricPoint([0.25] * 4)),
+        lambda e, x: lift_to_model(curved_gram(e, HYPERBOLIC), x),
+        lambda e, x: hull_inner_product(curved_gram(e, HYPERBOLIC), x, x),
+    ], ids=["distance", "lift_to_model", "hull_inner_product"])
+    def test_hull_rejects_coordinates_that_are_not_one_vector(self, call):
+        e = EdgeLengths(TABLE_3SIMPLEX)
+        with pytest.raises(ValueError, match="coords must be a vector of length >= 2"):
+            call(e, BarycentricPoint.hull([[0.5, 0.5], [0.5, -0.5]]))
+
     def test_normalization_is_within_1_5_ulp_of_the_exact_quotient(self):
         # A correctly rounded sum leaves one rounding of the sum and one of the quotient
         # between each coordinate and x_i / sum(x) in exact arithmetic; a left-to-right

@@ -199,6 +199,16 @@ class TestHighPrecisionReference:
             assert distance(e, c, x, y) == pytest.approx(
                 classical_distance(e, kappa, x, y), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.3, -0.3])
+    def test_random_ten_simplex(self, kappa):
+        # Rows of 11 entries: more terms in each quadratic form than a tetrahedron's.
+        rng = np.random.default_rng(round(100 * (10 + kappa)))
+        e, c = random_simplex(rng, 10, CurvatureSpec(kappa)), CurvatureSpec(kappa)
+        for _ in range(10):
+            x, y = (BarycentricPoint(random_interior_point(rng, 11)) for _ in range(2))
+            assert distance(e, c, x, y) == pytest.approx(
+                classical_distance(e, kappa, x, y), rel=1e-14, abs=0.0)
+
 
 class TestSquaredDistanceFloor:
     def test_unrealizable_squared_distance_rejected(self):
@@ -286,8 +296,8 @@ class TestInvariants:
             for _ in range(10):
                 x = BarycentricPoint(random_interior_point(rng, k))
                 y = BarycentricPoint(random_interior_point(rng, k))
-                assert distance(e, c, x, y) == pytest.approx(
-                    distance(e, c, y, x), rel=1e-9, abs=1e-12)
+                # Each point's form is its own row, and y - x is -(x - y): the swap is exact.
+                assert distance(e, c, x, y) == distance(e, c, y, x)
                 assert distance(e, c, x, x) == 0.0
 
     def test_edge_recovery_all_classes(self):
@@ -381,6 +391,17 @@ class TestFormOverflow:
         x = BarycentricPoint([1e10, -1e10 + 0.5, 0.5])
         with pytest.raises(GramOverflow, match="quadratic forms \\(nan"):
             distance(e, HYPERBOLIC, x, BarycentricPoint([1 / 3] * 3))
+
+    @pytest.mark.parametrize("kappa, error, message", [
+        (0.0, GramOverflow, "quadratic forms"), (1.0, GramOverflow, "quadratic forms"),
+        (-1.0, OutsideLightCone, "hull norms")])
+    def test_difference_of_the_points_overflows(self, kappa, error, message):
+        # x - y is +-inf in its first two entries, and x's own form is -inf.
+        e = EdgeLengths(1 - np.eye(3))
+        x = BarycentricPoint([1.5e308, -1.5e308, 1.0])
+        y = BarycentricPoint([-1.5e308, 1.5e308, 1.0])
+        with pytest.raises(error, match=message):
+            distance(e, CurvatureSpec(kappa), x, y)
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_huge_coordinates(self, kappa):

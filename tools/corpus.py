@@ -34,7 +34,7 @@ and lists the differing lines by quantity.  It exits 0 when every line is
 identical and 1 otherwise.  After the listing, one ``churn`` line per
 quantity counts the differing lines that match once every number (hex or
 decimal) is masked, gives the largest difference on such a line relative to
-that line's largest |number|, and counts the lines that differ in other
+that line's largest finite |number|, and counts the lines that differ in other
 text.  This is a development tool, not a gate: the test suite checks only
 that the smoke corpus runs and is deterministic, and the churn lines on
 small inputs.
@@ -473,7 +473,7 @@ def _number(token: str) -> float:
 def churn(a: list[str], b: list[str]) -> list[str]:
     """One line per quantity of differing results: how many match once every
     number is masked, the largest difference on such a line relative to that
-    line's largest |number|, and how many differ in other text."""
+    line's largest finite |number|, and how many differ in other text."""
     da, db, by_quantity = differing(a, b)
     out = []
     for quantity, keys in sorted(by_quantity.items()):
@@ -485,7 +485,7 @@ def churn(a: list[str], b: list[str]) -> list[str]:
             if text_a != text_b:
                 continue
             numeric += 1
-            scale = max((abs(x) for x in map(_number, ta + tb) if x == x), default=0.0)
+            scale = max((abs(x) for x in map(_number, ta + tb) if math.isfinite(x)), default=0.0)
             for x, y in zip(ta, tb):
                 gap = abs(_number(x) - _number(y)) if x != y else 0.0
                 if gap:  # an inf or nan that moved leaves gap inf or nan
