@@ -203,7 +203,8 @@ class TestHighPrecisionReference:
     def test_random_ten_simplex(self, kappa):
         # Rows of 11 entries: more terms in each quadratic form than a tetrahedron's.
         rng = np.random.default_rng(round(100 * (10 + kappa)))
-        e, c = random_simplex(rng, 10, CurvatureSpec(kappa)), CurvatureSpec(kappa)
+        c = CurvatureSpec(kappa)
+        e = random_simplex(rng, 10, c)
         for _ in range(10):
             x, y = (BarycentricPoint(random_interior_point(rng, 11)) for _ in range(2))
             assert distance(e, c, x, y) == pytest.approx(
