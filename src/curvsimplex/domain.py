@@ -216,10 +216,15 @@ def _off_diagonal(g: np.ndarray) -> np.ndarray:
     return g.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k]
 
 
-def _check_vector(c: np.ndarray) -> None:
-    """ValueError unless c is one vector of at least 2 coordinates."""
+def _vector(coords) -> np.ndarray:
+    """coords as a new float array; ValueError unless it is one vector of >= 2."""
+    try:
+        c = np.array(coords, dtype=float)
+    except OverflowError as exc:  # an int past the float max
+        raise ValueError("barycentric coordinates must be finite to sum to 1") from exc
     if c.ndim != 1 or c.size < 2:
         raise ValueError("coords must be a vector of length >= 2")
+    return c
 
 
 class BarycentricPoint:
@@ -237,11 +242,7 @@ class BarycentricPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords) -> None:
-        try:
-            c = np.array(coords, dtype=float)
-        except OverflowError as exc:  # an int past the float max
-            raise ValueError("barycentric coordinates must be finite to sum to 1") from exc
-        _check_vector(c)
+        c = _vector(coords)
         values = c.tolist()
         try:
             s = math.fsum(values)  # a numpy reduce costs more, and warns when it overflows
@@ -266,8 +267,7 @@ class BarycentricPoint:
     def hull(cls, coords) -> "BarycentricPoint":
         """Raw hull-frame coefficients; no sum-to-1 normalization, but one vector of >= 2."""
         obj = object.__new__(cls)
-        c = np.array(coords, dtype=float)
-        _check_vector(c)
+        c = _vector(coords)
         c.setflags(write=False)
         object.__setattr__(obj, "coords", c)
         return obj

@@ -65,7 +65,7 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     if sign == 0:
         return math.sqrt(chord2)
     arc = 2.0 * (math.asin if sign > 0 else math.asinh)(math.sqrt(chord2) / 2.0)
-    return arc / math.sqrt(abs(kappa))
+    return arc / q.curvature.scale
 
 
 def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,

@@ -9,9 +9,9 @@ altitude 1 / sqrt(1^T w).  A Euclidean volume is prod sqrt(lambda) / n! over
 the eigenvalues of the apex Gram matrix that ``check`` stored, and a
 face volume is the volume of the face's own edges.  Curved feet come from the
 first-row minors of the vertex Gram matrix, which ``curved_gram`` builds on
-the unit model, its rows balanced by powers of two where an entry reaches 4
-(long hyperbolic edges); barycentric coordinates agree at every curvature of
-one sign.  The lift lies on the projected vertex's sheet or hemisphere.
+the unit model, its rows balanced by powers of two;
+barycentric coordinates agree at every curvature of one sign.  The lift lies
+on the projected vertex's sheet or hemisphere.
 
 No curved foot is projected inside the convex hull of the vertices: on the
 hyperboloid the induced form there can fail to be positive definite, and on
@@ -148,20 +148,15 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
     The minors are taken on D Q D and s_i is d_i times the minor there, with
     d_i = 2^-floor((e_i - 1) / 2) and 2^(e_i - 1) <= max_j |q_ij| (exact), so
     long hyperbolic edges keep their minors inside float64; d_i = 1 whenever
-    max_j |q_ij| < 4, so the balancing runs only at kappa < 0 with 1 + max E >= 4.
+    max_j |q_ij| < 4.
     """
     k = e.num_vertices
     face = _other_vertices(k, vertex)
-    g = curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c)
-    q = g.matrix
-    # max_j |q_ij| = 1 + max_j E_ij at kappa < 0 (bit for bit) and 1 at kappa > 0.
-    balance = c.kappa < 0 and 1.0 + g.half_chords.data.max() >= 4.0
-    if balance:
-        d = np.ldexp(1.0, -((np.frexp(np.abs(q.data).max(axis=1))[1] - 1) // 2))
-        q = SymMatrix._exact(q.data * d[:, None] * d)
+    q = curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c).matrix.data
+    d = np.ldexp(1.0, -((np.frexp(np.abs(q).max(axis=1))[1] - 1) // 2))
+    q = SymMatrix._exact(q * d[:, None] * d)
     signed = np.array([-q.minor(1, i) if i % 2 == 0 else q.minor(1, i) for i in range(2, k + 1)])
-    if balance:
-        signed *= d[1:]
+    signed *= d[1:]
     denom = float(signed.sum())
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise ProjectionDegenerate("signed first-row minors sum to zero")

@@ -170,6 +170,10 @@ class TestBarycentricPoint:
         with pytest.raises(ValueError, match="finite"):
             BarycentricPoint([10 ** 400, 0, 1])
 
+    def test_hull_rejects_int_past_the_float_max(self):
+        with pytest.raises(ValueError, match="finite"):
+            BarycentricPoint.hull([10 ** 400, 0, 1])
+
     def test_vertex(self):
         v = BarycentricPoint.vertex(2, 4)
         assert np.allclose(v.coords, [0, 1, 0, 0])

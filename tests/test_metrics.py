@@ -297,7 +297,9 @@ class TestInvariants:
             for _ in range(10):
                 x = BarycentricPoint(random_interior_point(rng, k))
                 y = BarycentricPoint(random_interior_point(rng, k))
-                # Each point's form is its own row, and y - x is -(x - y): the swap is exact.
+                # Each point's form is its own row, and y - x is -(x - y): the swap is exact
+                # as long as the BLAS computes each row of the 3-row product z @ e the same
+                # way wherever it sits (OpenBLAS 0.3.31 does; numpy does not promise it).
                 assert distance(e, c, x, y) == distance(e, c, y, x)
                 assert distance(e, c, x, x) == 0.0
 
