@@ -2,11 +2,10 @@
 
 An n-simplex is described purely by the geodesic lengths of its edges.  The
 builders here turn those lengths into the half squared chords E, the only
-matrix built from them, and rearrange E exactly into bilinear-form data: the
-apex-difference Gram matrix for flat simplices and the full vertex Gram
-matrix for curved ones, which rescales the edges onto the unit model and
-carries the curvature; both store E beside the matrix, and ``model_gram``
-picks one per curvature.
+matrix built from them and the only one a ``GramMatrix`` stores: its apex
+Gram matrix (flat simplices) or full vertex Gram matrix (curved ones, on the
+unit model, carrying the curvature) is an exact rearrangement of E, derived
+on each read, and ``model_gram`` picks one per curvature.
 All values are immutable and all functions are pure; the one cache is the
 model Gram matrix and verdict an ``EdgeLengths`` keeps (see its docstring).
 """
@@ -285,27 +284,22 @@ class BarycentricPoint:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """A Gram matrix derived from edge lengths, with the half squared chords.
+    """The unit-model half squared chords E of a simplex, and a Gram matrix read from them.
 
-    Apex Gram (curvature 0, ``apex`` set): n x n matrix of apex-difference
-    inner products, with vertex ``apex`` at the origin.  Full vertex Gram
-    (nonzero curvature, ``apex`` None): (n+1) x (n+1) matrix of vertex
-    position inner products on the unit model; a form or length at
-    ``curvature`` is that of the unit model over |kappa| or sqrt(|kappa|).
-    Any other pairing of ``apex`` and ``curvature`` raises WrongModel.
-
-    ``half_chords`` holds E, the half squared chords c_ij^2 / 2 of the vertices
-    on the unit model: gamma^2 / 2 at kappa = 0, else 2 sinh^2(g / 2) (kappa < 0)
-    or 2 sin^2(g / 2) (kappa > 0) of g = sqrt(|kappa|) gamma.  The builders derive
-    the matrix from E: the apex Gram is E_ia + E_ja - E_ij, the vertex Gram
-    sigma - E with sigma = sign(kappa) (cos g or -cosh g to rounding; only the
-    oracle forms those), but E keeps the digits of short edges.
+    ``half_chords`` holds E = c_ij^2 / 2: gamma^2 / 2 at kappa = 0, else 2 sinh^2(g / 2)
+    (kappa < 0) or 2 sin^2(g / 2) (kappa > 0) of g = sqrt(|kappa|) gamma.  ``matrix``
+    is derived from E on each read.  With ``apex`` set (curvature 0) it is the n x n
+    apex Gram E_ia + E_ja - E_ij, vertex ``apex`` at the origin; with ``apex`` None
+    (nonzero curvature) the (n+1) x (n+1) vertex Gram sigma - E of the unit model,
+    sigma = sign(kappa): cos g or -cosh g to rounding, less the digits of short edges
+    that E keeps.  A form or length at ``curvature`` is the unit model's over |kappa| or
+    sqrt(|kappa|).  Any other pairing of ``apex`` and ``curvature`` raises WrongModel,
+    and an apex outside E raises as ``_vertex`` does.
     """
 
-    matrix: SymMatrix
+    half_chords: SymMatrix
     curvature: CurvatureSpec
     apex: int | None = None
-    half_chords: SymMatrix | None = None
 
     def __post_init__(self):
         if self.apex is None and self.curvature.kappa == 0:
@@ -313,36 +307,42 @@ class GramMatrix:
         if self.apex is not None and self.curvature.kappa != 0:
             raise WrongModel(f"a Gram matrix at kappa={self.curvature.kappa} has no apex, "
                              f"got apex={self.apex}")
+        if self.apex is not None:
+            _vertex(self.apex, self.half_chords.dim)
+
+    @property
+    def matrix(self) -> SymMatrix:
+        """The apex or vertex Gram matrix, a new read-only array built from E."""
+        e, a = self.half_chords.data, self.apex
+        if a is None:
+            return SymMatrix._exact(math.copysign(1.0, self.curvature.kappa) - e)
+        col = np.concatenate((e[:a - 1, a - 1], e[a:, a - 1]))
+        return SymMatrix._exact(col[:, None] + col[None, :] - _without(e, a, a))
 
 
 def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
-    """Apex-difference Gram matrix q_ij = E_ia + E_ja - E_ij, beside E = g^2 / 2.
+    """E = g^2 / 2, whose apex Gram matrix q_ij = E_ia + E_ja - E_ij is at ``apex``.
 
-    That is (g_ia^2 + g_ja^2 - g_ij^2) / 2 bit for bit wherever the halves are normal
+    q is (g_ia^2 + g_ja^2 - g_ij^2) / 2 bit for bit wherever the halves are normal
     (halving is exact there); only squares below twice the smallest normal, edges
     under about 2.1e-154, round when halved.  Rows and columns run over the
     non-apex vertices in ascending order.
     Raises GramOverflow when k * longest^2 overflows or shortest^2 is subnormal.
     """
-    k = e.num_vertices
-    apex = _vertex(apex, k)
-    if not (SQRT_MIN <= e.shortest and e.longest * math.sqrt(k) <= SQRT_MAX):
+    apex = _vertex(apex, e.num_vertices)
+    if not (SQRT_MIN <= e.shortest and e.longest * math.sqrt(e.num_vertices) <= SQRT_MAX):
         raise GramOverflow(
             f"squaring edges in [{e.shortest}, {e.longest}] overflows or underflows float64")
-    half = 0.5 * e.gamma ** 2
-    col = np.concatenate((half[:apex - 1, apex - 1], half[apex:, apex - 1]))
-    q = col[:, None] + col[None, :] - _without(half, apex, apex)
-    return GramMatrix(SymMatrix._exact(q), EUCLIDEAN, apex, SymMatrix._exact(half))
+    return GramMatrix(SymMatrix._exact(0.5 * e.gamma ** 2), EUCLIDEAN, apex)
 
 
 def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
-    """Full vertex Gram matrix of the unit model, carrying the nonzero curvature c.
+    """Unit-model E at the nonzero curvature c: its vertex Gram sign(kappa) - E carries c.
 
     The unit-model edges are g = sqrt(|kappa|) gamma; E_ij = 2 sin^2(g_ij / 2) for
-    kappa > 0 and 2 sinh^2(g_ij / 2) for kappa < 0, one transcendental pass, and the
-    matrix is q = sign(kappa) - E exactly (cos g or -cosh g to rounding), with the
-    diagonal exactly sign(kappa).  GramOverflow if a g_ij is infinite, below SQRT_MIN
-    (E underflows there, as at kappa = 0), or past COSH_ARG_MAX at kappa < 0.
+    kappa > 0 and 2 sinh^2(g_ij / 2) for kappa < 0, one transcendental pass, so the
+    Gram diagonal is exactly sign(kappa).  GramOverflow if a g_ij is infinite, below
+    SQRT_MIN (E underflows there, as at kappa = 0), or past COSH_ARG_MAX at kappa < 0.
     """
     if c.kappa == 0:
         raise WrongModel("curvature 0 has no full vertex Gram; use euclidean_gram")
@@ -355,8 +355,7 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
         raise GramOverflow(f"hyperbolic edge {longest} at kappa=-1.0 overflows the Gram matrix")
     half = (np.sin if c.kappa > 0 else np.sinh)(e.gamma * scale * 0.5)
     half *= half + half
-    sign = math.copysign(1.0, c.kappa)
-    return GramMatrix(SymMatrix._exact(sign - half), c, half_chords=SymMatrix._exact(half))
+    return GramMatrix(SymMatrix._exact(half), c)
 
 
 def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
@@ -374,23 +373,24 @@ def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     return q
 
 
-def _vertex_gram_data(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> np.ndarray:
-    """The full vertex Gram array, once q is curved and both points match its size."""
+def _unit_form(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
+    """x^T Q y on the unit model, read from E as sign(kappa) s_x s_y - x^T E y (s: sums)."""
     if q.curvature.kappa == 0:
         raise WrongModel("hull inner product needs a full curved Gram matrix")
-    m = q.matrix.data
-    if x.coords.size != m.shape[0] or y.coords.size != m.shape[0]:
+    e = q.half_chords.data
+    if x.coords.size != e.shape[0] or y.coords.size != e.shape[0]:
         raise ValueError("coordinate length does not match Gram dimension")
-    return m
+    sx, sy = sum(x.coords.tolist()), sum(y.coords.tolist())  # a numpy reduce costs more
+    return math.copysign(1.0, q.curvature.kappa) * sx * sy - float(x.coords @ e @ y.coords)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value past float64 raises GramOverflow
 def hull_inner_product(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     """Inner product <x, y> of two hull points in the model of curvature kappa.
 
-    That is x^T Q y / |kappa| on the stored unit-model matrix Q (GramOverflow if not finite).
+    That is x^T Q y / |kappa| on the unit-model Gram Q, read from E (GramOverflow if not finite).
     """
-    value = float(x.coords @ _vertex_gram_data(q, x, y) @ y.coords) / abs(q.curvature.kappa)
+    value = _unit_form(q, x, y) / abs(q.curvature.kappa)
     if not math.isfinite(value):
         raise GramOverflow(f"<x, y> = {value} at kappa={q.curvature.kappa} leaves float64")
     return value
@@ -401,11 +401,11 @@ def lift_to_model(q: GramMatrix, x: BarycentricPoint) -> BarycentricPoint:
     """Radial projection of a hull point onto the model surface <p, p> = 1/kappa.
 
     Returns hull-frame coefficients (they no longer sum to 1).  They are
-    x / sqrt|x^T Q x| on the stored unit-model matrix Q, the same at every
-    kappa of one sign.  x^T Q x must be finite (else GramOverflow) and have
-    the sign of kappa: timelike on the hyperboloid, positive on the sphere.
+    x / sqrt|x^T Q x| on the unit-model vertex Gram Q, read from E, the same at
+    every kappa of one sign.  x^T Q x must be finite (else GramOverflow) and
+    have the sign of kappa: timelike on the hyperboloid, positive on the sphere.
     """
-    s = float(x.coords @ _vertex_gram_data(q, x, x) @ x.coords)
+    s = _unit_form(q, x, x)
     sign = math.copysign(1.0, q.curvature.kappa)
     if not (sign * s > 0 or math.isnan(s)):  # a NaN form overflowed: no side
         raise _MODEL[sign][1](f"<x,x> = {s} is not {'negative' if sign < 0 else 'positive'}")

@@ -6,10 +6,10 @@ altitude is always finite, and its foot has a lift onto the model exactly
 when kappa != 0.  A Euclidean foot comes from one solve w = m^-1 1 on the apex
 Gram matrix m at the projected vertex: the foot is w / (1^T w) and the
 altitude 1 / sqrt(1^T w).  A Euclidean volume is prod sqrt(lambda) / n! over
-the eigenvalues of the apex Gram matrix that ``check`` stored, and a
+the eigenvalues of the apex Gram matrix of the E that ``check`` stored, and a
 face volume is the volume of the face's own edges.  Curved feet come from the
-first-row minors of the vertex Gram matrix, which ``curved_gram`` builds on
-the unit model, its rows balanced by powers of two;
+first-row minors of the vertex Gram matrix of the unit-model E that
+``curved_gram`` builds, its rows balanced by powers of two;
 barycentric coordinates agree at every curvature of one sign.  The lift lies
 on the projected vertex's sheet or hemisphere.
 
@@ -33,8 +33,8 @@ from .domain import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
+    GramMatrix,
     curved_gram,
-    euclidean_gram,
     lift_to_model,
     model_gram,
 )
@@ -70,12 +70,12 @@ class ProjectionResult:
 
 
 def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[BarycentricPoint, float, None]:
-    """Foot, altitude and (no) lift from the apex Gram matrix m at ``vertex``.
+    """Foot, altitude and (no) lift from the apex Gram m at ``vertex`` of the E ``check`` stored.
 
     The foot h satisfies <p_i, h> = |h|^2 for every face vertex p_i, so its
     coordinates are w / (1^T w) with w = m^-1 1, and |h|^2 = 1 / (1^T w).
     """
-    m = euclidean_gram(e, apex=vertex).matrix.data
+    m = GramMatrix(model_gram(e, EUCLIDEAN).half_chords, EUCLIDEAN, vertex).matrix.data
     try:
         w = np.linalg.solve(m, np.ones(e.n))
     except np.linalg.LinAlgError as exc:

@@ -85,8 +85,8 @@ class SymMatrix:
     """Immutable dense symmetric matrix.
 
     ``SymMatrix(entries)`` copies and symmetrizes: the stored entries are
-    (a_ij + a_ji) / 2.  The Gram builders, whose arrays are exactly symmetric
-    already, store theirs as they are (``_exact``).
+    a_ij / 2 + a_ji / 2 (no sum overflows; subnormal entries round).  The Gram
+    builders' arrays are exactly symmetric already: they store them as they are (``_exact``).
     """
 
     __slots__ = ("data",)
@@ -97,7 +97,7 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix must have dimension >= 1")
-        a = 0.5 * (a + a.T)
+        a = 0.5 * a + 0.5 * a.T  # halving first: a + a.T overflows past half the float max
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -113,8 +113,8 @@ class SymMatrix:
         raise AttributeError("SymMatrix is immutable")
 
     def __reduce__(self):
-        # The stored data is exactly symmetric, so rebuilding from it keeps every bit.
-        return type(self), (self.data,)
+        # The stored data is exactly symmetric, so wrapping it as it is keeps every bit.
+        return type(self)._exact, (self.data,)
 
     @property
     def dim(self) -> int:

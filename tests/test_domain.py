@@ -403,8 +403,23 @@ class TestHalfChords:
                 assert np.array_equal(q.matrix.data,
                                       math.copysign(1.0, kappa) - q.half_chords.data)
 
-    def test_hand_built_gram_has_none(self):
-        assert GramMatrix(SymMatrix(-np.eye(3)), HYPERBOLIC).half_chords is None
+    def test_hand_built_gram_derives_the_builders_matrix(self, derived_grid):
+        # The matrix is a view of E alone: the same E by hand gives the same bits.
+        for kappa, e in derived_grid:
+            c = CurvatureSpec(kappa)
+            if kappa == 0:
+                built = [euclidean_gram(e, a) for a in range(1, e.num_vertices + 1)]
+            else:
+                built = [curved_gram(e, c)]
+            for q in built:
+                hand = GramMatrix(SymMatrix(q.half_chords.data), c, q.apex)
+                assert hand.matrix.data.tobytes() == q.matrix.data.tobytes()
+                assert not hand.matrix.data.flags.writeable
+
+    @pytest.mark.parametrize("apex", [0, 4, -1])
+    def test_apex_outside_half_chords_raises_index_error(self, apex):
+        with pytest.raises(IndexError, match="out of range"):
+            GramMatrix(SymMatrix(np.zeros((3, 3))), EUCLIDEAN, apex)
 
 
 class TestModelGram:
@@ -496,8 +511,10 @@ class TestCopyAndPickle:
         assert (twin.curvature, twin.apex) == (q.curvature, q.apex)
 
     def test_sym_matrix_keeps_its_bits(self, round_trip):
-        # Asymmetric input: the stored entries are averages, down to subnormals.
-        m = SymMatrix([[1.0, 1.5e-323, -0.0], [5e-324, 1e300, 2.0], [-0.0, 2.0 + 1e-15, 3.0]])
+        # Asymmetric input: the stored entries are averages, down to subnormals,
+        # and an entry past half the float max survives the round trip.
+        m = SymMatrix([[1.0, 1.5e-323, -0.0], [5e-324, 1e300, 2.0],
+                       [-0.0, 2.0 + 1e-15, 1.5e308]])
         twin = round_trip(m)
         assert type(twin) is SymMatrix
         assert twin.data.tobytes() == m.data.tobytes()
@@ -818,6 +835,49 @@ class TestLiftToModel:
         q = curved_gram(EdgeLengths(700.0 * (1 - np.eye(3))), HYPERBOLIC)
         with pytest.raises(GramOverflow, match="nan"):
             lift_to_model(q, BarycentricPoint.hull([1e10, -1e10 + 0.5, 0.5]))
+
+
+def classical_hull_forms(e: EdgeLengths, kappa: float, x: BarycentricPoint,
+                         y: BarycentricPoint):
+    """50-digit <x, y>, the sum of its terms' sizes, and <x, x> with x's lift, by the
+    classical route on the float64 edges and coordinates: the cos/cosh vertex Gram Q
+    of the unit model, and x^T Q y / |kappa|."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s, size = mpmath.sqrt(abs(mpmath.mpf(kappa))), abs(mpmath.mpf(kappa))
+        f = mpmath.cos if kappa > 0 else (lambda t: -mpmath.cosh(t))
+        q = [[f(s * mpmath.mpf(g)) for g in row] for row in e.gamma.tolist()]
+        u, v = x.coords.tolist(), y.coords.tolist()
+        terms = [a * qa[j] * b for a, qa in zip(u, q) for j, b in enumerate(v)]
+        xx = mpmath.fsum(a * qa[j] * b for a, qa in zip(u, q) for j, b in enumerate(u))
+        lift = [float(a / mpmath.sqrt(abs(xx))) for a in u]
+        return (float(mpmath.fsum(terms) / size), float(mpmath.fsum(map(abs, terms)) / size),
+                float(xx), lift)
+
+
+class TestHullFormsHighPrecision:
+    """hull_inner_product and lift_to_model, read from E, against 50-digit
+    cos/cosh references on random simplices, at interior and mixed-sign hull
+    points: <x, y> within 8 cond u (cond = sum |x_i Q_ij y_j| / |<x, y>|), and
+    each lift within 4e-15 of its largest coordinate."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.3, -0.3, -4.0])
+    def test_random_simplex(self, kappa, n):
+        rng = np.random.default_rng([n, round(10 * kappa) + 50])
+        c = CurvatureSpec(kappa)
+        e = random_simplex(rng, n, c)
+        q = curved_gram(e, c)
+        k = n + 1
+        points = [BarycentricPoint(random_interior_point(rng, k)) for _ in range(2)]
+        points += [BarycentricPoint.hull(rng.uniform(-0.5, 1.0, k)) for _ in range(2)]
+        u = np.finfo(float).eps / 2
+        for x, y in zip(points, points[1:] + points[:1]):
+            xy, size, xx, lift = classical_hull_forms(e, kappa, x, y)
+            assert abs(hull_inner_product(q, x, y) - xy) <= 8 * u * size
+            if math.copysign(1.0, kappa) * xx > 0:  # else x is outside the model
+                err = np.abs(lift_to_model(q, x).coords - lift).max()
+                assert err <= 4e-15 * np.abs(lift).max()
 
 
 class TestScalingLaw:

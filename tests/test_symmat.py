@@ -34,6 +34,12 @@ class TestConstruction:
         m = SymMatrix([[1.0, 2.0], [4.0, 3.0]])
         assert m.data[0, 1] == m.data[1, 0] == 3.0
 
+    def test_entries_past_half_the_float_max(self):
+        # Halved before they are added: a_ij + a_ji would overflow to inf.
+        m = SymMatrix([[1.5e308, 1.6e308], [1.7e308, 2.0]])
+        assert m.data[0, 0] == 1.5e308
+        assert m.data[0, 1] == m.data[1, 0] == pytest.approx(1.65e308, rel=1e-15)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             SymMatrix([[1.0, 2.0, 3.0]])

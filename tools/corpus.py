@@ -18,7 +18,7 @@ decides, and several eigenvalue cutoffs ``tol``.
 Fresh edge sets are read before any check: by ``distance``, ``model_gram``
 and ``project``, and by ``distance`` at two curvatures and then ``check``.
 Beside each matrix of ``model_gram`` and ``curved_gram`` it records the half
-squared chords that the Gram matrix stores.
+squared chords E, the one matrix a Gram matrix stores and derives its matrix from.
 ``length``, ``euclidean_face_volume``, ``restricted`` and ``permuted`` are
 also given vertex numbers out of range or not integers.  Named barycentric
 points sum to exactly 1, to 1 +- 0.9 and 1 +- 1.1 times the sum tolerance, or
