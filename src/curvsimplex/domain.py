@@ -286,7 +286,7 @@ class BarycentricPoint:
 class GramMatrix:
     """The unit-model half squared chords E of a simplex, and a Gram matrix read from them.
 
-    ``half_chords`` holds E = c_ij^2 / 2: gamma^2 / 2 at kappa = 0, else 2 sinh^2(g / 2)
+    ``half_chords`` holds E, half the squared chords: gamma^2 / 2 at kappa = 0, else 2 sinh^2(g / 2)
     (kappa < 0) or 2 sin^2(g / 2) (kappa > 0) of g = sqrt(|kappa|) gamma.  ``matrix``
     is derived from E on each read.  With ``apex`` set (curvature 0) it is the n x n
     apex Gram E_ia + E_ja - E_ij, vertex ``apex`` at the origin; with ``apex`` None

@@ -85,8 +85,8 @@ class SymMatrix:
     """Immutable dense symmetric matrix.
 
     ``SymMatrix(entries)`` copies and symmetrizes: the stored entries are
-    a_ij / 2 + a_ji / 2 (no sum overflows; subnormal entries round).  The Gram
-    builders' arrays are exactly symmetric already: they store them as they are (``_exact``).
+    a_ij / 2 + a_ji / 2 (no sum overflows; halving rounds subnormal ones).  The
+    Gram builders store their exactly symmetric arrays as they are (``_exact``).
     """
 
     __slots__ = ("data",)
