@@ -10,17 +10,18 @@ Exit codes: 0 success, 2 invalid input (non-finite numbers included),
 3 geometric verdict failure (degenerate / not realizable), 4 numerical
 failure (inconsistent embedding; edges, a Gram matrix or a volume outside
 float64).  All numeric logic lives in the library modules; this module only
-parses, dispatches, and formats.  Each subcommand reads its operation from
-the package when it runs, so a call loads no library module it does not use.
+parses, dispatches, and formats: ``main`` reads every document and option,
+and each ``cmd_*`` runs its operation on them and formats the result.  Each
+subcommand reads its operation from the package when it runs, so a call loads
+no library module it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .domain import _MODEL, BarycentricPoint, CurvatureSpec, EdgeLengths
@@ -117,11 +118,9 @@ def _sig(value: float) -> str:
     return f"{value:.12g}"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, e, c) -> int:
     from . import Verdict, check
 
-    e = _load_simplex(args.simplex)
-    c = _parse_geometry(args.geometry)
     report = check(e, c, args.tol)
     sig = report.signature
     print(f"verdict: {report.verdict.value}")
@@ -131,24 +130,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.verdict is Verdict.REALIZABLE else EXIT_VERDICT
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args, e, c, x, y) -> int:
     from . import distance
 
-    e = _load_simplex(args.simplex)
-    c = _parse_geometry(args.geometry)
-    x = _load_point(args.point_x, e.num_vertices)
-    y = _load_point(args.point_y, e.num_vertices)
     print(_sig(distance(e, c, x, y)))
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
+def cmd_project(args, e, c) -> int:
     from . import project
 
-    e = _load_simplex(args.simplex)
-    c = _parse_geometry(args.geometry)
-    if not 1 <= args.vertex <= e.num_vertices:
-        raise InputError(f"--vertex {args.vertex} out of range 1..{e.num_vertices}")
     res = project(e, c, args.vertex, args.tol)
     out = {
         "foot": res.foot.coords.tolist(),
@@ -161,14 +152,10 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def cmd_volume(args) -> int:
+def cmd_volume(args, e, c) -> int:
     from . import euclidean_face_volume, euclidean_volume
 
-    e = _load_simplex(args.simplex)
     if args.face_opposite is not None:
-        if not 1 <= args.face_opposite <= e.num_vertices:
-            raise InputError(
-                f"--face-opposite {args.face_opposite} out of range 1..{e.num_vertices}")
         vol = euclidean_face_volume(e, args.face_opposite, args.tol)
     else:
         vol = euclidean_volume(e, args.tol)
@@ -176,11 +163,9 @@ def cmd_volume(args) -> int:
     return EXIT_OK
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args, e, c) -> int:
     from . import embed
 
-    e = _load_simplex(args.simplex)
-    c = _parse_geometry(args.geometry)
     emb = embed(e, c, args.tol)
     print(json.dumps({"model": emb.model.value, "curvature": c.kappa,
                       "vertices": emb.vertices.tolist()}, indent=2, sort_keys=True))
@@ -232,12 +217,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if "tol" in args and not 0 <= args.tol < np.inf:
+        if "tol" in args and not 0 <= args.tol < math.inf:
             raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
-        return args.func(args)
+        e = _load_simplex(args.simplex)
+        c = _parse_geometry(args.geometry) if "geometry" in args else None
+        k = e.num_vertices
+        points = [_load_point(getattr(args, p), k) for p in ("point_x", "point_y") if p in args]
+        for name in ("vertex", "face_opposite"):
+            v = getattr(args, name, None)
+            if v is not None and not 1 <= v <= k:
+                raise InputError(f"--{name.replace('_', '-')} {v} out of range 1..{k}")
+        return args.func(args, e, c, *points)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

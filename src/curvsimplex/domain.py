@@ -13,9 +13,8 @@ model Gram matrix and verdict an ``EdgeLengths`` keeps (see its docstring).
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import (
     OutsideLightCone,
     WrongModel,
 )
-from .symmat import SymMatrix, _vertex, _without
+from .symmat import SymMatrix, _vertex, _vertex_indices, _without
 
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
@@ -44,18 +43,21 @@ _MODEL = {0.0: ("euclidean", NotRealizableInput), -1.0: ("hyperbolic", OutsideLi
 
 @dataclass(frozen=True)
 class CurvatureSpec:
-    """A finite constant curvature value."""
+    """A finite constant curvature kappa, with its sign and its scale, set once and read-only.
+
+    ``sign`` is sigma = sign(kappa), 0.0 at kappa = +-0.0; ``scale`` is sqrt(|kappa|), the edge
+    rescaling factor onto the unit-curvature model.  kappa alone sets repr, equality and hash.
+    """
 
     kappa: float
+    sign: float = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.kappa):
             raise ValueError(f"curvature must be finite, got {self.kappa}")
-
-    @property
-    def scale(self) -> float:
-        """Edge rescaling factor sqrt(|kappa|) onto the unit-curvature model."""
-        return math.sqrt(abs(self.kappa))
+        object.__setattr__(self, "sign", math.copysign(1.0, self.kappa) if self.kappa else 0.0)
+        object.__setattr__(self, "scale", math.sqrt(abs(self.kappa)))
 
 
 EUCLIDEAN = CurvatureSpec(0.0)
@@ -161,40 +163,23 @@ class EdgeLengths:
     def permuted(self, order) -> "EdgeLengths":
         """Relabel vertices so new vertex k is old vertex order[k] (1-based).
 
-        A permutation of 1..num_vertices is validated in one sort.  Otherwise
-        the first entry, in order, that is no integer (TypeError) or out of
-        range (IndexError) raises, as ``_vertex`` does, and else ValueError.
+        The first entry, in order, that is no integer or out of range raises as
+        ``_vertex`` does (``_vertex_indices``); valid numbers that are no
+        permutation of 1..num_vertices raise ValueError.
         """
-        k = self.num_vertices
-        order = list(order)
-        try:
-            idx = [operator.index(v) - 1 for v in order]
-            valid = sorted(idx) == list(range(k))
-        except TypeError:
-            valid = False
-        if not valid:
-            for v in order:
-                _vertex(v, k)
+        idx = _vertex_indices(order, self.num_vertices)
+        if sorted(idx) != list(range(self.num_vertices)):
             raise ValueError("order must be a permutation of 1..num_vertices")
         return self._derived(self.gamma.take(idx, 0).take(idx, 1), self.shortest, self.longest)
 
     def restricted(self, vertices) -> "EdgeLengths":
         """Sub-simplex spanned by the given vertices (1-based, >= 2 of them).
 
-        Repeats are dropped and the vertices sorted.  The first entry, in order,
-        that is no integer (TypeError) or out of range (IndexError) raises, as
-        ``_vertex`` does; fewer than 2 distinct vertices raise ValueError.
+        The first entry, in order, that is no integer or out of range raises as
+        ``_vertex`` does (``_vertex_indices``).  Repeats are dropped and the
+        vertices sorted; fewer than 2 distinct vertices raise ValueError.
         """
-        k = self.num_vertices
-        vertices = list(vertices)  # read twice when one is bad; callers may pass a generator
-        try:
-            idx = sorted({operator.index(v) - 1 for v in vertices})
-            valid = not idx or (idx[0] >= 0 and idx[-1] < k)
-        except TypeError:
-            valid = False
-        if not valid:
-            for v in vertices:
-                _vertex(v, k)
+        idx = sorted(set(_vertex_indices(vertices, self.num_vertices)))
         if len(idx) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
         g = self.gamma.take(idx, 0).take(idx, 1)
@@ -315,7 +300,7 @@ class GramMatrix:
         """The apex or vertex Gram matrix, a new read-only array built from E."""
         e, a = self.half_chords.data, self.apex
         if a is None:
-            return SymMatrix._exact(math.copysign(1.0, self.curvature.kappa) - e)
+            return SymMatrix._exact(self.curvature.sign - e)
         col = np.concatenate((e[:a - 1, a - 1], e[a:, a - 1]))
         return SymMatrix._exact(col[:, None] + col[None, :] - _without(e, a, a))
 
@@ -346,14 +331,14 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     """
     if c.kappa == 0:
         raise WrongModel("curvature 0 has no full vertex Gram; use euclidean_gram")
-    scale = c.scale
-    longest = e.longest * scale
-    if not (SQRT_MIN <= e.shortest * scale and longest < math.inf):
+    longest = e.longest * c.scale
+    if not (SQRT_MIN <= e.shortest * c.scale and longest < math.inf):
         raise GramOverflow(f"the unit-model rescale of edges in [{e.shortest}, {e.longest}] "
                            f"at kappa={c.kappa} overflows or underflows float64")
     if c.kappa < 0 and longest > COSH_ARG_MAX:
-        raise GramOverflow(f"hyperbolic edge {longest} at kappa=-1.0 overflows the Gram matrix")
-    half = (np.sin if c.kappa > 0 else np.sinh)(e.gamma * scale * 0.5)
+        raise GramOverflow(f"hyperbolic edge {e.longest} at kappa={c.kappa} overflows the Gram "
+                           f"matrix: unit-model edge {longest} > {COSH_ARG_MAX}")
+    half = (np.sin if c.kappa > 0 else np.sinh)(e.gamma * c.scale * 0.5)
     half *= half + half
     return GramMatrix(SymMatrix._exact(half), c)
 
@@ -381,7 +366,7 @@ def _unit_form(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float
     if x.coords.size != e.shape[0] or y.coords.size != e.shape[0]:
         raise ValueError("coordinate length does not match Gram dimension")
     sx, sy = sum(x.coords.tolist()), sum(y.coords.tolist())  # a numpy reduce costs more
-    return math.copysign(1.0, q.curvature.kappa) * sx * sy - float(x.coords @ e @ y.coords)
+    return q.curvature.sign * sx * sy - float(x.coords @ e @ y.coords)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value past float64 raises GramOverflow
@@ -406,7 +391,7 @@ def lift_to_model(q: GramMatrix, x: BarycentricPoint) -> BarycentricPoint:
     have the sign of kappa: timelike on the hyperboloid, positive on the sphere.
     """
     s = _unit_form(q, x, x)
-    sign = math.copysign(1.0, q.curvature.kappa)
+    sign = q.curvature.sign
     if not (sign * s > 0 or math.isnan(s)):  # a NaN form overflowed: no side
         raise _MODEL[sign][1](f"<x,x> = {s} is not {'negative' if sign < 0 else 'positive'}")
     if not math.isfinite(s):

@@ -45,8 +45,7 @@ def _geodesic(q: GramMatrix, x: BarycentricPoint, y: BarycentricPoint) -> float:
     z = np.array((x.coords, y.coords, x.coords - y.coords))
     hx, hy, hd = np.vecdot(z @ e, z).tolist()
     sx, sy = sum(x.coords.tolist()), sum(y.coords.tolist())  # a numpy reduce costs more
-    kappa = q.curvature.kappa
-    sign = math.copysign(1.0, kappa) if kappa else 0.0
+    sign = q.curvature.sign
     a, b = sx * sx - sign * hx, sy * sy - sign * hy
     if not (a > 0 and b > 0) and not (math.isnan(a) or math.isnan(b)):  # NaN: GramOverflow below
         side, norm = ("negative" if sign < 0 else "positive"), sign or 1.0  # <z,z> = sigma A

@@ -183,7 +183,7 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
     vertex = _vertex(vertex, e.num_vertices)
     report = check(e, c, tol)
     if report.verdict is not Verdict.REALIZABLE:
-        model = "Euclidean" if c.kappa == 0 else _MODEL[math.copysign(1.0, c.kappa)][0]
+        model = "Euclidean" if c.kappa == 0 else _MODEL[c.sign][0]
         raise NotRealizableInput(f"not a {model} simplex: {report.detail}")
     foot, altitude, lift = _curved_foot(e, c, vertex) if c.kappa else _euclidean_foot(e, vertex)
     inside = bool((foot.coords >= -INSIDE_TOL).all())

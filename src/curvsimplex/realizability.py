@@ -50,7 +50,7 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
         return memo[3]
     q = model_gram(e, c)
     k, largest = q.half_chords.dim, float(q.half_chords.data.max())
-    sigma = math.copysign(1.0, c.kappa) if c.kappa else 0.0
+    sigma = c.sign
     s = largest / math.sqrt(1.0 + abs(sigma) * largest)
     m = np.full((k + 1, k + 1), s)
     np.negative(q.half_chords.data, out=m[:k, :k])

@@ -182,6 +182,11 @@ class TestVolume:
         assert code == 0
         assert float(out) == length
 
+    @pytest.mark.parametrize("vertex", [0, 5])
+    def test_face_opposite_out_of_range(self, capsys, simplex_file, vertex):
+        code, out, err = run(capsys, ["volume", simplex_file, "--face-opposite", str(vertex)])
+        assert (code, out, err) == (2, "", f"error: --face-opposite {vertex} out of range 1..4\n")
+
     def test_not_realizable_face_exit_3(self, capsys, files):
         path = files("five.json", {"edge_lengths": NON_EUCLIDEAN_FACE_EDGES})
         code, out, err = run(capsys, ["volume", path, "--face-opposite", "5"])
@@ -314,6 +319,27 @@ class TestInputErrors:
         code, out, err = run(capsys, ["check", files("bad.json", doc)])
         assert (code, out) == (2, "")
         assert "entries must be JSON numbers" in err
+
+    # Every input after the first bad one is bad too: the order --tol, simplex,
+    # --geometry, then the points or the vertex decides which error is printed.
+    @pytest.mark.parametrize("argv, first", [
+        (["check", "{missing}", "--tol=-1", "--geometry", "elliptic"], "--tol must be"),
+        (["volume", "{missing}", "--tol=nan", "--face-opposite", "9"], "--tol must be"),
+        (["embed", "{missing}", "--geometry", "elliptic"], "cannot read"),
+        (["volume", "{missing}", "--face-opposite", "9"], "cannot read"),
+        (["dist", "{simplex}", "{short}", "{missing}", "--geometry", "elliptic"],
+         "unknown geometry"),
+        (["project", "{simplex}", "--geometry", "elliptic", "--vertex", "9"], "unknown geometry"),
+        (["dist", "{simplex}", "{short}", "{missing}"], "point has 2 coordinates"),
+        (["dist", "{simplex}", "{missing}", "{short}"], "cannot read"),
+    ])
+    def test_first_bad_input_decides_the_error(self, capsys, tmp_path, files, argv, first):
+        paths = {"missing": str(tmp_path / "missing.json"),
+                 "simplex": files("simplex.json", {"edge_lengths": TABLE_3SIMPLEX}),
+                 "short": files("short.json", {"barycentric": [0.5, 0.5]})}
+        code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and first in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["check", "dist", "project", "volume", "embed"])

@@ -1,6 +1,7 @@
 """Domain types and Gram-builder tests."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import warnings
@@ -144,6 +145,34 @@ class TestCurvatureSpec:
         with pytest.raises(ValueError, match="finite"):
             CurvatureSpec(bad)
 
+    @pytest.mark.parametrize("kappa, sign, scale", [
+        (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (-1.0, -1.0, 1.0),
+        (0.3, 1.0, math.sqrt(0.3)), (-0.3, -1.0, math.sqrt(0.3)), (-4.0, -1.0, 2.0),
+        (1e-300, 1.0, math.sqrt(1e-300)), (-1e-300, -1.0, math.sqrt(1e-300))])
+    def test_sign_and_scale_are_exact(self, kappa, sign, scale):
+        c = CurvatureSpec(kappa)
+        assert (c.sign.hex(), c.scale.hex()) == (sign.hex(), scale.hex())  # +0.0, not -0.0
+
+    def test_kappa_alone_sets_repr_equality_and_hash(self):
+        c = CurvatureSpec(-0.3)
+        assert repr(c) == "CurvatureSpec(kappa=-0.3)"
+        assert c == CurvatureSpec(-0.3) and c != CurvatureSpec(0.3)
+        assert hash(c) == hash((-0.3,))
+        assert CurvatureSpec(0.0) == CurvatureSpec(-0.0)
+        assert hash(CurvatureSpec(0.0)) == hash(CurvatureSpec(-0.0))
+
+    def test_replace_recomputes_sign_and_scale(self):
+        c = dataclasses.replace(SPHERICAL, kappa=-4.0)
+        assert (c.kappa, c.sign, c.scale) == (-4.0, -1.0, 2.0)
+        assert (SPHERICAL.sign, SPHERICAL.scale) == (1.0, 1.0)
+        with pytest.raises(TypeError):
+            CurvatureSpec(1.0, -1.0)
+
+    @pytest.mark.parametrize("name", ["kappa", "sign", "scale"])
+    def test_fields_are_read_only(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(CurvatureSpec(-4.0), name, 1.0)
+
 
 class TestBarycentricPoint:
     def test_normalizes_small_deviation(self):
@@ -252,6 +281,38 @@ def near_unit_sums(draw):
     coords = [w / total * (1.0 + d) for w in weights]
     assume(abs(sum(coords) - 1.0) <= BARYCENTRIC_SUM_TOL)
     return coords
+
+
+TABLE_MIDPOINT = BarycentricPoint([0.5, 0.5, 0.0, 0.0])
+SHORT_POINT = BarycentricPoint([0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: EdgeLengths([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]), ValueError,
+                 "must be square", id="edges-not-square"),
+    pytest.param(lambda: EdgeLengths(3.0), ValueError, "must be square", id="edges-scalar"),
+    pytest.param(lambda: EdgeLengths([[0.0]]), ValueError, "at least 2 vertices",
+                 id="edges-one-vertex"),
+    pytest.param(lambda: setattr(EdgeLengths(TABLE_3SIMPLEX), "gamma", None), AttributeError,
+                 "EdgeLengths is immutable", id="edges-setattr"),
+    pytest.param(lambda: setattr(TABLE_MIDPOINT, "coords", None), AttributeError,
+                 "BarycentricPoint is immutable", id="point-setattr"),
+    pytest.param(lambda: hull_inner_product(euclidean_gram(EdgeLengths(TABLE_3SIMPLEX), 4),
+                                            TABLE_MIDPOINT, TABLE_MIDPOINT),
+                 WrongModel, "needs a full curved Gram matrix", id="hull-kappa-0"),
+    pytest.param(lambda: lift_to_model(euclidean_gram(EdgeLengths(TABLE_3SIMPLEX), 4),
+                                       TABLE_MIDPOINT),
+                 WrongModel, "needs a full curved Gram matrix", id="lift-kappa-0"),
+    pytest.param(lambda: hull_inner_product(curved_gram(EdgeLengths(TABLE_3SIMPLEX), HYPERBOLIC),
+                                            TABLE_MIDPOINT, SHORT_POINT),
+                 ValueError, "does not match Gram dimension", id="hull-short-point"),
+    pytest.param(lambda: lift_to_model(curved_gram(EdgeLengths(TABLE_3SIMPLEX), SPHERICAL),
+                                       SHORT_POINT),
+                 ValueError, "does not match Gram dimension", id="lift-short-point"),
+])
+def test_bad_input_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestEuclideanGram:
@@ -364,6 +425,12 @@ class TestCurvedGram:
             assert np.array_equal(model_gram(e, c).matrix.data, q.matrix.data)
             with pytest.raises(GramOverflow):
                 curved_gram(e.scaled(1420.0 / edge), c)
+
+    def test_hyperbolic_overflow_names_the_callers_kappa_and_edge(self):
+        e = EdgeLengths(400.0 * (1 - np.eye(3)))
+        with pytest.raises(GramOverflow, match=r"^hyperbolic edge 400\.0 at kappa=-4\.0 overflows "
+                           r"the Gram matrix: unit-model edge 800\.0 > 709\.78"):
+            curved_gram(e, CurvatureSpec(-4.0))
 
     def test_hyperbolic_below_overflow_bound_is_finite(self):
         e = EdgeLengths(709.0 * (1 - np.eye(3)))
@@ -519,6 +586,15 @@ class TestCopyAndPickle:
         assert type(twin) is SymMatrix
         assert twin.data.tobytes() == m.data.tobytes()
         assert not twin.data.flags.writeable
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, -4.0, 0.3])
+    def test_curvature_spec_keeps_kappa_sign_and_scale(self, round_trip, kappa):
+        c = CurvatureSpec(kappa)
+        twin = round_trip(c)
+        assert type(twin) is CurvatureSpec
+        assert twin == c and hash(twin) == hash(c) and repr(twin) == repr(c)
+        assert [v.hex() for v in (twin.kappa, twin.sign, twin.scale)] == [
+            v.hex() for v in (c.kappa, c.sign, c.scale)]
 
     def test_barycentric_point_keeps_its_bits(self, round_trip):
         p = BarycentricPoint([0.1, 0.2, 0.7 + 3e-7])  # renormalized: the sum is not 1

@@ -43,6 +43,15 @@ def pq():
             BarycentricPoint([1 / 3, 1 / 3, 1 / 3, 0.0]))
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, 0.3])
+@pytest.mark.parametrize("short_first", [True, False])
+def test_point_of_the_wrong_length_is_rejected(table_simplex, kappa, short_first):
+    short, point = BarycentricPoint([0.5, 0.5, 0.0]), BarycentricPoint([0.25] * 4)
+    x, y = (short, point) if short_first else (point, short)
+    with pytest.raises(ValueError, match="coordinate length does not match the simplex"):
+        distance(table_simplex, CurvatureSpec(kappa), x, y)
+
+
 class TestEuclideanDistance:
     def test_reference_eleven_twelfths(self, table_simplex, pq):
         p, q = pq

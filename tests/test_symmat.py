@@ -44,6 +44,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SymMatrix([[1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("entries, message", [
+        (np.zeros((0, 0)), "dimension >= 1"), ([], "square"), ([[]], "square"), (2.0, "square")])
+    def test_rejects_an_empty_or_non_square_matrix(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            SymMatrix(entries)
+
     def test_immutable(self):
         m = SymMatrix([[1.0]])
         with pytest.raises(AttributeError):
