@@ -33,4 +33,5 @@ class GramOverflow(GeometryError):
 
 
 class EmbeddingInconsistency(GeometryError):
-    """Internal failure: factorization inconsistent with a Realizable verdict."""
+    """Internal failure: a factorization or spectrum inconsistent with a Realizable verdict
+    (``embed``'s, or the apex Gram of a Euclidean volume)."""

@@ -8,10 +8,9 @@ Gram matrix m at the projected vertex: the foot is w / (1^T w) and the
 altitude 1 / sqrt(1^T w).  A Euclidean volume is prod sqrt(lambda) / n! over
 the eigenvalues of the apex Gram matrix of the E that ``check`` stored, and a
 face volume is the volume of the face's own edges.  Curved feet come from the
-first-row minors of the vertex Gram matrix of the unit-model E that
-``curved_gram`` builds, its rows balanced by powers of two;
-barycentric coordinates agree at every curvature of one sign.  The lift lies
-on the projected vertex's sheet or hemisphere.
+first-row cofactors of the bordered matrix M that ``check`` classifies, so they
+hold as kappa -> 0 and agree at every curvature of one sign; the lift lies on
+the projected vertex's sheet or hemisphere.
 
 No curved foot is projected inside the convex hull of the vertices: on the
 hyperboloid the induced form there can fail to be positive definite, and on
@@ -40,13 +39,14 @@ from .domain import (
 )
 from .errors import (
     DegenerateDirection,
+    EmbeddingInconsistency,
     GramOverflow,
     NotRealizableInput,
     OutsideLightCone,
     ProjectionDegenerate,
 )
 from .metrics import _geodesic
-from .realizability import Verdict, check
+from .realizability import Verdict, _bordered, check
 from .symmat import DEFAULT_TOL, Signature, SymMatrix, _other_vertices, _vertex
 
 # A foot counts as inside its face when every coordinate is >= -INSIDE_TOL.
@@ -105,7 +105,8 @@ def _foot(k: int, face: list[int], quotient: np.ndarray) -> BarycentricPoint:
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
     """prod sqrt(lambda) / n! over the eigenvalues of the apex Gram matrix at the last vertex.
 
-    Degenerate (flat) edge sets have volume 0.0; GramOverflow if it leaves float64.
+    Degenerate (flat) edge sets have volume 0.0; GramOverflow if it leaves float64, and
+    EmbeddingInconsistency if an eigenvalue is not positive (a flat set Realizable at tol 0).
     """
     report = check(e, EUCLIDEAN, tol)
     if report.verdict is Verdict.NOT_REALIZABLE:
@@ -113,6 +114,8 @@ def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
     if report.verdict is Verdict.DEGENERATE:
         return 0.0
     eig = model_gram(e, EUCLIDEAN).matrix.eigenvalues()
+    if eig[0] <= 0:  # M's inertia held at tol 0, but the apex Gram's did not
+        raise EmbeddingInconsistency(f"apex Gram eigenvalue {eig[0]} is not positive")
     volume = math.prod(np.sqrt(eig).tolist()) / math.factorial(e.n)
     if not 0 < volume < math.inf:
         raise GramOverflow(f"volume of edges in [{e.shortest}, {e.longest}] "
@@ -137,32 +140,29 @@ def euclidean_face_volume(e: EdgeLengths, vertex: int,
 
 def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
                  vertex: int) -> tuple[BarycentricPoint, float, BarycentricPoint]:
-    """First-row-minor foot formula on the full vertex Gram matrix.
+    """Foot, altitude and lift from the first-row cofactors of ``_bordered``'s M.
 
-    With the projected vertex relabeled first, the face coordinates are
-    alpha_i = s_i / sum_j s_j with s_i = (-1)^(i+1) M_1i over i, j >= 2, where
-    M_1i are the first-row minors of the vertex Gram matrix.  The vertex
-    projects onto the face's span at -s / M_11, and M_11 has the sign of kappa,
-    so the lift and the altitude are taken at alpha if -sign(kappa) sum_j s_j > 0
-    and at -alpha (alpha's mirror on the other sheet, or antipode) otherwise.
-    The minors are taken on D Q D and s_i is d_i times the minor there, with
-    d_i = 2^-floor((e_i - 1) / 2) and 2^(e_i - 1) <= max_j |q_ij| (exact), so
-    long hyperbolic edges keep their minors inside float64; d_i = 1 whenever
-    max_j |q_ij| < 4.
+    With the projected vertex relabeled first, the Schur complement of M's corner is
+    the unit-model vertex Gram Q, so M^-1 e_1 is Q^-1 e_1 on the k vertex rows, read
+    from E with no entry near sigma that cancels as kappa -> 0.  The foot is
+    alpha_i = C_1i / sum_j C_1j over i, j = 2..k, C_1i = (-1)^(i+1) M_1i (the border
+    column stays).  The vertex projects onto the face's span at C_1i / -C_11, and C_11
+    (the face's own bordered M) is negative, so the lift and the altitude are taken at
+    alpha if sum_j C_1j > 0, else at -alpha (its mirror on the other sheet, or antipode).
+    The cofactors of D M D, times d_i = 2^-floor((e_i - 1) / 2) with 2^(e_i - 1) <=
+    max_j |m_ij| (exact powers of two), give C_1i, so long edges and tiny kappa stay in range.
     """
     k = e.num_vertices
     face = _other_vertices(k, vertex)
-    q = curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c).matrix.data
-    d = np.ldexp(1.0, -((np.frexp(np.abs(q).max(axis=1))[1] - 1) // 2))
-    q = SymMatrix._exact(q * d[:, None] * d)
-    signed = np.array([-q.minor(1, i) if i % 2 == 0 else q.minor(1, i) for i in range(2, k + 1)])
-    signed *= d[1:]
+    m = _bordered(curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c))
+    d = np.ldexp(1.0, -((np.frexp(np.abs(m).max(axis=1))[1] - 1) // 2))
+    m = SymMatrix._exact(m * d[:, None] * d)
+    signed = d[1:k] * [-m.minor(1, i) if i % 2 == 0 else m.minor(1, i) for i in range(2, k + 1)]
     denom = float(signed.sum())
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise ProjectionDegenerate("signed first-row minors sum to zero")
     foot = _foot(k, face, signed / denom)
-    # Compare signs (kappa * denom underflows); 0.0 - coords keeps the vertex's +0.0.
-    point = foot if (c.kappa < 0) == (denom > 0) else BarycentricPoint.hull(0.0 - foot.coords)
+    point = foot if denom > 0 else BarycentricPoint.hull(0.0 - foot.coords)  # keeps a +0.0
     q = curved_gram(e, c)
     try:  # a flat set checked at a tiny tol can leave noise minors here
         lift = lift_to_model(q, point)
@@ -176,9 +176,8 @@ def project(e: EdgeLengths, c: CurvatureSpec, vertex: int,
             tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project ``vertex`` orthogonally onto the face spanned by the others.
 
-    The foot's barycentric coordinates are scale invariant, so curved feet
-    are computed on the unit-model Gram matrix carrying kappa, whose
-    distances are already lengths at kappa.
+    The foot's barycentric coordinates are scale invariant, so curved feet come
+    from the unit-model E carrying kappa, whose distances are lengths at kappa.
     """
     vertex = _vertex(vertex, e.num_vertices)
     report = check(e, c, tol)

@@ -1,10 +1,10 @@
 """Realizability checks: do the edge lengths define a non-degenerate simplex?
 
 One matrix serves every curvature: with E the unit-model half squared chords of k
-vertices, sigma = sign(kappa) and s = max E / sqrt(1 + |sigma| max E), the bordered
-M = [[-E, s 1], [s 1^T, -sigma s^2]] must have inertia (k, 1, 0).  Less the border's,
-(1, 0), (0, 1) or (1, 1) at kappa <, > or = 0 (from the zeros where tol reads it as zero),
-M's inertia is the model Gram signature (Haynsworth, Linear Algebra Appl. 1 (1968) 73-81;
+vertices, sigma = sign(kappa) and s = max E / sqrt(1 + |sigma| max E), the bordered matrix
+M = [[-E, s 1], [s 1^T, -sigma s^2]] (``_bordered``) must have inertia (k, 1, 0).  Less the
+border's, (1, 0), (0, 1) or (1, 1) at kappa <, > or = 0 (from the zeros where tol reads it as
+zero), M's inertia is the model Gram signature (Haynsworth, Linear Algebra Appl. 1 (1968) 73-81;
 Schoenberg's Cayley-Menger form at 0).  Spherical edges must be below pi / (2 sqrt(kappa)).
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import CurvatureSpec, EdgeLengths, model_gram
+from .domain import CurvatureSpec, EdgeLengths, GramMatrix, model_gram
 from .errors import GramOverflow
 from .symmat import DEFAULT_TOL, Signature
 
@@ -37,6 +37,17 @@ class RealizabilityReport:
     eigenvalues: np.ndarray = field(compare=False)
 
 
+def _bordered(q: GramMatrix) -> np.ndarray:
+    """M of q's E and kappa, a new (k+1)-square array, border last; curved feet read it too."""
+    e = q.half_chords.data
+    k, largest, sigma = e.shape[0], float(e.max()), q.curvature.sign
+    s = largest / math.sqrt(1.0 + abs(sigma) * largest)
+    m = np.full((k + 1, k + 1), s)
+    np.negative(e, out=m[:k, :k])
+    m[k, k] = -sigma * s * s
+    return m
+
+
 def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> RealizabilityReport:
     """Compare the inertia of the bordered matrix M with (k, 1, 0), then gate long spherical edges.
 
@@ -48,14 +59,8 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
     memo = e._memo
     if memo is not None and memo[0] == c.kappa and memo[2] == tol:
         return memo[3]
-    q = model_gram(e, c)
-    k, largest = q.half_chords.dim, float(q.half_chords.data.max())
-    sigma = c.sign
-    s = largest / math.sqrt(1.0 + abs(sigma) * largest)
-    m = np.full((k + 1, k + 1), s)
-    np.negative(q.half_chords.data, out=m[:k, :k])
-    m[k, k] = -sigma * s * s
-    eig = np.linalg.eigvalsh(m)
+    q, k, sigma = model_gram(e, c), e.num_vertices, c.sign
+    eig = np.linalg.eigvalsh(_bordered(q))
     if not (math.isfinite(eig[0]) and math.isfinite(eig[-1])):
         raise GramOverflow(f"Gram eigenvalues [{eig[0]}, {eig[-1]}] leave float64")
     eig.setflags(write=False)

@@ -103,6 +103,26 @@ def random_simplex(rng: np.random.Generator, n: int, c: CurvatureSpec) -> EdgeLe
     return random_spherical(rng, n).scaled(1.0 / scale)
 
 
+def well_shaped(rng: np.random.Generator, n: int, c: CurvatureSpec) -> EdgeLengths:
+    """A regular n-simplex of unit-model edge 0.6, each vertex moved by about 0.05,
+    in the model of c's sign (hyperboloid sheet, or sphere around (1, 0, ..., 0)),
+    with its edges rescaled to c."""
+    p = np.eye(n + 1) - 1.0 / (n + 1)
+    x = p @ np.linalg.svd(p)[2][:n].T * (0.6 / math.sqrt(2))
+    x += rng.normal(scale=0.05 / math.sqrt(n), size=x.shape)
+    if c.kappa == 0:
+        g = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1))
+    elif c.kappa < 0:
+        t = np.sqrt(1.0 + (x ** 2).sum(axis=1))
+        g = np.arccosh(np.clip(np.outer(t, t) - x @ x.T, 1.0, None))
+    else:
+        v = np.column_stack([np.ones(n + 1), x])
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        g = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
+    np.fill_diagonal(g, 0.0)
+    return EdgeLengths(g / c.scale if c.kappa else g)
+
+
 def random_interior_point(rng: np.random.Generator, num_vertices: int) -> np.ndarray:
     """Dirichlet-distributed interior barycentric coordinates."""
     return rng.dirichlet(np.ones(num_vertices))
@@ -124,9 +144,6 @@ def _fresh_run(args: list[str], check: bool) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, check=check, timeout=120)
 
-
-# Open defect of the first-row-minor foot at tiny |kappa| L^2 (ROADMAP item 3).
-ROADMAP_ITEM_3 = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 
 # The collinear hyperbolic triple from the non-positive-definite-hull remark:
 # Minkowski points (0,0,1), (0,1,sqrt 2), (0,2,sqrt 5) lie on a common line.

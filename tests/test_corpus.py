@@ -41,18 +41,21 @@ def test_churn_bounds_a_numeric_change():
     b = ["c|project[1]\t((0x1.0p+1, 0x1.8p+2), 1e-05, True)", "c|distance[0]\t0x1.0p+0"]
     # 3 becomes 6 on a line whose largest |number| is 6.
     assert corpus.churn(a, b) == [
-        "churn project: 1 differ only in numbers (worst 0.5 relative), 0 in other text"]
+        "churn project: 1 differ only in numbers (worst 0.5 relative at c|project[1]), "
+        "0 in other text"]
     assert corpus.churn(a, a) == []
     # A nan on a line whose other numbers are all 0 leaves no finite scale.
     a = ["c|project[1]\t(nan, 0x0.0p+0)"]
     b = ["c|project[1]\t(0x0.0p+0, 0x0.0p+0)"]
     assert corpus.churn(a, b) == [
-        "churn project: 1 differ only in numbers (worst inf relative), 0 in other text"]
+        "churn project: 1 differ only in numbers (worst inf relative at c|project[1]), "
+        "0 in other text"]
     # An inf in a message is no scale: -0.75 becoming -0.5 moves by a third of 0.75.
     a = ["c|distance[0]\t!OutsideLightCone: squared chord -0.75 outside [0, inf]"]
     b = ["c|distance[0]\t!OutsideLightCone: squared chord -0.5 outside [0, inf]"]
     assert corpus.churn(a, b) == [
-        "churn distance: 1 differ only in numbers (worst 0.33 relative), 0 in other text"]
+        "churn distance: 1 differ only in numbers (worst 0.33 relative at c|distance[0]), "
+        "0 in other text"]
 
 
 def test_churn_counts_a_text_change():

@@ -1,5 +1,6 @@
 """Projection and volume tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from curvsimplex import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
+    EmbeddingInconsistency,
     EUCLIDEAN,
     GramOverflow,
     HYPERBOLIC,
@@ -44,6 +46,7 @@ from conftest import (
     random_interior_point,
     random_simplex,
     random_spherical,
+    well_shaped,
 )
 
 
@@ -264,6 +267,23 @@ class TestVolumes:
         with pytest.raises(GramOverflow):
             euclidean_volume(EdgeLengths(1e150 * (1 - np.eye(4))))
 
+    @pytest.mark.parametrize("name", sorted(FLAT_4SIMPLICES))
+    def test_flat_set_realizable_at_tol_zero(self, name):
+        # Where tol 0 calls a relabeling of a flat set Realizable, M's spectrum has no
+        # zero, but the apex Gram's smallest eigenvalue can round below zero.
+        flat = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES[name], dtype=float)))
+        realizable = 0
+        for order in itertools.permutations(range(1, 6)):
+            e = flat.permuted(order)
+            if check(e, EUCLIDEAN, 0.0).verdict is not Verdict.REALIZABLE:
+                continue
+            realizable += 1
+            try:
+                assert 0 < euclidean_volume(e, 0.0) < math.inf
+            except EmbeddingInconsistency as exc:
+                assert "apex Gram eigenvalue" in str(exc) and "is not positive" in str(exc)
+        assert realizable > 0
+
     def test_face_vertex_out_of_range(self, table_simplex):
         for vertex in (0, 5):
             with pytest.raises(IndexError):
@@ -472,8 +492,9 @@ class TestLongHyperbolicEdges:
 
 
 class TestBalancedMinors:
-    """Every curved foot takes its minors on D Q D; rows whose largest |q_ij|
-    reaches 4 balance by a power of two below 1."""
+    """Every curved foot takes its minors on D M D, M the bordered matrix ``check``
+    classifies; rows whose largest |m_ij| reaches 4 balance by a power of two below 1
+    (here M's vertex rows by the same powers as the vertex Gram Q's rows)."""
 
     # Edges between 2 and 8: the rows' largest |q_ij| have frexp exponents
     # 10, 6, 10 and 8, so they balance by 2^-4, 2^-2, 2^-4 and 2^-3.  The foot,
@@ -659,3 +680,42 @@ class TestFootSheet:
                     assert res.foot_model is not None
                     scale = max(1.0, float(np.abs(lift).max()))
                     assert np.allclose(res.foot_model.coords, lift, rtol=0, atol=1e-8 * scale)
+
+
+def classical_foot(e: EdgeLengths, kappa: float, vertex: int) -> np.ndarray:
+    """50-digit foot from ``vertex`` by the classical route on the float64 edges: the
+    cos/cosh vertex Gram Q of the unit model, y = Q^-1 e_vertex by LU, and y over the
+    face divided by its sum (0 at ``vertex``)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = mpmath.sqrt(abs(mpmath.mpf(kappa)))
+        f = mpmath.cos if kappa > 0 else (lambda t: -mpmath.cosh(t))
+        q = mpmath.matrix([[f(s * mpmath.mpf(g)) for g in row] for row in e.gamma.tolist()])
+        unit = mpmath.matrix(e.num_vertices, 1)
+        unit[vertex - 1] = 1
+        y = mpmath.lu_solve(q, unit)
+        y[vertex - 1] = 0
+        total = mpmath.fsum(y)
+        return np.array([float(v / total) for v in y])
+
+
+class TestCurvedFootHighPrecision:
+    """Curved feet of well-shaped simplices against 50-digit references, within
+    1e-13 of the largest coordinate, from unit curvature down to |kappa| L^2 = 1e-12
+    (L the longest edge), where the vertex Gram lies within 1e-12 of rank one."""
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("kappa,t", [(1.0, None), (-1.0, None), (0.3, None),
+                                         (None, 1e-9), (None, -1e-9), (None, -1e-12)],
+                             ids=["k=1", "k=-1", "k=0.3", "kL2=1e-9", "kL2=-1e-9", "kL2=-1e-12"])
+    def test_every_vertex(self, kappa, t, n):
+        rng = np.random.default_rng([n, 32])
+        if kappa is None:  # kappa = t / L^2 on a Euclidean set
+            e = well_shaped(rng, n, EUCLIDEAN)
+            kappa = t / e.longest ** 2
+        else:
+            e = well_shaped(rng, n, CurvatureSpec(kappa))
+        for vertex in range(1, n + 2):
+            reference = classical_foot(e, kappa, vertex)
+            foot = project(e, CurvatureSpec(kappa), vertex).foot.coords
+            assert np.abs(foot - reference).max() <= 1e-13 * np.abs(reference).max()

@@ -9,37 +9,15 @@ Near kappa = 0 the oracle is no reference (its cos/cosh Gram loses the digits
 there), so these relations are the check.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from curvsimplex import (EUCLIDEAN, BarycentricPoint, CurvatureSpec, EdgeLengths, check, distance,
                          project)
 
-from conftest import ROADMAP_ITEM_3, random_euclidean, random_interior_point, random_simplex
+from conftest import random_euclidean, random_interior_point, random_simplex, well_shaped
 
 KAPPAS = [0.0, 1.0, -1.0, 0.3, -0.3]
-
-
-def well_shaped(rng: np.random.Generator, n: int, c: CurvatureSpec) -> EdgeLengths:
-    """A regular n-simplex of unit-model edge 0.6, each vertex moved by about 0.05,
-    in the model of c's sign (hyperboloid sheet, or sphere around (1, 0, ..., 0)),
-    with its edges rescaled to c."""
-    p = np.eye(n + 1) - 1.0 / (n + 1)
-    x = p @ np.linalg.svd(p)[2][:n].T * (0.6 / math.sqrt(2))
-    x += rng.normal(scale=0.05 / math.sqrt(n), size=x.shape)
-    if c.kappa == 0:
-        g = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1))
-    elif c.kappa < 0:
-        t = np.sqrt(1.0 + (x ** 2).sum(axis=1))
-        g = np.arccosh(np.clip(np.outer(t, t) - x @ x.T, 1.0, None))
-    else:
-        v = np.column_stack([np.ones(n + 1), x])
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        g = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
-    np.fill_diagonal(g, 0.0)
-    return EdgeLengths(g / c.scale if c.kappa else g)
 
 
 class TestContinuityThroughZero:
@@ -89,7 +67,7 @@ class TestVerdictFootAndAltitudeThroughZero:
 
     @staticmethod
     def simplices(t):
-        for n in (2, 3, 5, 10):
+        for n in (2, 3, 5, 10, 40):
             e = well_shaped(np.random.default_rng(5), n, EUCLIDEAN)
             yield e, CurvatureSpec(t / e.longest ** 2)
 
@@ -113,10 +91,6 @@ class TestVerdictFootAndAltitudeThroughZero:
     def test_tiny_kappa_verdict(self, t):
         self.compare_verdicts(t)
 
-    # Below about 1e-8 the first-row minors lose the foot's digits: a coordinate
-    # reads up to 4.8e-7 off at |t| = 1e-9 and 4.3e-4 at 1e-12, where C_FOOT |t|
-    # allows 2e-10 and 2e-13.
-    @ROADMAP_ITEM_3
     @pytest.mark.parametrize("t", [1e-9, -1e-9, 1e-12, -1e-12])
     def test_tiny_kappa_foot_and_altitude(self, t):
         self.compare_feet(t)

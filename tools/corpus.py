@@ -34,10 +34,10 @@ and lists the differing lines by quantity.  It exits 0 when every line is
 identical and 1 otherwise.  After the listing, one ``churn`` line per
 quantity counts the differing lines that match once every number (hex or
 decimal) is masked, gives the largest difference on such a line relative to
-that line's largest finite |number|, and counts the lines that differ in other
-text.  This is a development tool, not a gate: the test suite checks only
-that the smoke corpus runs and is deterministic, and the churn lines on
-small inputs.
+that line's largest finite |number| and the key of the line where it is
+reached, and counts the lines that differ in other text.  This is a
+development tool, not a gate: the test suite checks only that the smoke
+corpus runs and is deterministic, and the churn lines on small inputs.
 """
 
 from __future__ import annotations
@@ -473,11 +473,12 @@ def _number(token: str) -> float:
 def churn(a: list[str], b: list[str]) -> list[str]:
     """One line per quantity of differing results: how many match once every
     number is masked, the largest difference on such a line relative to that
-    line's largest finite |number|, and how many differ in other text."""
+    line's largest finite |number| and the key of the first line that reaches
+    it, and how many differ in other text."""
     da, db, by_quantity = differing(a, b)
     out = []
     for quantity, keys in sorted(by_quantity.items()):
-        numeric, worst = 0, 0.0
+        numeric, worst, worst_key = 0, 0.0, None
         for key in keys:
             if key not in da or key not in db:
                 continue
@@ -489,9 +490,12 @@ def churn(a: list[str], b: list[str]) -> list[str]:
             for x, y in zip(ta, tb):
                 gap = abs(_number(x) - _number(y)) if x != y else 0.0
                 if gap:  # an inf or nan that moved leaves gap inf or nan
-                    worst = max(worst, gap / scale if math.isfinite(gap) else math.inf)
+                    rel = gap / scale if math.isfinite(gap) else math.inf
+                    if rel > worst:
+                        worst, worst_key = rel, key
+        at = f" at {worst_key}" if worst_key else ""
         out.append(f"churn {quantity}: {numeric} differ only in numbers "
-                   f"(worst {worst:.2g} relative), {len(keys) - numeric} in other text")
+                   f"(worst {worst:.2g} relative{at}), {len(keys) - numeric} in other text")
     return out
 
 
