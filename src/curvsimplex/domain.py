@@ -59,6 +59,9 @@ class CurvatureSpec:
         object.__setattr__(self, "sign", math.copysign(1.0, self.kappa) if self.kappa else 0.0)
         object.__setattr__(self, "scale", math.sqrt(abs(self.kappa)))
 
+    def __reduce__(self):
+        return type(self), (self.kappa,)
+
 
 EUCLIDEAN = CurvatureSpec(0.0)
 HYPERBOLIC = CurvatureSpec(-1.0)

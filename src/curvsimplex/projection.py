@@ -2,15 +2,15 @@
 
 One ``project`` body, with one realizability guard, serves every curvature,
 the unit models ``EUCLIDEAN``, ``HYPERBOLIC`` and ``SPHERICAL`` included.  Its
-altitude is always finite, and its foot has a lift onto the model exactly
-when kappa != 0.  A Euclidean foot comes from one solve w = m^-1 1 on the apex
-Gram matrix m at the projected vertex: the foot is w / (1^T w) and the
-altitude 1 / sqrt(1^T w).  A Euclidean volume is prod sqrt(lambda) / n! over
-the eigenvalues of the apex Gram matrix of the E that ``check`` stored, and a
-face volume is the volume of the face's own edges.  Curved feet come from the
-first-row cofactors of the bordered matrix M that ``check`` classifies, so they
-hold as kappa -> 0 and agree at every curvature of one sign; the lift lies on
-the projected vertex's sheet or hemisphere.
+altitude is always finite, and its foot has a lift onto the model exactly when
+kappa != 0.  Every foot reads the bordered matrix M that ``check`` classifies.  A
+Euclidean foot comes from one solve y = M^-1 e_v at the projected vertex v: the
+foot is e_v - y / y_v and the altitude 1 / sqrt(y_v).  Curved feet come from the
+first-row cofactors of M, so they hold as kappa -> 0 and agree at every curvature
+of one sign; the lift lies on the projected vertex's sheet or hemisphere.  A
+Euclidean volume is prod sqrt(lambda) / n! over the eigenvalues of the apex Gram
+matrix of the E that ``check`` stored, and a face volume is the volume of the
+face's own edges.
 
 No curved foot is projected inside the convex hull of the vertices: on the
 hyperboloid the induced form there can fail to be positive definite, and on
@@ -32,7 +32,6 @@ from .domain import (
     BarycentricPoint,
     CurvatureSpec,
     EdgeLengths,
-    GramMatrix,
     curved_gram,
     lift_to_model,
     model_gram,
@@ -70,21 +69,22 @@ class ProjectionResult:
 
 
 def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[BarycentricPoint, float, None]:
-    """Foot, altitude and (no) lift from the apex Gram m at ``vertex`` of the E ``check`` stored.
+    """Foot, altitude and (no) lift from one solve y = M^-1 e_vertex on ``_bordered``'s M.
 
-    The foot h satisfies <p_i, h> = |h|^2 for every face vertex p_i, so its
-    coordinates are w / (1^T w) with w = m^-1 1, and |h|^2 = 1 / (1^T w).
+    At kappa = 0 the top-left block of M^-1 is the Gram matrix of the barycentric gradients
+    (Fiedler 2011), so the altitude is 1 / sqrt(y_v) and the foot e_v - y / y_v (face sum 1).
     """
-    m = GramMatrix(model_gram(e, EUCLIDEAN).half_chords, EUCLIDEAN, vertex).matrix.data
+    k = e.num_vertices
+    unit = np.eye(1, k + 1, vertex - 1)[0]
     try:
-        w = np.linalg.solve(m, np.ones(e.n))
+        y = np.linalg.solve(_bordered(model_gram(e, EUCLIDEAN)), unit)
     except np.linalg.LinAlgError as exc:
-        raise ProjectionDegenerate(f"apex Gram matrix at vertex {vertex} is singular") from exc
-    total = float(w.sum())
-    if not 0 < total < math.inf:
-        raise ProjectionDegenerate(f"1^T m^-1 1 = {total} is not positive")
-    foot = _foot(e.num_vertices, _other_vertices(e.num_vertices, vertex), w / total)
-    return foot, 1.0 / math.sqrt(total), None
+        raise ProjectionDegenerate("bordered matrix M is singular") from exc
+    yv = float(y[vertex - 1])
+    if not 0 < yv < math.inf:
+        raise ProjectionDegenerate(f"(M^-1)_vv = {yv} at vertex {vertex} is not positive")
+    face = _other_vertices(k, vertex)
+    return _foot(k, face, y[face] / -yv), 1.0 / math.sqrt(yv), None
 
 
 def _foot(k: int, face: list[int], quotient: np.ndarray) -> BarycentricPoint:

@@ -123,6 +123,22 @@ def well_shaped(rng: np.random.Generator, n: int, c: CurvatureSpec) -> EdgeLengt
     return EdgeLengths(g / c.scale if c.kappa else g)
 
 
+def classical_gram(e: EdgeLengths, kappa: float, apex: int | None = None) -> list:
+    """50-digit Gram matrix of the float64 edges by the classical route, as rows of mpf:
+    the cos/cosh vertex Gram Q of the unit model at kappa != 0, and at kappa = 0 the
+    apex Gram (g_ia^2 + g_ja^2 - g_ij^2) / 2 at ``apex`` a over the other vertices."""
+    mpmath = pytest.importorskip("mpmath")
+    g = [[mpmath.mpf(v) for v in row] for row in e.gamma.tolist()]
+    with mpmath.workdps(50):
+        if kappa == 0:
+            a, others = apex - 1, [i for i in range(len(g)) if i != apex - 1]
+            return [[(g[i][a] ** 2 + g[j][a] ** 2 - g[i][j] ** 2) / 2 for j in others]
+                    for i in others]
+        s = mpmath.sqrt(abs(mpmath.mpf(kappa)))
+        f = mpmath.cos if kappa > 0 else (lambda t: -mpmath.cosh(t))
+        return [[f(s * v) for v in row] for row in g]
+
+
 def random_interior_point(rng: np.random.Generator, num_vertices: int) -> np.ndarray:
     """Dirichlet-distributed interior barycentric coordinates."""
     return rng.dirichlet(np.ones(num_vertices))

@@ -192,4 +192,6 @@ def test_numpy_integer_vertex_numbers_are_accepted():
     assert e.restricted(np.array([1, 3])).gamma.tolist() == [[0.0, 2.0], [2.0, 0.0]]
     assert BarycentricPoint.vertex(three, 3).coords.tolist() == [0.0, 0.0, 1.0]
     assert euclidean_face_volume(e, three) == 1.0
-    assert project(e, EUCLIDEAN, one).foot.coords.tolist() == [0.0, 0.74, 0.26]
+    foot = project(e, EUCLIDEAN, one).foot.coords
+    assert foot.tolist() == project(e, EUCLIDEAN, 1).foot.coords.tolist()
+    assert foot.tolist() == pytest.approx([0.0, 0.74, 0.26], abs=1e-15)

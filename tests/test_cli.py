@@ -147,15 +147,15 @@ class TestProject:
         assert code == 2
         assert "out of range" in err
 
-    def test_singular_apex_gram_at_tol_zero(self, capsys, files):
-        # Relabeled, flat set A passes check only at tol 0; its apex Gram at vertex 2 is singular.
+    def test_singular_bordered_matrix_at_tol_zero(self, capsys, files):
+        # Relabeled, flat set A passes check only at tol 0; its bordered matrix M is singular.
         e = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES["A"], dtype=float)))
         edges = e.permuted(FLAT_TOL0_ORDERS["A"]).gamma
         path = files("flat.json", {"edge_lengths": edges.tolist()})
         code, out, err = run(capsys, ["project", path, "--tol", "0", "--vertex", "2"])
         assert code == 3
         assert out == ""
-        assert err.startswith("error: apex Gram matrix at vertex 2 is singular")
+        assert err.startswith("error: bordered matrix M is singular")
 
 
 class TestVolume:

@@ -37,6 +37,7 @@ from curvsimplex.symmat import SymMatrix
 
 from conftest import (
     TABLE_3SIMPLEX,
+    classical_gram,
     random_hyperbolic,
     random_interior_point,
     random_simplex,
@@ -167,6 +168,14 @@ class TestCurvatureSpec:
         assert (SPHERICAL.sign, SPHERICAL.scale) == (1.0, 1.0)
         with pytest.raises(TypeError):
             CurvatureSpec(1.0, -1.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, -4.0, 0.3])
+    def test_pickles_hold_kappa_alone(self, kappa):
+        # sign and scale are derived on load, not read back from a stored state.
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            cls, args = CurvatureSpec(kappa).__reduce_ex__(protocol)
+            assert cls is CurvatureSpec and [a.hex() for a in args] == [kappa.hex()]
+            assert b"sign" not in pickle.dumps(CurvatureSpec(kappa), protocol)
 
     @pytest.mark.parametrize("name", ["kappa", "sign", "scale"])
     def test_fields_are_read_only(self, name):
@@ -920,9 +929,7 @@ def classical_hull_forms(e: EdgeLengths, kappa: float, x: BarycentricPoint,
     of the unit model, and x^T Q y / |kappa|."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        s, size = mpmath.sqrt(abs(mpmath.mpf(kappa))), abs(mpmath.mpf(kappa))
-        f = mpmath.cos if kappa > 0 else (lambda t: -mpmath.cosh(t))
-        q = [[f(s * mpmath.mpf(g)) for g in row] for row in e.gamma.tolist()]
+        size, q = abs(mpmath.mpf(kappa)), classical_gram(e, kappa)
         u, v = x.coords.tolist(), y.coords.tolist()
         terms = [a * qa[j] * b for a, qa in zip(u, q) for j, b in enumerate(v)]
         xx = mpmath.fsum(a * qa[j] * b for a, qa in zip(u, q) for j, b in enumerate(u))

@@ -1,4 +1,5 @@
-"""Every name a library module imports is read: an unused-import check with ``ast``."""
+"""Every name a library module or tools/corpus.py imports is read: an unused-import check
+with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -27,10 +28,11 @@ def test_unused_imports_are_found():
 
 
 # __init__.py is left out: its imports are the public surface.
-LIBRARY_MODULES = sorted(p for p in Path(curvsimplex.__file__).parent.glob("*.py")
-                         if p.name != "__init__.py")
+MODULES = sorted(p for p in Path(curvsimplex.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+MODULES.append(Path(__file__).resolve().parent.parent / "tools" / "corpus.py")
 
 
-@pytest.mark.parametrize("path", LIBRARY_MODULES, ids=[p.stem for p in LIBRARY_MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -24,11 +24,11 @@ from curvsimplex import (
     distance,
     embed,
     euclidean_gram,
-    hull_inner_product,
 )
 from curvsimplex import metrics
 
 from conftest import (
+    classical_gram,
     random_euclidean,
     random_hyperbolic,
     random_interior_point,
@@ -184,9 +184,7 @@ def classical_distance(e: EdgeLengths, kappa: float, x: BarycentricPoint,
     the cos/cosh vertex Gram Q, then arccos or arccosh of <x,y> / sqrt(<x,x><y,y>)."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        s = mpmath.sqrt(abs(mpmath.mpf(kappa)))
-        f = mpmath.cos if kappa > 0 else (lambda t: -mpmath.cosh(t))
-        q = mpmath.matrix([[f(s * mpmath.mpf(g)) for g in row] for row in e.gamma.tolist()])
+        s, q = mpmath.sqrt(abs(mpmath.mpf(kappa))), mpmath.matrix(classical_gram(e, kappa))
         u, v = mpmath.matrix(x.coords.tolist()), mpmath.matrix(y.coords.tolist())
         xy, xx, yy = ((a.T * q * b)[0] for a, b in ((u, v), (u, u), (v, v)))
         c = xy / mpmath.sqrt(xx * yy)

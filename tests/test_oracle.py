@@ -16,7 +16,6 @@ from curvsimplex import (
     CurvatureSpec,
     EUCLIDEAN,
     EdgeLengths,
-    Embedding,
     HYPERBOLIC,
     ModelSpace,
     NotRealizableInput,

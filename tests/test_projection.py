@@ -28,9 +28,11 @@ from curvsimplex import (
     euclidean_gram,
     euclidean_volume,
     hull_inner_product,
+    model_gram,
     project,
 )
 from curvsimplex.projection import _foot
+from curvsimplex.realizability import _bordered
 
 from conftest import (
     ANTIPODE_4SIMPLEX,
@@ -40,6 +42,7 @@ from conftest import (
     FLAT_TOL0_ORDERS,
     NON_EUCLIDEAN_FACE_EDGES,
     WRONG_SHEET_TETRAHEDRON,
+    classical_gram,
     edges_from_points,
     random_euclidean,
     random_hyperbolic,
@@ -61,16 +64,18 @@ def inside_projection_case(rng, generator, c, n):
 
 
 class TestFootIsDividedOnce:
-    """A foot is its own quotient w / (1^T w) or s / sum(s), checked and never divided again."""
+    """A foot is its own quotient y / -y_v or s / sum(s), checked and never divided again."""
 
     def test_euclidean_foot_is_the_solve_quotient(self):
         rng = np.random.default_rng(31)
         for n in (3, 5, 10):
             e = random_euclidean(rng, n)
+            m = _bordered(model_gram(e, EUCLIDEAN))
             for vertex in range(1, n + 2):
-                w = np.linalg.solve(euclidean_gram(e, vertex).matrix.data, np.ones(n))
+                y = np.linalg.solve(m, np.eye(n + 2)[vertex - 1])[:n + 1]
                 coords = project(e, EUCLIDEAN, vertex).foot.coords
-                assert np.array_equal(np.delete(coords, vertex - 1), w / float(w.sum()))
+                assert np.array_equal(np.delete(coords, vertex - 1),
+                                      np.delete(y, vertex - 1) / -y[vertex - 1])
 
     @pytest.mark.parametrize("quotient", [[0.5, 0.5 + 2e-6], [math.inf, -math.inf],
                                           [math.nan, 1.0], [1e308, 1e308]])
@@ -138,7 +143,7 @@ class TestEuclideanProject:
 
     @pytest.mark.parametrize("name", sorted(FLAT_4SIMPLICES))
     def test_flat_set_realizable_at_tol_zero_projects_or_is_degenerate(self, name):
-        # At tol 0 some apex Gram matrices are singular in float64 or give a foot
+        # At tol 0 the bordered matrix M can be singular in float64, or give a foot
         # whose coordinates lose their unit sum: those feet are ProjectionDegenerate.
         flat = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES[name], dtype=float)))
         assert check(flat, EUCLIDEAN, 0.0).verdict is Verdict.NOT_REALIZABLE
@@ -682,21 +687,26 @@ class TestFootSheet:
                     assert np.allclose(res.foot_model.coords, lift, rtol=0, atol=1e-8 * scale)
 
 
-def classical_foot(e: EdgeLengths, kappa: float, vertex: int) -> np.ndarray:
-    """50-digit foot from ``vertex`` by the classical route on the float64 edges: the
-    cos/cosh vertex Gram Q of the unit model, y = Q^-1 e_vertex by LU, and y over the
-    face divided by its sum (0 at ``vertex``)."""
+def classical_foot(e: EdgeLengths, kappa: float, vertex: int) -> tuple[np.ndarray, float]:
+    """50-digit foot from ``vertex`` by the classical route on the float64 edges, and at
+    kappa = 0 its altitude (NaN at kappa != 0).  Curved: the cos/cosh vertex Gram Q of the
+    unit model, y = Q^-1 e_vertex by LU, and y over the face divided by its sum.  Euclidean:
+    the apex Gram m at ``vertex``, w = m^-1 1 by LU, the foot w / sum(w) and the altitude
+    1 / sqrt(sum(w)).  The foot is 0 at ``vertex``."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        s = mpmath.sqrt(abs(mpmath.mpf(kappa)))
-        f = mpmath.cos if kappa > 0 else (lambda t: -mpmath.cosh(t))
-        q = mpmath.matrix([[f(s * mpmath.mpf(g)) for g in row] for row in e.gamma.tolist()])
-        unit = mpmath.matrix(e.num_vertices, 1)
-        unit[vertex - 1] = 1
-        y = mpmath.lu_solve(q, unit)
-        y[vertex - 1] = 0
+        q = mpmath.matrix(classical_gram(e, kappa, vertex))
+        if kappa == 0:  # the apex Gram has no row for ``vertex``
+            y = list(mpmath.lu_solve(q, mpmath.ones(q.rows, 1)))
+            y.insert(vertex - 1, mpmath.mpf(0))
+        else:
+            unit = mpmath.matrix(q.rows, 1)
+            unit[vertex - 1] = 1
+            y = list(mpmath.lu_solve(q, unit))
+            y[vertex - 1] = 0
         total = mpmath.fsum(y)
-        return np.array([float(v / total) for v in y])
+        altitude = float(1 / mpmath.sqrt(total)) if kappa == 0 else math.nan
+        return np.array([float(v / total) for v in y]), altitude
 
 
 class TestCurvedFootHighPrecision:
@@ -716,6 +726,21 @@ class TestCurvedFootHighPrecision:
         else:
             e = well_shaped(rng, n, CurvatureSpec(kappa))
         for vertex in range(1, n + 2):
-            reference = classical_foot(e, kappa, vertex)
+            reference, _ = classical_foot(e, kappa, vertex)
             foot = project(e, CurvatureSpec(kappa), vertex).foot.coords
             assert np.abs(foot - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+class TestEuclideanFootHighPrecision:
+    """Euclidean feet of the same well-shaped simplices, from M's solve, against
+    50-digit apex-Gram references: each foot within 1e-13 of its largest coordinate,
+    and each altitude within 1e-13 relative."""
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_every_vertex(self, n):
+        e = well_shaped(np.random.default_rng([n, 32]), n, EUCLIDEAN)
+        for vertex in range(1, n + 2):
+            reference, altitude = classical_foot(e, 0.0, vertex)
+            res = project(e, EUCLIDEAN, vertex)
+            assert np.abs(res.foot.coords - reference).max() <= 1e-13 * np.abs(reference).max()
+            assert res.altitude == pytest.approx(altitude, rel=1e-13, abs=0.0)
