@@ -79,7 +79,7 @@ ANTIPODE_4SIMPLEX = [[0.0, 0.335255, 0.174571, 0.218231, 0.201319],
                      [0.218231, 0.192861, 0.269718, 0.0, 0.129006],
                      [0.201319, 0.163395, 0.216127, 0.129006, 0.0]]
 # Squared edges of flat Euclidean 4-simplices: Degenerate at the default tol,
-# Realizable at tol 0, where some apex Gram matrices are singular in float64.
+# Realizable at tol 0, where their bordered matrix M can be singular in float64.
 FLAT_4SIMPLEX_A = [[0, 9, 68, 116, 40], [9, 0, 65, 149, 61], [68, 65, 0, 40, 20],
                    [116, 149, 40, 0, 20], [40, 61, 20, 20, 0]]
 FLAT_4SIMPLEX_B = [[0, 34, 25, 20, 32], [34, 0, 117, 106, 82], [25, 117, 0, 1, 49],
