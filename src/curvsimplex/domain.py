@@ -25,7 +25,7 @@ from .errors import (
     OutsideLightCone,
     WrongModel,
 )
-from .symmat import SymMatrix, _vertex, _vertex_indices, _without
+from .symmat import SymMatrix, _vertex, _without
 
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
@@ -167,11 +167,12 @@ class EdgeLengths:
         """Relabel vertices so new vertex k is old vertex order[k] (1-based).
 
         The first entry, in order, that is no integer or out of range raises as
-        ``_vertex`` does (``_vertex_indices``); valid numbers that are no
-        permutation of 1..num_vertices raise ValueError.
+        ``_vertex`` does; valid numbers that are no permutation of 1..num_vertices
+        raise ValueError.
         """
-        idx = _vertex_indices(order, self.num_vertices)
-        if sorted(idx) != list(range(self.num_vertices)):
+        k = self.num_vertices
+        idx = [_vertex(v, k) - 1 for v in order]
+        if sorted(idx) != list(range(k)):
             raise ValueError("order must be a permutation of 1..num_vertices")
         return self._derived(self.gamma.take(idx, 0).take(idx, 1), self.shortest, self.longest)
 
@@ -179,10 +180,11 @@ class EdgeLengths:
         """Sub-simplex spanned by the given vertices (1-based, >= 2 of them).
 
         The first entry, in order, that is no integer or out of range raises as
-        ``_vertex`` does (``_vertex_indices``).  Repeats are dropped and the
-        vertices sorted; fewer than 2 distinct vertices raise ValueError.
+        ``_vertex`` does.  Repeats are dropped and the vertices sorted; fewer than
+        2 distinct vertices raise ValueError.
         """
-        idx = sorted(set(_vertex_indices(vertices, self.num_vertices)))
+        k = self.num_vertices
+        idx = sorted({_vertex(v, k) - 1 for v in vertices})
         if len(idx) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
         g = self.gamma.take(idx, 0).take(idx, 1)

@@ -34,4 +34,4 @@ class GramOverflow(GeometryError):
 
 class EmbeddingInconsistency(GeometryError):
     """Internal failure: a factorization or spectrum inconsistent with a Realizable verdict
-    (``embed``'s, or the apex Gram of a Euclidean volume)."""
+    (``embed``'s, or a Euclidean volume's apex Gram with no Cholesky factor)."""

@@ -4,13 +4,13 @@ One ``project`` body, with one realizability guard, serves every curvature,
 the unit models ``EUCLIDEAN``, ``HYPERBOLIC`` and ``SPHERICAL`` included.  Its
 altitude is always finite, and its foot has a lift onto the model exactly when
 kappa != 0.  Every foot reads the bordered matrix M that ``check`` classifies.  A
-Euclidean foot comes from one solve y = M^-1 e_v at the projected vertex v: the
-foot is e_v - y / y_v and the altitude 1 / sqrt(y_v).  Curved feet come from the
-first-row cofactors of M, so they hold as kappa -> 0 and agree at every curvature
-of one sign; the lift lies on the projected vertex's sheet or hemisphere.  A
-Euclidean volume is prod sqrt(lambda) / n! over the eigenvalues of the apex Gram
-matrix of the E that ``check`` stored, and a face volume is the volume of the
-face's own edges.
+Euclidean foot comes from one solve y = M^-1 e_v at the projected vertex v, on M
+scaled by a power of two: the foot is e_v - y / y_v and the altitude 1 / sqrt(y_v).
+Curved feet come from the first-row cofactors of M, so they hold as kappa -> 0 and
+agree at every curvature of one sign; the lift lies on the projected vertex's sheet
+or hemisphere.  A Euclidean volume is sqrt(det G) / n!, the product of the diagonal
+of the Cholesky factor of the apex Gram matrix G of the E that ``check`` stored, and
+a face volume is the volume of the face's own edges.
 
 No curved foot is projected inside the convex hull of the vertices: on the
 hyperboloid the induced form there can fail to be positive definite, and on
@@ -73,18 +73,23 @@ def _euclidean_foot(e: EdgeLengths, vertex: int) -> tuple[BarycentricPoint, floa
 
     At kappa = 0 the top-left block of M^-1 is the Gram matrix of the barycentric gradients
     (Fiedler 2011), so the altitude is 1 / sqrt(y_v) and the foot e_v - y / y_v (face sum 1).
+    The solve runs on 2^-p M, p the binary exponent of the border s = max E rounded down to
+    even, so M^-1 stays in range for edges near 1e-153; an exact power of two moves no other bit.
     """
     k = e.num_vertices
+    m = _bordered(model_gram(e, EUCLIDEAN))
+    p = 2 * (math.frexp(m[0, k])[1] // 2)
     unit = np.eye(1, k + 1, vertex - 1)[0]
     try:
-        y = np.linalg.solve(_bordered(model_gram(e, EUCLIDEAN)), unit)
+        y = np.linalg.solve(np.ldexp(m, -p), unit)
     except np.linalg.LinAlgError as exc:
         raise ProjectionDegenerate("bordered matrix M is singular") from exc
     yv = float(y[vertex - 1])
     if not 0 < yv < math.inf:
-        raise ProjectionDegenerate(f"(M^-1)_vv = {yv} at vertex {vertex} is not positive")
+        raise ProjectionDegenerate(
+            f"(M^-1)_vv = {yv * 2.0 ** -p} at vertex {vertex} is not positive")
     face = _other_vertices(k, vertex)
-    return _foot(k, face, y[face] / -yv), 1.0 / math.sqrt(yv), None
+    return _foot(k, face, y[face] / -yv), math.ldexp(1.0 / math.sqrt(yv), p // 2), None
 
 
 def _foot(k: int, face: list[int], quotient: np.ndarray) -> BarycentricPoint:
@@ -103,20 +108,21 @@ def _foot(k: int, face: list[int], quotient: np.ndarray) -> BarycentricPoint:
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
-    """prod sqrt(lambda) / n! over the eigenvalues of the apex Gram matrix at the last vertex.
+    """sqrt(det G) / n!: the Cholesky diagonal product of the apex Gram G at the last vertex.
 
     Degenerate (flat) edge sets have volume 0.0; GramOverflow if it leaves float64, and
-    EmbeddingInconsistency if an eigenvalue is not positive (a flat set Realizable at tol 0).
+    EmbeddingInconsistency if G has no Cholesky factor (a flat set Realizable at tol 0).
     """
     report = check(e, EUCLIDEAN, tol)
     if report.verdict is Verdict.NOT_REALIZABLE:
         raise NotRealizableInput(f"not a Euclidean edge set: {report.detail}")
     if report.verdict is Verdict.DEGENERATE:
         return 0.0
-    eig = model_gram(e, EUCLIDEAN).matrix.eigenvalues()
-    if eig[0] <= 0:  # M's inertia held at tol 0, but the apex Gram's did not
-        raise EmbeddingInconsistency(f"apex Gram eigenvalue {eig[0]} is not positive")
-    volume = math.prod(np.sqrt(eig).tolist()) / math.factorial(e.n)
+    try:  # M's inertia held at tol 0, but G need not be positive definite
+        factor = np.linalg.cholesky(model_gram(e, EUCLIDEAN).matrix.data)
+    except np.linalg.LinAlgError as exc:
+        raise EmbeddingInconsistency("apex Gram matrix is not positive definite") from exc
+    volume = math.prod(factor.diagonal().tolist()) / math.factorial(e.n)
     if not 0 < volume < math.inf:
         raise GramOverflow(f"volume of edges in [{e.shortest}, {e.longest}] "
                            "overflows or underflows float64")

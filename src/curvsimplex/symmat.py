@@ -25,19 +25,6 @@ def _vertex(i, k: int) -> int:
     return i
 
 
-def _vertex_indices(vertices, k: int) -> list[int]:
-    """0-based indices of the vertex numbers (1-based), in input order, read in one pass;
-    only if one is bad does the in-order ``_vertex`` loop run, raising at the first bad one."""
-    vertices = list(vertices)  # read twice when one is bad; callers may pass a generator
-    try:
-        idx = [operator.index(v) - 1 for v in vertices]
-        if not idx or (min(idx) >= 0 and max(idx) < k):
-            return idx
-    except TypeError:
-        pass
-    return [_vertex(v, k) - 1 for v in vertices]
-
-
 def _other_vertices(k: int, vertex: int) -> list[int]:
     """0-based indices of the k vertices other than ``vertex`` (1-based), ascending."""
     return [*range(vertex - 1), *range(vertex, k)]

@@ -195,14 +195,14 @@ class TestVolume:
 
 
     def test_flat_set_realizable_at_tol_zero(self, files):
-        # Relabeled, flat set A passes check only at tol 0; its apex Gram's smallest
-        # eigenvalue rounds below zero, which is reported before any square root warns.
+        # Relabeled, flat set A passes check only at tol 0, where its apex Gram has no
+        # Cholesky factor: one error line, and no square root warns.
         e = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES["A"], dtype=float)))
         edges = e.permuted(FLAT_TOL0_ORDERS["A"]).gamma
         path = files("flat.json", {"edge_lengths": edges.tolist()})
         proc = fresh_cli(["volume", path, "--tol", "0"])
         assert (proc.returncode, proc.stdout) == (4, "")
-        assert proc.stderr.startswith("error: apex Gram eigenvalue -")
+        assert proc.stderr == "error: apex Gram matrix is not positive definite\n"
         assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from curvsimplex import (
 )
 from curvsimplex.projection import _foot
 from curvsimplex.realizability import _bordered
+from curvsimplex.symmat import SymMatrix
 
 from conftest import (
     ANTIPODE_4SIMPLEX,
@@ -141,6 +143,19 @@ class TestEuclideanProject:
         bad = EdgeLengths([[0, 1, 3], [1, 0, 1], [3, 1, 0]]).scaled(s)
         assert check(bad, EUCLIDEAN).verdict is Verdict.NOT_REALIZABLE
 
+    @pytest.mark.parametrize("j", [-508, -506, -300, 0, 300, 500])
+    def test_power_of_two_scale_moves_no_foot_bit(self, j):
+        # At 2^-508 the edges are near 1e-153 and E near 1e-307, where an unscaled
+        # M^-1 overflows; the solve on 2^-p M keeps every foot and altitude exact.
+        for seed in range(20):
+            n = 2 + seed % 9
+            e = random_euclidean(np.random.default_rng(seed), n)
+            scaled = e.scaled(math.ldexp(1.0, j))
+            for vertex in range(1, n + 2):
+                res, res_scaled = project(e, EUCLIDEAN, vertex), project(scaled, EUCLIDEAN, vertex)
+                assert np.array_equal(res_scaled.foot.coords, res.foot.coords)
+                assert res_scaled.altitude == math.ldexp(res.altitude, j)
+
     @pytest.mark.parametrize("name", sorted(FLAT_4SIMPLICES))
     def test_flat_set_realizable_at_tol_zero_projects_or_is_degenerate(self, name):
         # At tol 0 the bordered matrix M can be singular in float64, or give a foot
@@ -201,6 +216,27 @@ class TestDeterminantIdentities:
             face_apex = int(rng.integers(1, n + 1))
             face_det = euclidean_gram(face_edges, apex=face_apex).matrix.determinant()
             assert total == pytest.approx(face_det, rel=1e-8)
+
+
+def volume_of_gram(rows) -> float:
+    """sqrt(det) / n! of a 50-digit apex Gram matrix given as n rows of mpf."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return float(mpmath.sqrt(mpmath.det(mpmath.matrix(rows))) / mpmath.factorial(len(rows)))
+
+
+def exact_volume(e: EdgeLengths) -> float:
+    """Volume of the float64 edges from their 50-digit apex Gram at the last vertex."""
+    return volume_of_gram(classical_gram(e, 0.0, e.num_vertices))
+
+
+def volume_of_half_chords(half_chords: np.ndarray) -> float:
+    """Volume from the 50-digit apex Gram E_ia + E_ja - E_ij of float64 half chords E."""
+    mpmath = pytest.importorskip("mpmath")
+    h = [[mpmath.mpf(v) for v in row] for row in half_chords.tolist()]
+    a = len(h) - 1
+    with mpmath.workdps(50):
+        return volume_of_gram([[h[i][a] + h[j][a] - h[i][j] for j in range(a)] for i in range(a)])
 
 
 class TestVolumes:
@@ -275,7 +311,7 @@ class TestVolumes:
     @pytest.mark.parametrize("name", sorted(FLAT_4SIMPLICES))
     def test_flat_set_realizable_at_tol_zero(self, name):
         # Where tol 0 calls a relabeling of a flat set Realizable, M's spectrum has no
-        # zero, but the apex Gram's smallest eigenvalue can round below zero.
+        # zero, but the apex Gram can round to a matrix with no Cholesky factor.
         flat = EdgeLengths(np.sqrt(np.array(FLAT_4SIMPLICES[name], dtype=float)))
         realizable = 0
         for order in itertools.permutations(range(1, 6)):
@@ -286,8 +322,30 @@ class TestVolumes:
             try:
                 assert 0 < euclidean_volume(e, 0.0) < math.inf
             except EmbeddingInconsistency as exc:
-                assert "apex Gram eigenvalue" in str(exc) and "is not positive" in str(exc)
+                assert str(exc) == "apex Gram matrix is not positive definite"
         assert realizable > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_well_shaped_volumes_match_50_digits(self, n):
+        e = well_shaped(np.random.default_rng([n, 34]), n, EUCLIDEAN)
+        assert euclidean_volume(e) == pytest.approx(exact_volume(e), rel=1e-13, abs=0.0)
+        for vertex in range(1, n + 2):
+            face = e.restricted(v for v in range(1, n + 2) if v != vertex)
+            assert euclidean_face_volume(e, vertex) == pytest.approx(
+                exact_volume(face), rel=1e-13, abs=0.0)
+
+    def test_flat_tetrahedron_faces_lose_no_more_than_rounding_e(self):
+        # Read at kappa = 0, the faces of the flat hyperbolic tetrahedron are Euclidean
+        # triangles, face 1 nearly flat.  Each face volume is as close to the 50-digit
+        # one as the 50-digit volume of the float64 E = gamma^2 / 2 is, or within the
+        # well-shaped 1e-13 where that rounding costs less than the factorization.
+        e = EdgeLengths(FLAT_HYPERBOLIC_TETRAHEDRON)
+        for vertex in range(1, 5):
+            face = e.restricted(v for v in range(1, 5) if v != vertex)
+            exact = exact_volume(face)
+            rounded = volume_of_half_chords(model_gram(face, EUCLIDEAN).half_chords.data)
+            bound = max(abs(rounded / exact - 1), 1e-13)
+            assert abs(euclidean_face_volume(e, vertex) / exact - 1) <= bound
 
     def test_face_vertex_out_of_range(self, table_simplex):
         for vertex in (0, 5):
@@ -403,6 +461,14 @@ class TestHyperbolicProject:
             project(e, HYPERBOLIC, 1, 0.0)
         for vertex in (2, 3, 4):
             assert project(e, HYPERBOLIC, vertex, 0.0).altitude == 0.0
+
+    def test_vanishing_minor_sum_is_degenerate(self, monkeypatch, table_simplex):
+        monkeypatch.setattr(SymMatrix, "minor", lambda self, i, j: 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ProjectionDegenerate,
+                               match="signed first-row minors sum to zero"):
+                project(table_simplex, HYPERBOLIC, 1)
 
     def test_hull_route_would_fail(self):
         # Regression for the near-collinear configuration: the induced form

@@ -14,7 +14,8 @@ bound, rescales that overflow or underflow, flat and invalid inputs, feet
 whose minors normalize onto the wrong sheet, simplices with very short
 unit-model edges, segments, subnormal edges at kappa = +-1, flat Euclidean
 4-simplices and a flat hyperbolic tetrahedron whose tol-0 verdict rounding
-decides, and several eigenvalue cutoffs ``tol``.
+decides, a Euclidean 6-simplex with edges near 1e-153 (last, so no other key
+moves), and several eigenvalue cutoffs ``tol``.
 Fresh edge sets are read before any check: by ``distance``, ``model_gram``
 and ``project``, and by ``distance`` at two curvatures and then ``check``.
 Beside each matrix of ``model_gram`` and ``curved_gram`` it records the half
@@ -218,6 +219,11 @@ def cases(size: str, seed: int):
     # Spread 0.15 keeps every spherical edge under pi/2; appended last, so no other key moves.
     for kappa in spec["large"]:
         yield f"k={kappa!r} n={LARGE_N} real0", kappa, model_points(rng, kappa, LARGE_N, 0.15)
+    # Normal points in 6 dimensions scaled by 2^-508: edges near 1e-153 and E near 1e-307,
+    # where an unscaled Euclidean solve M^-1 e_v overflows.
+    x = np.random.default_rng(13).normal(size=(7, 6))
+    g = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1))
+    yield "euclidean edges near 1e-153", 0.0, np.ldexp(g, -508)
 
 
 def points(rng: np.random.Generator, k: int) -> list[list[float]]:
