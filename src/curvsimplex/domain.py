@@ -6,8 +6,8 @@ matrix built from them and the only one a ``GramMatrix`` stores: its apex
 Gram matrix (flat simplices) or full vertex Gram matrix (curved ones, on the
 unit model, carrying the curvature) is an exact rearrangement of E, derived
 on each read, and ``model_gram`` picks one per curvature.
-All values are immutable and all functions are pure; the one cache is the
-model Gram matrix and verdict an ``EdgeLengths`` keeps (see its docstring).
+All values are immutable and all functions are pure; the only caches are the
+model Gram matrix and the verdict an ``EdgeLengths`` keeps (see its docstring).
 """
 
 from __future__ import annotations
@@ -82,17 +82,16 @@ class EdgeLengths:
     break (the factor and the range of the scaled extremes, the vertex
     numbers) and carry the read-only matrix and its extremes over.
 
-    One private entry keeps the model Gram matrix at one curvature: the first
-    ``model_gram`` call (and so ``distance``) on a set with no entry stores it
-    with no verdict; ``check`` stores it with the tolerance and the report
-    (which holds the eigenvalues).  Later calls at that curvature read it, and
-    only ``check`` replaces it.  Derived edge sets, copies and unpickled ones
-    start with no entry.
+    Two private slots keep results: ``_gram`` the Gram matrix ``model_gram``
+    built last (and so the one ``distance`` and ``check`` read), and
+    ``_report`` the tolerance and report of the last ``check``, at its
+    curvature.  Each has one writer, which replaces it on a miss.  Derived
+    edge sets, copies and unpickled ones start with both empty.
     """
 
-    # _memo is None, (kappa, model Gram, nan, None) from model_gram (a nan tol
-    # matches no tol), or (kappa, model Gram, tol, report) from check.
-    __slots__ = ("gamma", "shortest", "longest", "_memo")
+    # _gram is None or a GramMatrix, keyed by its own curvature.kappa;
+    # _report is None or (kappa, tol, report).
+    __slots__ = ("gamma", "shortest", "longest", "_gram", "_report")
 
     def __init__(self, gamma) -> None:
         try:
@@ -115,11 +114,16 @@ class EdgeLengths:
         shortest = float(_off_diagonal(g).min())
         if not shortest > 0:
             raise ValueError("off-diagonal edge lengths must be positive")
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
+        self._fill(g, shortest, longest)
+
+    def _fill(self, gamma: np.ndarray, shortest: float, longest: float) -> None:
+        """Write every slot: the matrix, made read-only, its extremes and two empty caches."""
+        gamma.setflags(write=False)
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "shortest", shortest)
         object.__setattr__(self, "longest", longest)
-        object.__setattr__(self, "_memo", None)
+        object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_report", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EdgeLengths is immutable")
@@ -145,11 +149,7 @@ class EdgeLengths:
     def _derived(cls, gamma: np.ndarray, shortest: float, longest: float) -> "EdgeLengths":
         """Edge set of an exactly symmetric matrix derived from a validated one."""
         obj = object.__new__(cls)
-        gamma.setflags(write=False)
-        object.__setattr__(obj, "gamma", gamma)
-        object.__setattr__(obj, "shortest", shortest)
-        object.__setattr__(obj, "longest", longest)
-        object.__setattr__(obj, "_memo", None)
+        obj._fill(gamma, shortest, longest)
         return obj
 
     def scaled(self, factor: float) -> "EdgeLengths":
@@ -269,7 +269,7 @@ class BarycentricPoint:
         return cls.hull(c)  # a one-hot sums to exactly 1: nothing to normalize
 
     def __repr__(self) -> str:
-        return f"BarycentricPoint({self.coords.tolist()!r})"
+        return f"BarycentricPoint.hull({self.coords.tolist()!r})"  # hull keeps the stored bits
 
 
 @dataclass(frozen=True)
@@ -351,15 +351,13 @@ def curved_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
 def model_gram(e: EdgeLengths, c: CurvatureSpec) -> GramMatrix:
     """Apex Gram matrix at the last vertex for kappa = 0, else ``curved_gram``.
 
-    An edge set whose entry is at c returns the Gram matrix stored there; an
-    edge set with no entry stores the one built here, with no verdict.
+    The edge set keeps the last one built: a call at its curvature returns it,
+    and a call at another curvature builds one and keeps that in its place.
     """
-    memo = e._memo
-    if memo is not None and memo[0] == c.kappa:
-        return memo[1]
-    q = euclidean_gram(e, apex=e.num_vertices) if c.kappa == 0 else curved_gram(e, c)
-    if memo is None:
-        object.__setattr__(e, "_memo", (c.kappa, q, math.nan, None))
+    q = e._gram
+    if q is None or q.curvature.kappa != c.kappa:
+        q = euclidean_gram(e, apex=e.num_vertices) if c.kappa == 0 else curved_gram(e, c)
+        object.__setattr__(e, "_gram", q)
     return q
 
 

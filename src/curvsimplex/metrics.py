@@ -76,6 +76,6 @@ def distance(e: EdgeLengths, c: CurvatureSpec, x: BarycentricPoint,
     realizability check runs (it would add an eigendecomposition to every
     call), so callers run ``check`` first: on edges it does not call
     Realizable the result is still a finite float or a ``GeometryError``, but
-    it is no distance.  The Gram matrix is stored on a set with no entry.
+    it is no distance.  The Gram matrix comes from ``model_gram``, which keeps it on ``e``.
     """
     return _geodesic(model_gram(e, c), x, y)

@@ -9,8 +9,8 @@ scaled by a power of two: the foot is e_v - y / y_v and the altitude 1 / sqrt(y_
 Curved feet come from the first-row cofactors of M, so they hold as kappa -> 0 and
 agree at every curvature of one sign; the lift lies on the projected vertex's sheet
 or hemisphere.  A Euclidean volume is sqrt(det G) / n!, the product of the diagonal
-of the Cholesky factor of the apex Gram matrix G of the E that ``check`` stored, and
-a face volume is the volume of the face's own edges.
+of the Cholesky factor of the apex Gram matrix G of the E that ``model_gram`` keeps,
+and a face volume is the volume of the face's own edges.
 
 No curved foot is projected inside the convex hull of the vertices: on the
 hyperboloid the induced form there can fail to be positive definite, and on

@@ -51,14 +51,13 @@ def _bordered(q: GramMatrix) -> np.ndarray:
 def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> RealizabilityReport:
     """Compare the inertia of the bordered matrix M with (k, 1, 0), then gate long spherical edges.
 
-    The result is stored on ``e``: a later call at the same curvature and
-    ``tol`` returns it; any other call reads the Gram matrix through
-    ``model_gram`` (the stored one at the same curvature) and classifies anew.
-    The NaN tol of an entry ``model_gram`` stored (Gram known, verdict not) matches none.
+    The report is kept on ``e`` in place of the last one: a later call at the same
+    curvature and ``tol`` returns it; any other call reads the Gram matrix through
+    ``model_gram`` (the kept one at the same curvature) and classifies anew.
     """
-    memo = e._memo
-    if memo is not None and memo[0] == c.kappa and memo[2] == tol:
-        return memo[3]
+    kept = e._report
+    if kept is not None and kept[0] == c.kappa and kept[1] == tol:
+        return kept[2]
     q, k, sigma = model_gram(e, c), e.num_vertices, c.sign
     eig = np.linalg.eigvalsh(_bordered(q))
     if not (math.isfinite(eig[0]) and math.isfinite(eig[-1])):
@@ -82,5 +81,5 @@ def check(e: EdgeLengths, c: CurvatureSpec, tol: float = DEFAULT_TOL) -> Realiza
     if c.kappa > 0 and e.longest * c.scale >= math.pi / 2:
         verdict, detail = Verdict.NOT_REALIZABLE, "edge >= pi/2"
     report = RealizabilityReport(verdict, sig, detail, eig)
-    object.__setattr__(e, "_memo", (c.kappa, q, tol, report))
+    object.__setattr__(e, "_report", (c.kappa, tol, report))
     return report

@@ -613,11 +613,52 @@ class TestCopyAndPickle:
         assert not twin.coords.flags.writeable
 
 
+class TestReprEvaluatesBack:
+    """eval(repr(v)) rebuilds v bit for bit: a point prints as the ``hull`` call
+    that keeps its stored coordinates, an edge set and a matrix as their constructors."""
+
+    NAMES = {"BarycentricPoint": BarycentricPoint, "EdgeLengths": EdgeLengths,
+             "SymMatrix": SymMatrix}
+
+    def assert_point_round_trips(self, p):
+        twin = eval(repr(p), self.NAMES)
+        assert type(twin) is BarycentricPoint
+        assert twin.coords.tobytes() == p.coords.tobytes()
+
+    def test_a_lift(self):
+        # The lift's coefficients sum to about 0.856: no barycentric point has them.
+        regular = EdgeLengths(np.ones((4, 4)) - np.eye(4))
+        self.assert_point_round_trips(project(regular, HYPERBOLIC, 1).foot_model)
+
+    def test_renormalized_points(self):
+        rng = np.random.default_rng(35)
+        for k in rng.integers(2, 12, size=2000):
+            coords = rng.dirichlet(np.ones(k)) * (1.0 + 1e-7 * rng.uniform(-1.0, 1.0))
+            self.assert_point_round_trips(BarycentricPoint(coords))
+
+    def test_a_vertex_and_a_negative_zero(self):
+        self.assert_point_round_trips(BarycentricPoint.vertex(3, 5))
+        p = BarycentricPoint.hull([-0.0, 0.25, 0.75])
+        self.assert_point_round_trips(p)
+        assert math.copysign(1.0, eval(repr(p), self.NAMES).coords[0]) == -1.0
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0])
+    def test_edge_lengths_and_sym_matrix(self, kappa):
+        rng = np.random.default_rng(36)
+        for n in (1, 3, 10):
+            e = random_simplex(rng, n, CurvatureSpec(kappa))
+            twin = eval(repr(e), self.NAMES)
+            assert type(twin) is EdgeLengths
+            assert twin.gamma.tobytes() == e.gamma.tobytes()
+            assert (twin.shortest, twin.longest) == (e.shortest, e.longest)
+            m = SymMatrix(rng.standard_normal((n + 1, n + 1)))
+            assert eval(repr(m), self.NAMES).data.tobytes() == m.data.tobytes()
+
+
 class TestModelGramMemo:
-    """An edge set builds its model Gram matrix once per curvature in use:
-    model_gram stores the one it builds on a set with no entry, check
-    classifies that matrix and stores its verdict, and model_gram never
-    replaces an entry."""
+    """An edge set keeps the model Gram matrix model_gram built last, keyed by its
+    curvature, and the report of the last check, keyed by curvature and tol.
+    check reads its matrix through model_gram and keeps no Gram of its own."""
 
     KAPPAS = [0.0, -1.0, 1.0, -0.3, 0.3]
     X, Y = BarycentricPoint.vertex(1, 4), BarycentricPoint.vertex(2, 4)  # in every model
@@ -633,13 +674,13 @@ class TestModelGramMemo:
         assert q.matrix.data.tobytes() == fresh.matrix.data.tobytes()
 
     def test_other_curvature_builds_its_own(self, table_simplex):
-        # model_gram never replaces a stored verdict: another curvature rebuilds.
+        # A second curvature builds its Gram once, in place of the checked one.
         check(table_simplex, HYPERBOLIC)
         q = model_gram(table_simplex, SPHERICAL)
         assert q.curvature == SPHERICAL
         built = curved_gram(table_simplex, SPHERICAL)
         assert q.matrix.data.tobytes() == built.matrix.data.tobytes()
-        assert model_gram(table_simplex, SPHERICAL) is not q
+        assert model_gram(table_simplex, SPHERICAL) is q
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_distance_stores_the_gram_it_built(self, table_simplex, kappa):
@@ -672,22 +713,21 @@ class TestModelGramMemo:
 
     def test_distance_at_another_curvature_keeps_the_verdict(self, table_simplex):
         report = check(table_simplex, HYPERBOLIC)
-        q = model_gram(table_simplex, HYPERBOLIC)
         distance(table_simplex, SPHERICAL, self.X, self.Y)
         assert check(table_simplex, HYPERBOLIC) is report
-        assert model_gram(table_simplex, HYPERBOLIC) is q
 
-    def test_a_second_curvature_rebuilds_until_checked(self, table_simplex):
-        # The first curvature in use keeps the entry; check at another replaces it.
+    def test_the_last_curvature_built_keeps_the_gram(self, table_simplex):
+        # One Gram at a time: switching curvature rebuilds once per switch.
         distance(table_simplex, HYPERBOLIC, self.X, self.Y)
         q = model_gram(table_simplex, HYPERBOLIC)
         distance(table_simplex, SPHERICAL, self.X, self.Y)
-        assert model_gram(table_simplex, SPHERICAL) is not model_gram(table_simplex, SPHERICAL)
-        assert model_gram(table_simplex, HYPERBOLIC) is q
+        s = model_gram(table_simplex, SPHERICAL)
+        assert model_gram(table_simplex, SPHERICAL) is s
+        assert model_gram(table_simplex, HYPERBOLIC) is not q
         report = check(table_simplex, SPHERICAL)
         assert report == check(EdgeLengths(TABLE_3SIMPLEX), SPHERICAL)
         assert model_gram(table_simplex, SPHERICAL) is model_gram(table_simplex, SPHERICAL)
-        assert model_gram(table_simplex, HYPERBOLIC) is not q
+        assert model_gram(table_simplex, SPHERICAL) is not s
 
     @pytest.mark.parametrize("derive", [
         copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e)),
@@ -695,10 +735,10 @@ class TestModelGramMemo:
         lambda e: e.restricted([1, 2, 3, 4])],
         ids=["copy", "deepcopy", "pickle", "scaled", "permuted", "restricted"])
     def test_a_derived_set_starts_with_no_entry(self, table_simplex, derive):
-        distance(table_simplex, HYPERBOLIC, self.X, self.Y)
+        check(table_simplex, HYPERBOLIC)
         twin = derive(table_simplex)
-        assert table_simplex._memo is not None
-        assert twin._memo is None
+        assert table_simplex._gram is not None and table_simplex._report is not None
+        assert twin._gram is None and twin._report is None
         assert model_gram(twin, HYPERBOLIC) is not model_gram(table_simplex, HYPERBOLIC)
 
 

@@ -14,8 +14,10 @@ import pytest
 from curvsimplex import (
     BarycentricPoint,
     CurvatureSpec,
+    DegenerateDirection,
     EUCLIDEAN,
     EdgeLengths,
+    EmbeddingInconsistency,
     HYPERBOLIC,
     ModelSpace,
     NotRealizableInput,
@@ -28,7 +30,7 @@ from curvsimplex import (
     embed,
 )
 
-from curvsimplex.oracle import GRID_POINT_BUDGET, _grid_resolution, _simplex_grid
+from curvsimplex.oracle import GRID_POINT_BUDGET, _embed_minkowski, _grid_resolution, _simplex_grid
 
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
@@ -196,6 +198,37 @@ class TestBruteProject:
         emb = embed(e, EUCLIDEAN)
         foot = brute_project(emb, 1)
         assert np.allclose(foot.coords, [0.0, 1.0])
+
+
+class TestGuards:
+    """Each oracle guard raises on the input it names, and on no valid one."""
+
+    def test_minkowski_needs_one_negative_eigenvalue(self):
+        with pytest.raises(EmbeddingInconsistency, match="exactly one negative"):
+            _embed_minkowski(np.diag([1.0, -1.0, -1.0]))
+
+    def test_minkowski_rejects_points_on_both_sheets(self):
+        # Rows (x, y, t) on -t^2 + x^2 + y^2 = -1: two on the upper sheet, one on the lower.
+        r = math.sqrt(2.0)
+        v = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, r], [0.0, -1.0, -r]])
+        with pytest.raises(EmbeddingInconsistency, match="both hyperboloid sheets"):
+            _embed_minkowski(v @ np.diag([1.0, 1.0, -1.0]) @ v.T)
+
+    def test_hull_point_of_the_wrong_length(self, table_simplex):
+        emb = embed(table_simplex, HYPERBOLIC)
+        with pytest.raises(ValueError, match="does not match the embedding"):
+            brute_distance(emb, BarycentricPoint([0.5, 0.5]), BarycentricPoint.vertex(1, 4))
+
+    def test_sphere_rejects_a_hull_point_of_zero_norm(self):
+        emb = embed(random_spherical(np.random.default_rng(23), 3), SPHERICAL)
+        with pytest.raises(DegenerateDirection, match="non-positive norm"):
+            brute_distance(emb, BarycentricPoint.hull(np.zeros(4)), BarycentricPoint.vertex(1, 4))
+
+    @pytest.mark.parametrize("vertex", [0, 5])
+    def test_brute_project_vertex_out_of_range(self, table_simplex, vertex):
+        emb = embed(table_simplex, EUCLIDEAN)
+        with pytest.raises(IndexError, match=f"vertex {vertex} out of range 1..4"):
+            brute_project(emb, vertex)
 
 
 class TestSimplexGrid:

@@ -37,6 +37,7 @@ from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
     random_euclidean,
     random_hyperbolic,
+    random_interior_point,
     random_simplex,
     random_spherical,
 )
@@ -347,6 +348,34 @@ class TestCheckedEdgeSetMemo:
         got = [outcome(step, e) for step in steps]
         assert got == [outcome(step, EdgeLengths(self.FLAT)) for step in steps]
         assert got[2][0] is Verdict.REALIZABLE and got[3][0] is Verdict.DEGENERATE
+
+    TOLS = [1e-9, 1e-3, 0.0]
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("kappa, other", [(0.0, -1.0), (-1.0, 1.0), (1.0, -0.3), (-0.3, 0.0)])
+    def test_random_interleavings_at_two_curvatures(self, kappa, other, n):
+        # Every call on one edge set returns what the same call returns on a fresh one.
+        rng = np.random.default_rng(20261020 + n)
+        e = random_simplex(rng, n, CurvatureSpec(kappa))
+        k = e.num_vertices
+        x, y = (BarycentricPoint(random_interior_point(rng, k)) for _ in range(2))
+        calls = {
+            "check": lambda e, c: check(e, c, self.TOLS[rng.integers(3)]),
+            "distance": lambda e, c: distance(e, c, x, y),
+            "model_gram": model_gram,
+            "project": lambda e, c: project(e, c, int(rng.integers(1, k + 1)),
+                                            self.TOLS[rng.integers(3)]),
+            "euclidean_volume": lambda e, c: euclidean_volume(e, self.TOLS[rng.integers(3)]),
+        }
+        names = list(calls)
+        for _ in range(60):
+            name = names[rng.integers(len(names))]
+            c = EUCLIDEAN if name == "euclidean_volume" else CurvatureSpec(
+                (kappa, other)[rng.integers(2)])
+            state = rng.bit_generator.state
+            kept = outcome(lambda e: calls[name](e, c), e)
+            rng.bit_generator.state = state  # the fresh call draws the same arguments
+            assert kept == outcome(lambda e: calls[name](e, c), EdgeLengths(e.gamma)), name
 
     def test_bad_tol_is_rejected_after_a_check(self, table_simplex):
         check(table_simplex, HYPERBOLIC)
