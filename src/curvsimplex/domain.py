@@ -28,7 +28,7 @@ from .errors import (
 from .symmat import SymMatrix, _vertex, _without
 
 BARYCENTRIC_SUM_TOL = 1e-6
-# Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, longest edge).
+# Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, largest |entry|).
 EDGE_SYMMETRY_TOL = 1e-9
 # Largest unit-model edge at kappa < 0, ln(float max): up to it e^gamma, and so
 # every half chord 2 sinh^2(gamma / 2) = cosh(gamma) - 1 and Gram entry -1 - E, stays finite.
@@ -72,15 +72,16 @@ class EdgeLengths:
     """Symmetric matrix of pairwise geodesic edge lengths of an n-simplex.
 
     The matrix is (n+1) x (n+1) with zero diagonal and positive off-diagonal
-    entries; vertices are numbered 1..n+1 in the public API.  ``shortest`` is
-    the shortest stored edge and ``longest`` the largest |input entry|, which
-    bounds every stored edge.
+    entries; vertices are numbered 1..n+1 in the public API.  ``shortest`` and
+    ``longest`` are the shortest and longest stored edge, whatever route built
+    the set, so every fact read from it depends on the stored matrix alone.
 
     ``EdgeLengths(gamma)`` validates and symmetrizes its input.  ``scaled``,
     ``permuted`` and ``restricted`` do not: a scaled, relabeled or restricted
     valid edge set is valid, so they check only what their own arguments can
-    break (the factor and the range of the scaled extremes, the vertex
-    numbers) and carry the read-only matrix and its extremes over.
+    break (the factor, the range of the scaled extremes, the vertex numbers) and
+    carry the matrix over with its extremes, exact as a relabeling keeps the
+    edges and rounding f * gamma is monotone.
 
     Two private slots keep results: ``_gram`` the Gram matrix ``model_gram``
     built last (and so the one ``distance`` and ``check`` read), and
@@ -102,16 +103,16 @@ class EdgeLengths:
             raise ValueError(f"edge-length matrix must be square, got {g.shape}")
         if g.shape[0] < 2:
             raise ValueError("a simplex needs at least 2 vertices")
-        longest = float(np.abs(g).max())
-        if not math.isfinite(longest):
+        scale = float(np.abs(g).max())  # the input's own scale, for its checks only
+        if not math.isfinite(scale):
             raise ValueError("edge lengths must be finite")
         half = 0.5 * g  # halving first: g + g.T and g - g.T overflow past half the float max
-        if np.abs(half - half.T).max() > 0.5 * EDGE_SYMMETRY_TOL * max(1.0, longest):
+        if np.abs(half - half.T).max() > 0.5 * EDGE_SYMMETRY_TOL * max(1.0, scale):
             raise ValueError("edge-length matrix must be symmetric")
         if g.diagonal().any():
             raise ValueError("diagonal entries must all be zero")
         g = half + half.T  # the stored edges: halving rounds subnormal ones
-        shortest = float(_off_diagonal(g).min())
+        shortest, longest = _extremes(g)
         if not shortest > 0:
             raise ValueError("off-diagonal edge lengths must be positive")
         self._fill(g, shortest, longest)
@@ -188,21 +189,20 @@ class EdgeLengths:
         if len(idx) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
         g = self.gamma.take(idx, 0).take(idx, 1)
-        off = _off_diagonal(g)
-        return self._derived(g, float(off.min()), float(off.max()))
+        return self._derived(g, *_extremes(g))
 
     def __repr__(self) -> str:
         return f"EdgeLengths({self.gamma.tolist()!r})"
 
 
-def _off_diagonal(g: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of a k x k matrix as k - 1 rows of k (a view if g is contiguous).
+def _extremes(g: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest off-diagonal entry of a k x k matrix, k >= 2.
 
-    Dropping the first of the k^2 entries leaves rows of k + 1 that each end
-    on a diagonal entry.
+    Past the first of the k^2 entries, k - 1 rows of k + 1 each end on a diagonal entry.
     """
     k = g.shape[0]
-    return g.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k]
+    off = g.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k]
+    return float(off.min()), float(off.max())
 
 
 def _vector(coords) -> np.ndarray:
@@ -284,7 +284,7 @@ class GramMatrix:
     sigma = sign(kappa): cos g or -cosh g to rounding, less the digits of short edges
     that E keeps.  A form or length at ``curvature`` is the unit model's over |kappa| or
     sqrt(|kappa|).  Any other pairing of ``apex`` and ``curvature`` raises WrongModel,
-    and an apex outside E raises as ``_vertex`` does.
+    and an apex outside E raises as ``_vertex`` does; ``apex`` is stored as the int it returns.
     """
 
     half_chords: SymMatrix
@@ -298,7 +298,7 @@ class GramMatrix:
             raise WrongModel(f"a Gram matrix at kappa={self.curvature.kappa} has no apex, "
                              f"got apex={self.apex}")
         if self.apex is not None:
-            _vertex(self.apex, self.half_chords.dim)
+            object.__setattr__(self, "apex", _vertex(self.apex, self.half_chords.dim))
 
     @property
     def matrix(self) -> SymMatrix:
@@ -319,7 +319,6 @@ def euclidean_gram(e: EdgeLengths, apex: int) -> GramMatrix:
     non-apex vertices in ascending order.
     Raises GramOverflow when k * longest^2 overflows or shortest^2 is subnormal.
     """
-    apex = _vertex(apex, e.num_vertices)
     if not (SQRT_MIN <= e.shortest and e.longest * math.sqrt(e.num_vertices) <= SQRT_MAX):
         raise GramOverflow(
             f"squaring edges in [{e.shortest}, {e.longest}] overflows or underflows float64")

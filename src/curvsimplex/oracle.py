@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +178,7 @@ def brute_project(emb: Embedding, vertex: int) -> BarycentricPoint:
     Nelder-Mead polish of the model distance with negative coordinates
     penalized.  Serves as ground truth for the closed-form projections.
     """
-    k = emb.num_vertices
+    k, vertex = emb.num_vertices, operator.index(vertex)  # TypeError unless an integer
     if not 1 <= vertex <= k:
         raise IndexError(f"vertex {vertex} out of range 1..{k}")
     face = [i for i in range(k) if i != vertex - 1]

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,40 @@ def classical_gram(e: EdgeLengths, kappa: float, apex: int | None = None) -> lis
         return [[f(s * v) for v in row] for row in g]
 
 
+def exact_apex_inertia(e: EdgeLengths, apex: int | None = None) -> tuple[int, int, int]:
+    """Exact inertia (n+, n-, n0) of the classical apex Gram (g_ia^2 + g_ja^2 - g_ij^2) / 2
+    of the float64 edges at ``apex`` a (default the last vertex), in ``fractions.Fraction``.
+
+    Symmetric elimination keeps the inertia (Sylvester's law): a nonzero diagonal pivot
+    counts its sign; where the whole diagonal vanishes, a first-row entry b and its mirror
+    pivot as the 2 x 2 block [[0, b], [b, 0]], one positive and one negative eigenvalue;
+    a zero first row is one zero eigenvalue.
+    """
+    g = [[Fraction(v) for v in row] for row in e.gamma.tolist()]
+    a = (apex or len(g)) - 1
+    others = [i for i in range(len(g)) if i != a]
+    m = [[(g[i][a] ** 2 + g[j][a] ** 2 - g[i][j] ** 2) / 2 for j in others] for i in others]
+    plus = minus = zero = 0
+    while m:
+        d = next((i for i in range(len(m)) if m[i][i]), None)
+        if d is not None:
+            p = m[d][d]
+            plus, minus = plus + (p > 0), minus + (p < 0)
+            rest = [i for i in range(len(m)) if i != d]
+            m = [[m[r][c] - m[r][d] * m[d][c] / p for c in rest] for r in rest]
+            continue
+        j = next((j for j in range(1, len(m)) if m[0][j]), None)
+        if j is None:
+            zero += 1
+            m = [row[1:] for row in m[1:]]
+            continue
+        b, plus, minus = m[0][j], plus + 1, minus + 1
+        rest = [i for i in range(1, len(m)) if i != j]
+        m = [[m[r][c] - (m[r][0] * m[j][c] + m[r][j] * m[0][c]) / b for c in rest]
+             for r in rest]
+    return plus, minus, zero
+
+
 def random_interior_point(rng: np.random.Generator, num_vertices: int) -> np.ndarray:
     """Dirichlet-distributed interior barycentric coordinates."""
     return rng.dirichlet(np.ones(num_vertices))
@@ -197,3 +232,8 @@ ANTIPODE_4SIMPLEX = CORPUS_TOOL.ANTIPODE_4SIMPLEX
 FLAT_4SIMPLICES = {"A": CORPUS_TOOL.FLAT_4SIMPLEX_A, "B": CORPUS_TOOL.FLAT_4SIMPLEX_B}
 FLAT_HYPERBOLIC_TETRAHEDRON = CORPUS_TOOL.hyperboloid_edges(CORPUS_TOOL.FLAT_HYPERBOLIC_POINTS)
 FLAT_TOL0_ORDERS = {"A": (1, 2, 3, 5, 4), "B": (1, 3, 2, 5, 4), "hyperbolic": (1, 2, 4, 3)}
+# Two triangles given asymmetric within EDGE_SYMMETRY_TOL: the first with a
+# subnormal edge, the second a spherical one with an entry past pi/2 but every
+# stored edge below it.
+ASYMMETRIC_TRIANGLE = CORPUS_TOOL.ASYMMETRIC_TRIANGLE
+NEAR_RIGHT_TRIANGLE = CORPUS_TOOL.NEAR_RIGHT_TRIANGLE

@@ -22,6 +22,7 @@ from curvsimplex import (
     HYPERBOLIC,
     OutsideLightCone,
     SPHERICAL,
+    Verdict,
     WrongModel,
     check,
     curved_gram,
@@ -32,10 +33,13 @@ from curvsimplex import (
     model_gram,
     project,
 )
-from curvsimplex.domain import BARYCENTRIC_SUM_TOL
+from curvsimplex import domain
+from curvsimplex.domain import BARYCENTRIC_SUM_TOL, EDGE_SYMMETRY_TOL
 from curvsimplex.symmat import SymMatrix
 
 from conftest import (
+    ASYMMETRIC_TRIANGLE,
+    NEAR_RIGHT_TRIANGLE,
     TABLE_3SIMPLEX,
     classical_gram,
     random_hyperbolic,
@@ -556,10 +560,10 @@ ROUND_TRIPS = {
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
 class TestCopyAndPickle:
     def test_edge_lengths_keep_their_bits(self, round_trip):
-        # Asymmetric input: the stored edges are averages, and longest is the
-        # largest input entry, not the largest stored edge.
-        e = EdgeLengths([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5e-323], [2.0 + 1e-9, 1.5e-323, 0.0]])
-        assert e.longest > e.gamma.max()
+        # Asymmetric input: the stored edges are averages, down to subnormals, and
+        # longest is the largest of them, not the largest input entry.
+        e = EdgeLengths(ASYMMETRIC_TRIANGLE)
+        assert e.longest == e.gamma.max() < 2.0 + 1e-9
         twin = round_trip(e)
         assert type(twin) is EdgeLengths
         assert twin.gamma.tobytes() == e.gamma.tobytes()
@@ -642,6 +646,13 @@ class TestReprEvaluatesBack:
         self.assert_point_round_trips(p)
         assert math.copysign(1.0, eval(repr(p), self.NAMES).coords[0]) == -1.0
 
+    def test_edge_lengths_from_asymmetric_input(self):
+        # The stored matrix, subnormal means included, is its own symmetrization.
+        e = EdgeLengths(ASYMMETRIC_TRIANGLE)
+        twin = eval(repr(e), self.NAMES)
+        assert twin.gamma.tobytes() == e.gamma.tobytes()
+        assert (twin.shortest, twin.longest) == (e.shortest, e.longest)
+
     @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0])
     def test_edge_lengths_and_sym_matrix(self, kappa):
         rng = np.random.default_rng(36)
@@ -653,6 +664,59 @@ class TestReprEvaluatesBack:
             assert (twin.shortest, twin.longest) == (e.shortest, e.longest)
             m = SymMatrix(rng.standard_normal((n + 1, n + 1)))
             assert eval(repr(m), self.NAMES).data.tobytes() == m.data.tobytes()
+
+
+def nearly_symmetric(seed: int) -> dict:
+    """Seeded spherical edge sets by name, each entry moved by up to 0.4 EDGE_SYMMETRY_TOL."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for n in (1, 2, 3, 5, 10):
+        g = random_simplex(rng, n, SPHERICAL).gamma
+        g = g + rng.uniform(-0.4, 0.4, g.shape) * EDGE_SYMMETRY_TOL
+        np.fill_diagonal(g, 0.0)
+        out[f"nearly symmetric n={n}"] = g
+    return out
+
+
+ROUTE_INPUTS = {"asymmetric": ASYMMETRIC_TRIANGLE, "near right triangle": NEAR_RIGHT_TRIANGLE,
+                **nearly_symmetric(36)}
+
+
+ROUTES = {
+    "validated": lambda e: e,
+    "permuted identity": lambda e: e.permuted(range(1, e.num_vertices + 1)),
+    "permuted reversal": lambda e: e.permuted(range(e.num_vertices, 0, -1)),
+    "restricted all": lambda e: e.restricted(range(1, e.num_vertices + 1)),
+    "scaled 1.0": lambda e: e.scaled(1.0),
+    **ROUND_TRIPS,
+    "repr": lambda e: eval(repr(e), {"EdgeLengths": EdgeLengths}),
+}
+
+
+class TestOneSetOfFactsPerMatrix:
+    """Every route to an edge set stores the extremes of its own stored edges, so
+    one stored matrix gets one spherical outcome (a verdict, or the GramOverflow
+    that names the extremes), whatever route built it."""
+
+    @pytest.mark.parametrize("g", ROUTE_INPUTS.values(), ids=ROUTE_INPUTS.keys())
+    def test_extremes_and_verdict_follow_the_stored_edges(self, g):
+        e = EdgeLengths(g)
+        outcomes = set()
+        for name, route in ROUTES.items():
+            d = route(e)
+            off = d.gamma[~np.eye(d.num_vertices, dtype=bool)]
+            assert (d.shortest, d.longest) == (off.min(), off.max()), name
+            try:
+                r = check(d, SPHERICAL)
+                outcomes.add((r.verdict, r.signature, r.detail))
+            except GramOverflow as exc:
+                outcomes.add(str(exc))
+        assert len(outcomes) == 1
+
+    def test_near_right_triangle_is_realizable(self):
+        e = EdgeLengths(NEAR_RIGHT_TRIANGLE)
+        assert e.longest < math.pi / 2
+        assert check(e, SPHERICAL).verdict is Verdict.REALIZABLE
 
 
 class TestModelGramMemo:
@@ -845,6 +909,18 @@ class TestGramMatrixInvariant:
     def test_curved_gram_with_apex_refused(self):
         with pytest.raises(WrongModel, match="has no apex"):
             GramMatrix(SymMatrix(-np.eye(3)), HYPERBOLIC, apex=2)
+
+    @pytest.mark.parametrize("apex, stored", [(np.int64(2), 2), (True, 1), (3, 3)])
+    def test_apex_is_stored_as_an_int(self, table_simplex, apex, stored):
+        half_chords = SymMatrix(np.ones((4, 4)) - np.eye(4))
+        for q in (GramMatrix(half_chords, EUCLIDEAN, apex), euclidean_gram(table_simplex, apex)):
+            assert type(q.apex) is int and q.apex == stored
+
+    def test_euclidean_gram_checks_its_apex_once(self, table_simplex, monkeypatch):
+        calls = []
+        monkeypatch.setattr(domain, "_vertex", lambda i, k: calls.append(i) or 2)
+        euclidean_gram(table_simplex, 2)
+        assert calls == [2]
 
 
 class TestHullInnerProduct:

@@ -224,10 +224,17 @@ class TestGuards:
         with pytest.raises(DegenerateDirection, match="non-positive norm"):
             brute_distance(emb, BarycentricPoint.hull(np.zeros(4)), BarycentricPoint.vertex(1, 4))
 
-    @pytest.mark.parametrize("vertex", [0, 5])
+    @pytest.mark.parametrize("vertex", [0, 5, np.int64(5)])
     def test_brute_project_vertex_out_of_range(self, table_simplex, vertex):
         emb = embed(table_simplex, EUCLIDEAN)
         with pytest.raises(IndexError, match=f"vertex {vertex} out of range 1..4"):
+            brute_project(emb, vertex)
+
+    @pytest.mark.parametrize("vertex", [1.5, 2.0, np.float64(2.0)])
+    def test_brute_project_vertex_not_an_integer(self, table_simplex, vertex):
+        # A TypeError of the oracle's own, not numpy's IndexError on a float index.
+        emb = embed(table_simplex, EUCLIDEAN)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             brute_project(emb, vertex)
 
 

@@ -35,6 +35,8 @@ from curvsimplex.oracle import edge_lengths_of
 
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
+    CORPUS_TOOL,
+    exact_apex_inertia,
     random_euclidean,
     random_hyperbolic,
     random_interior_point,
@@ -256,6 +258,66 @@ class TestOracleAgreement:
             emb = embed(e, c)
             recovered = edge_lengths_of(emb)
             assert np.max(np.abs(recovered.gamma - e.gamma)) < 1e-8
+
+
+def corpus_euclidean_sets():
+    """The corpus's kappa = 0 edge sets with n <= 10 that validate, in its order."""
+    for label, kappa, g in CORPUS_TOOL.cases("full", 0):
+        if kappa == 0 and g.shape[0] <= 11:
+            try:
+                yield label, EdgeLengths(g)
+            except ValueError:
+                continue
+
+
+def seeded_euclidean_sets(count=200):
+    """Edge sets of normal points, n in 2..10; every other one has one edge inflated."""
+    rng = np.random.default_rng(36)
+    for i in range(count):
+        n = int(rng.integers(2, 11))
+        g = CORPUS_TOOL.model_points(rng, 0.0, n)
+        if i % 2:
+            a, b = rng.choice(n + 1, size=2, replace=False)
+            g[a, b] = g[b, a] = g[a, b] * rng.uniform(1.5, 4.0)
+        yield f"seeded {i}", EdgeLengths(g)
+
+
+class TestExactEuclideanVerdict:
+    """At kappa = 0 the verdict has a second route: the exact inertia of the apex Gram
+    of the float64 edges.  The two agree wherever M's eigenvalues are clear of zero."""
+
+    def agreements(self, sets):
+        compared = skipped = 0
+        for label, e in sets:
+            try:
+                report = check(e, EUCLIDEAN)
+            except GramOverflow:
+                continue
+            lam = np.abs(report.eigenvalues)
+            if not lam.min() > 1e-6 * lam.max():
+                skipped += 1
+                continue
+            exact = exact_apex_inertia(e)
+            assert report.signature.as_tuple() == exact, label
+            assert (report.verdict is Verdict.REALIZABLE) == (exact == (e.n, 0, 0)), label
+            compared += 1
+        return compared, skipped
+
+    def test_corpus_sets(self):
+        compared, skipped = self.agreements(corpus_euclidean_sets())
+        assert compared >= 15 and skipped <= 4
+
+    def test_seeded_random_and_inflated_sets(self):
+        compared, _ = self.agreements(seeded_euclidean_sets())
+        assert compared >= 190
+
+    def test_the_elimination_pivots_on_a_vanishing_diagonal(self):
+        # Apex Gram [[1, 2, 3], [2, 4, 2], [3, 2, 9]]: after the first pivot the
+        # remaining diagonal is 0, so the last two rows pivot as one 2 x 2 block.
+        e = EdgeLengths([[0, 1, 2, 1], [1, 0, 3, 2], [2, 3, 0, 3], [1, 2, 3, 0]])
+        assert exact_apex_inertia(e) == (2, 1, 0)
+        # Collinear points: a zero row is a zero eigenvalue.
+        assert exact_apex_inertia(EdgeLengths([[0, 1, 3], [1, 0, 2], [3, 2, 0]])) == (1, 0, 1)
 
 
 def _bits(value):

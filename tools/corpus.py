@@ -14,12 +14,16 @@ bound, rescales that overflow or underflow, flat and invalid inputs, feet
 whose minors normalize onto the wrong sheet, simplices with very short
 unit-model edges, segments, subnormal edges at kappa = +-1, flat Euclidean
 4-simplices and a flat hyperbolic tetrahedron whose tol-0 verdict rounding
-decides, a Euclidean 6-simplex with edges near 1e-153 (last, so no other key
-moves), and several eigenvalue cutoffs ``tol``.
+decides, a Euclidean 6-simplex with edges near 1e-153, then (last, so no
+other key moves) a Euclidean triangle given asymmetric within the symmetry
+tolerance and a spherical one with an input entry past pi/2 but every stored
+edge below it, and several eigenvalue cutoffs ``tol``.
 Fresh edge sets are read before any check: by ``distance``, ``model_gram``
 and ``project``, and by ``distance`` at two curvatures and then ``check``.
 Beside each matrix of ``model_gram`` and ``curved_gram`` it records the half
 squared chords E, the one matrix a Gram matrix stores and derives its matrix from.
+The extremes of every route to an edge set are recorded: the validated build,
+``permuted``, ``restricted``, ``scaled`` and ``eval(repr(e))``.
 ``length``, ``euclidean_face_volume``, ``restricted`` and ``permuted`` are
 also given vertex numbers out of range or not integers.  Named barycentric
 points sum to exactly 1, to 1 +- 0.9 and 1 +- 1.1 times the sum tolerance, or
@@ -89,6 +93,14 @@ FLAT_4SIMPLEX_B = [[0, 34, 25, 20, 32], [34, 0, 117, 106, 82], [25, 117, 0, 1, 4
 # Degenerate at tol 1e-15 and above, Realizable at tol 0, where the squared
 # chord from vertex 1 to its foot rounds to -5.8e-9, below the distance floor.
 FLAT_HYPERBOLIC_POINTS = [[0.4, 3.8], [-1.0, -0.9], [2.4, 4.2], [-1.8, -1.7]]
+# Asymmetric within the symmetry tolerance: the stored 1 - 3 edge is the mean of its
+# two entries, and the 2 - 3 edge is subnormal, so every Gram build raises GramOverflow.
+ASYMMETRIC_TRIANGLE = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5e-323], [2.0 + 1e-9, 1.5e-323, 0.0]]
+# A spherical triangle whose 2 - 3 entries straddle pi/2 within the symmetry tolerance:
+# their mean, the stored edge, is below pi/2 like every other edge.
+_H = math.pi / 2
+NEAR_RIGHT_TRIANGLE = [[0.0, _H - 1e-6, _H - 1e-6], [_H - 1e-6, 0.0, _H + 1e-10],
+                       [_H - 1e-6, _H - 3e-10, 0.0]]
 
 
 def canon(value) -> str:
@@ -224,6 +236,8 @@ def cases(size: str, seed: int):
     x = np.random.default_rng(13).normal(size=(7, 6))
     g = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1))
     yield "euclidean edges near 1e-153", 0.0, np.ldexp(g, -508)
+    yield "asymmetric within tol", 0.0, np.array(ASYMMETRIC_TRIANGLE)
+    yield "spherical entry past pi/2", 1.0, np.array(NEAR_RIGHT_TRIANGLE)
 
 
 def points(rng: np.random.Generator, k: int) -> list[list[float]]:
@@ -314,7 +328,10 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
         if k == 3:
             rec.put("brute_project", lambda: lib.brute_project(emb, 1).coords)
     order = list(range(k, 0, -1))
-    perm = rec.put("permuted", lambda: e.permuted(order), lambda p: (p.gamma, p.shortest))
+    perm = rec.put("permuted", lambda: e.permuted(order),
+                   lambda p: (p.gamma, p.shortest, p.longest))
+    rec.put("repr", lambda: eval(repr(e), {"EdgeLengths": lib.EdgeLengths}),
+            lambda r: (r.gamma, r.shortest, r.longest))
     rec.put("restricted", lambda: e.restricted(range(1, k)),
             lambda r: (r.gamma, r.shortest, r.longest))
     rec.put("scaled", lambda: e.scaled(0.3), lambda s: (s.gamma, s.shortest, s.longest))
@@ -324,7 +341,7 @@ def run_case(lib, rec: Recorder, rng, kappa: float, g: np.ndarray, cli: bool, tm
     rec.put("restricted[1,1.5]", lambda: e.restricted([1, 1.5]),
             lambda r: (r.gamma, r.shortest, r.longest))
     rec.put("permuted[1.5,2..k]", lambda: e.permuted([1.5, *range(2, k + 1)]),
-            lambda p: (p.gamma, p.shortest))
+            lambda p: (p.gamma, p.shortest, p.longest))
     if perm is not None:
         rec.put("permuted.check", lambda: lib.check(perm, c), report_fields)
         rec.put("permuted.project[1]", lambda: lib.project(perm, c, 1), project_fields)
