@@ -25,7 +25,7 @@ from .errors import (
     OutsideLightCone,
     WrongModel,
 )
-from .symmat import SymMatrix, _vertex, _without
+from .symmat import SymMatrix, _floats, _vertex, _without
 
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, largest |entry|).
@@ -54,7 +54,7 @@ class CurvatureSpec:
     scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.kappa):
+        if not abs(self.kappa) <= sys.float_info.max:  # NaN, infinite or an int past the float max
             raise ValueError(f"curvature must be finite, got {self.kappa}")
         object.__setattr__(self, "sign", math.copysign(1.0, self.kappa) if self.kappa else 0.0)
         object.__setattr__(self, "scale", math.sqrt(abs(self.kappa)))
@@ -95,10 +95,7 @@ class EdgeLengths:
     __slots__ = ("gamma", "shortest", "longest", "_gram", "_report")
 
     def __init__(self, gamma) -> None:
-        try:
-            g = np.array(gamma, dtype=float)
-        except OverflowError as exc:  # an int past the float max
-            raise ValueError("edge lengths must be finite") from exc
+        g = _floats(gamma, "edge lengths must be finite")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"edge-length matrix must be square, got {g.shape}")
         if g.shape[0] < 2:
@@ -157,7 +154,8 @@ class EdgeLengths:
         """New edge set with every length multiplied by factor > 0."""
         if not factor > 0:
             raise ValueError("scale factor must be positive")
-        shortest, longest = float(self.shortest * factor), float(self.longest * factor)
+        factor = float(_floats(factor, "edge lengths must be finite"))
+        shortest, longest = self.shortest * factor, self.longest * factor
         if not longest < math.inf:
             raise ValueError("edge lengths must be finite")
         if not shortest > 0:
@@ -207,10 +205,7 @@ def _extremes(g: np.ndarray) -> tuple[float, float]:
 
 def _vector(coords) -> np.ndarray:
     """coords as a new float array; ValueError unless it is one vector of >= 2."""
-    try:
-        c = np.array(coords, dtype=float)
-    except OverflowError as exc:  # an int past the float max
-        raise ValueError("barycentric coordinates must be finite to sum to 1") from exc
+    c = _floats(coords, "barycentric coordinates must be finite to sum to 1")
     if c.ndim != 1 or c.size < 2:
         raise ValueError("coords must be a vector of length >= 2")
     return c

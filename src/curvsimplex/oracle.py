@@ -79,11 +79,8 @@ def _embed_minkowski(q: np.ndarray) -> np.ndarray:
     order = np.argsort(-eigvals)
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     verts = eigvecs * np.sqrt(np.abs(eigvals))[None, :]
-    time = verts[:, -1]
-    if np.all(time < 0):
-        verts = verts.copy()
-        verts[:, -1] = -verts[:, -1]
-    elif not np.all(time > 0):
+    verts[:, -1] *= np.sign(verts[0, -1])  # vertex 1 onto the upper sheet
+    if not np.all(verts[:, -1] > 0):
         raise EmbeddingInconsistency("vertices landed on both hyperboloid sheets")
     return verts
 

@@ -8,13 +8,21 @@ storage is 0-based numpy.
 
 from __future__ import annotations
 
-import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+
+def _floats(values, message: str) -> np.ndarray:
+    """Numbers as a new float array; ValueError(message) for an int past the float max."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(message) from exc
 
 
 def _vertex(i, k: int) -> int:
@@ -62,7 +70,7 @@ class Signature:
         An eigenvalue counts as zero when |lambda| <= tol * max|lambda|, so the
         verdict does not change when the matrix is scaled.
         """
-        if not 0 <= tol < math.inf:
+        if not 0 <= tol <= sys.float_info.max:  # NaN, inf and an int past the float max fail
             raise ValueError(f"tol must be finite and nonnegative, got {tol}")
         values = eig.tolist()  # plain floats: a few values classify faster than numpy reduces
         cutoff = tol * max(map(abs, values), default=0.0)
@@ -92,7 +100,7 @@ class SymMatrix:
     __slots__ = ("data",)
 
     def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=float)
+        a = _floats(entries, "matrix entries must fit in float64")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:

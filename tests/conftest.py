@@ -124,13 +124,14 @@ def well_shaped(rng: np.random.Generator, n: int, c: CurvatureSpec) -> EdgeLengt
     return EdgeLengths(g / c.scale if c.kappa else g)
 
 
-def classical_gram(e: EdgeLengths, kappa: float, apex: int | None = None) -> list:
-    """50-digit Gram matrix of the float64 edges by the classical route, as rows of mpf:
-    the cos/cosh vertex Gram Q of the unit model at kappa != 0, and at kappa = 0 the
-    apex Gram (g_ia^2 + g_ja^2 - g_ij^2) / 2 at ``apex`` a over the other vertices."""
+def classical_gram(e: EdgeLengths, kappa: float, apex: int | None = None,
+                   digits: int = 50) -> list:
+    """Gram matrix of the float64 edges by the classical route, to ``digits`` digits, as
+    rows of mpf: the cos/cosh vertex Gram Q of the unit model at kappa != 0, and at
+    kappa = 0 the apex Gram (g_ia^2 + g_ja^2 - g_ij^2) / 2 at ``apex`` a over the others."""
     mpmath = pytest.importorskip("mpmath")
     g = [[mpmath.mpf(v) for v in row] for row in e.gamma.tolist()]
-    with mpmath.workdps(50):
+    with mpmath.workdps(digits):
         if kappa == 0:
             a, others = apex - 1, [i for i in range(len(g)) if i != apex - 1]
             return [[(g[i][a] ** 2 + g[j][a] ** 2 - g[i][j] ** 2) / 2 for j in others]
@@ -140,38 +141,51 @@ def classical_gram(e: EdgeLengths, kappa: float, apex: int | None = None) -> lis
         return [[f(s * v) for v in row] for row in g]
 
 
-def exact_apex_inertia(e: EdgeLengths, apex: int | None = None) -> tuple[int, int, int]:
-    """Exact inertia (n+, n-, n0) of the classical apex Gram (g_ia^2 + g_ja^2 - g_ij^2) / 2
-    of the float64 edges at ``apex`` a (default the last vertex), in ``fractions.Fraction``.
+def symmetric_elimination(m: list) -> tuple[tuple[int, int, int], object]:
+    """Inertia (n+, n-, n0) and determinant of the symmetric matrix m, given as rows of
+    ``fractions.Fraction`` (exact) or of mpf (at the caller's mpmath precision).
 
-    Symmetric elimination keeps the inertia (Sylvester's law): a nonzero diagonal pivot
-    counts its sign; where the whole diagonal vanishes, a first-row entry b and its mirror
-    pivot as the 2 x 2 block [[0, b], [b, 0]], one positive and one negative eigenvalue;
-    a zero first row is one zero eigenvalue.
+    Symmetric elimination keeps the inertia (Sylvester's law) and scales the determinant
+    by each pivot: a nonzero diagonal pivot p counts its sign and contributes p; where
+    the whole diagonal vanishes, a first-row entry b and its mirror pivot as the 2 x 2
+    block [[0, b], [b, 0]], one positive and one negative eigenvalue, contributing -b^2;
+    a zero first row is one zero eigenvalue and contributes 0.
     """
-    g = [[Fraction(v) for v in row] for row in e.gamma.tolist()]
-    a = (apex or len(g)) - 1
-    others = [i for i in range(len(g)) if i != a]
-    m = [[(g[i][a] ** 2 + g[j][a] ** 2 - g[i][j] ** 2) / 2 for j in others] for i in others]
     plus = minus = zero = 0
+    det = 1
     while m:
         d = next((i for i in range(len(m)) if m[i][i]), None)
         if d is not None:
             p = m[d][d]
-            plus, minus = plus + (p > 0), minus + (p < 0)
+            plus, minus, det = plus + (p > 0), minus + (p < 0), det * p
             rest = [i for i in range(len(m)) if i != d]
             m = [[m[r][c] - m[r][d] * m[d][c] / p for c in rest] for r in rest]
             continue
         j = next((j for j in range(1, len(m)) if m[0][j]), None)
         if j is None:
-            zero += 1
+            zero, det = zero + 1, det * 0
             m = [row[1:] for row in m[1:]]
             continue
         b, plus, minus = m[0][j], plus + 1, minus + 1
+        det *= -b * b
         rest = [i for i in range(1, len(m)) if i != j]
         m = [[m[r][c] - (m[r][0] * m[j][c] + m[r][j] * m[0][c]) / b for c in rest]
              for r in rest]
-    return plus, minus, zero
+    return (plus, minus, zero), det
+
+
+def exact_apex_gram(e: EdgeLengths, apex: int | None = None) -> list:
+    """The classical apex Gram (g_ia^2 + g_ja^2 - g_ij^2) / 2 of the float64 edges at
+    ``apex`` a (default the last vertex), over the other vertices, in ``Fraction``."""
+    g = [[Fraction(v) for v in row] for row in e.gamma.tolist()]
+    a = (apex or len(g)) - 1
+    others = [i for i in range(len(g)) if i != a]
+    return [[(g[i][a] ** 2 + g[j][a] ** 2 - g[i][j] ** 2) / 2 for j in others] for i in others]
+
+
+def exact_apex_inertia(e: EdgeLengths, apex: int | None = None) -> tuple[int, int, int]:
+    """Exact inertia (n+, n-, n0) of ``exact_apex_gram``, by ``symmetric_elimination``."""
+    return symmetric_elimination(exact_apex_gram(e, apex))[0]
 
 
 def random_interior_point(rng: np.random.Generator, num_vertices: int) -> np.ndarray:
@@ -237,3 +251,18 @@ FLAT_TOL0_ORDERS = {"A": (1, 2, 3, 5, 4), "B": (1, 3, 2, 5, 4), "hyperbolic": (1
 # stored edge below it.
 ASYMMETRIC_TRIANGLE = CORPUS_TOOL.ASYMMETRIC_TRIANGLE
 NEAR_RIGHT_TRIANGLE = CORPUS_TOOL.NEAR_RIGHT_TRIANGLE
+
+
+def corpus_small_sets():
+    """The corpus's edge sets with n <= 10 that validate, in its order, as (label, kappa, e)."""
+    for label, kappa, g in CORPUS_TOOL.cases("full", 0):
+        if g.shape[0] <= 11:
+            try:
+                yield label, kappa, EdgeLengths(g)
+            except ValueError:
+                continue
+
+
+def corpus_euclidean_sets():
+    """The corpus's kappa = 0 edge sets with n <= 10 that validate, as (label, e)."""
+    return ((label, e) for label, kappa, e in corpus_small_sets() if kappa == 0)

@@ -130,7 +130,8 @@ class TestDeferredNames:
             from curvsimplex import no_such_name  # noqa: F401
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf,
+                                 pytest.param(10 ** 400, id="int-past-float-max")])
 @pytest.mark.parametrize("edges, call", [
     pytest.param(TABLE_3SIMPLEX, lambda e, tol: check(e, HYPERBOLIC, tol), id="check"),
     pytest.param(TABLE_3SIMPLEX, lambda e, tol: project(e, EUCLIDEAN, 1, tol), id="project"),

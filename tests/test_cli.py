@@ -59,6 +59,7 @@ class TestCheck:
         assert code == 0
         assert "verdict: Realizable" in out
         assert "signature: (3,0,0)" in out
+        assert "detail: apex Gram matrix is positive definite" in out
 
     def test_hyperbolic_signature(self, capsys, simplex_file):
         code, out, _ = run(capsys, ["check", simplex_file, "--geometry", "hyperbolic"])

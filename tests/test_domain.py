@@ -145,7 +145,8 @@ class TestEdgeLengths:
 
 
 class TestCurvatureSpec:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10 ** 400, id="int-past-float-max")])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             CurvatureSpec(bad)
@@ -200,7 +201,7 @@ class TestBarycentricPoint:
     @pytest.mark.parametrize("coords", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0],
                                         [0.5, 0.5, -math.inf], [math.inf, -math.inf, 1.0]])
     def test_rejects_non_finite(self, coords):
-        with pytest.raises(ValueError, match="sum"):
+        with pytest.raises(ValueError, match="^barycentric coordinates must be finite to sum"):
             BarycentricPoint(coords)
 
     def test_rejects_an_overflowing_sum(self):
@@ -855,7 +856,8 @@ class TestDerivedEdgeLengths:
         with pytest.raises(ValueError, match="positive"):
             table_simplex.scaled(factor)
 
-    @pytest.mark.parametrize("edge, factor", [(2.0, 1e308), (1.0, math.inf)])
+    @pytest.mark.parametrize("edge, factor", [
+        (2.0, 1e308), (1.0, math.inf), pytest.param(1.0, 10 ** 400, id="int-past-float-max")])
     def test_scaled_rejects_overflow(self, edge, factor):
         with pytest.raises(ValueError, match="finite"):
             EdgeLengths(edge * (1 - np.eye(3))).scaled(factor)

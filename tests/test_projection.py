@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,12 +46,15 @@ from conftest import (
     NON_EUCLIDEAN_FACE_EDGES,
     WRONG_SHEET_TETRAHEDRON,
     classical_gram,
+    corpus_euclidean_sets,
     edges_from_points,
+    exact_apex_gram,
     random_euclidean,
     random_hyperbolic,
     random_interior_point,
     random_simplex,
     random_spherical,
+    symmetric_elimination,
     well_shaped,
 )
 
@@ -219,24 +223,25 @@ class TestDeterminantIdentities:
 
 
 def volume_of_gram(rows) -> float:
-    """sqrt(det) / n! of a 50-digit apex Gram matrix given as n rows of mpf."""
+    """sqrt(det) / n! of an apex Gram matrix given as n rows of Fraction: the determinant
+    exact (``symmetric_elimination``), its square root to 50 digits."""
     mpmath = pytest.importorskip("mpmath")
+    det = symmetric_elimination(rows)[1]
     with mpmath.workdps(50):
-        return float(mpmath.sqrt(mpmath.det(mpmath.matrix(rows))) / mpmath.factorial(len(rows)))
+        root = mpmath.sqrt(mpmath.mpf(det.numerator) / det.denominator)
+        return float(root / mpmath.factorial(len(rows)))
 
 
 def exact_volume(e: EdgeLengths) -> float:
-    """Volume of the float64 edges from their 50-digit apex Gram at the last vertex."""
-    return volume_of_gram(classical_gram(e, 0.0, e.num_vertices))
+    """Volume of the float64 edges from their exact apex Gram at the last vertex."""
+    return volume_of_gram(exact_apex_gram(e))
 
 
 def volume_of_half_chords(half_chords: np.ndarray) -> float:
-    """Volume from the 50-digit apex Gram E_ia + E_ja - E_ij of float64 half chords E."""
-    mpmath = pytest.importorskip("mpmath")
-    h = [[mpmath.mpf(v) for v in row] for row in half_chords.tolist()]
+    """Volume from the exact apex Gram E_ia + E_ja - E_ij of float64 half chords E."""
+    h = [[Fraction(v) for v in row] for row in half_chords.tolist()]
     a = len(h) - 1
-    with mpmath.workdps(50):
-        return volume_of_gram([[h[i][a] + h[j][a] - h[i][j] for j in range(a)] for i in range(a)])
+    return volume_of_gram([[h[i][a] + h[j][a] - h[i][j] for j in range(a)] for i in range(a)])
 
 
 class TestVolumes:
@@ -346,6 +351,30 @@ class TestVolumes:
             rounded = volume_of_half_chords(model_gram(face, EUCLIDEAN).half_chords.data)
             bound = max(abs(rounded / exact - 1), 1e-13)
             assert abs(euclidean_face_volume(e, vertex) / exact - 1) <= bound
+
+    def test_corpus_volumes_match_exact_determinants(self):
+        # Each volume and face volume (of a face with >= 2 vertices) of the corpus's
+        # realizable kappa = 0 sets against sqrt(det G) / n! of the exact apex Gram G of
+        # its float64 edges, within 5 times its data error (the same volume from the
+        # float64 E = fl(gamma^2 / 2)), floored at 1e-13.  The worst ratio is 3.4 for a
+        # volume (k=0.0 n=5 real1) and 1.1 for a face.
+        volumes = faces = 0
+        for label, e in corpus_euclidean_sets():
+            k = e.num_vertices
+            try:
+                if check(e, EUCLIDEAN).verdict is not Verdict.REALIZABLE:
+                    continue
+                computed = [(euclidean_volume(e), e)] + [
+                    (euclidean_face_volume(e, v), e.restricted(set(range(1, k + 1)) - {v}))
+                    for v in range(1, k + 1) if k > 2]
+            except GramOverflow:
+                continue
+            for volume, sub in computed:
+                exact = exact_volume(sub)
+                data_error = abs(volume_of_half_chords(0.5 * sub.gamma ** 2) / exact - 1)
+                assert abs(volume / exact - 1) <= 5 * max(data_error, 1e-13), (label, sub.n)
+            volumes, faces = volumes + 1, faces + len(computed) - 1
+        assert volumes >= 13 and faces >= 72
 
     def test_face_vertex_out_of_range(self, table_simplex):
         for vertex in (0, 5):

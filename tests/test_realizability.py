@@ -36,12 +36,16 @@ from curvsimplex.oracle import edge_lengths_of
 from conftest import (
     COLLINEAR_HYPERBOLIC_EDGES,
     CORPUS_TOOL,
+    classical_gram,
+    corpus_euclidean_sets,
+    corpus_small_sets,
     exact_apex_inertia,
     random_euclidean,
     random_hyperbolic,
     random_interior_point,
     random_simplex,
     random_spherical,
+    symmetric_elimination,
 )
 
 
@@ -260,16 +264,6 @@ class TestOracleAgreement:
             assert np.max(np.abs(recovered.gamma - e.gamma)) < 1e-8
 
 
-def corpus_euclidean_sets():
-    """The corpus's kappa = 0 edge sets with n <= 10 that validate, in its order."""
-    for label, kappa, g in CORPUS_TOOL.cases("full", 0):
-        if kappa == 0 and g.shape[0] <= 11:
-            try:
-                yield label, EdgeLengths(g)
-            except ValueError:
-                continue
-
-
 def seeded_euclidean_sets(count=200):
     """Edge sets of normal points, n in 2..10; every other one has one edge inflated."""
     rng = np.random.default_rng(36)
@@ -318,6 +312,40 @@ class TestExactEuclideanVerdict:
         assert exact_apex_inertia(e) == (2, 1, 0)
         # Collinear points: a zero row is a zero eigenvalue.
         assert exact_apex_inertia(EdgeLengths([[0, 1, 3], [1, 0, 2], [3, 2, 0]])) == (1, 0, 1)
+
+
+class TestClassicalCurvedVerdict:
+    """At kappa != 0 the verdict has a second route too: the inertia of the classical
+    cos/cosh vertex Gram Q of the unit model, built from the float64 edges and eliminated
+    at 50 digits plus the 2 gamma' / ln 10 that cosh of the longest unit-model edge
+    gamma' cancels (at a flat 50 digits, hyperbolic edges of 300 and more read a wrong
+    inertia).  It reads Realizable at inertia (k, 0, 0) on the sphere, with every edge
+    below pi / (2 sqrt kappa), and at (k - 1, 1, 0) on the hyperboloid."""
+
+    def test_corpus_sets(self):
+        mpmath = pytest.importorskip("mpmath")
+        compared = skipped = 0
+        for label, kappa, e in corpus_small_sets():
+            if kappa == 0:
+                continue
+            try:
+                report = check(e, CurvatureSpec(kappa))
+            except GramOverflow:
+                continue
+            lam = np.abs(report.eigenvalues)
+            if not lam.min() > 1e-6 * lam.max():
+                skipped += 1
+                continue
+            k, scale = e.num_vertices, math.sqrt(abs(kappa))
+            digits = 50 + math.ceil(2 * e.longest * scale / math.log(10))
+            with mpmath.workdps(digits):
+                inertia = symmetric_elimination(classical_gram(e, kappa, digits=digits))[0]
+                short = kappa < 0 or mpmath.mpf(e.longest) * mpmath.sqrt(kappa) < mpmath.pi / 2
+            assert report.signature.as_tuple() == inertia, label
+            target = (k, 0, 0) if kappa > 0 else (k - 1, 1, 0)
+            assert (report.verdict is Verdict.REALIZABLE) == (inertia == target and short), label
+            compared += 1
+        assert compared >= 170 and skipped <= 2
 
 
 def _bits(value):
@@ -448,4 +476,6 @@ class TestCheckedEdgeSetMemo:
     def test_same_curvature_and_tol_returns_the_stored_report(self, table_simplex):
         report = check(table_simplex, HYPERBOLIC)
         assert check(table_simplex, CurvatureSpec(-1.0)) is report
+        with pytest.raises(ValueError, match="read-only"):  # the stored report stays as it is
+            report.eigenvalues[0] = 0.0
         assert check(table_simplex, HYPERBOLIC, 1e-3) is not report

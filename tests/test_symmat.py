@@ -45,7 +45,8 @@ class TestConstruction:
             SymMatrix([[1.0, 2.0, 3.0]])
 
     @pytest.mark.parametrize("entries, message", [
-        (np.zeros((0, 0)), "dimension >= 1"), ([], "square"), ([[]], "square"), (2.0, "square")])
+        (np.zeros((0, 0)), "dimension >= 1"), ([], "square"), ([[]], "square"), (2.0, "square"),
+        ([[10 ** 400]], "fit in float64")])
     def test_rejects_an_empty_or_non_square_matrix(self, entries, message):
         with pytest.raises(ValueError, match=message):
             SymMatrix(entries)
@@ -143,7 +144,8 @@ class TestSignature:
         assert m.signature(1e-9).as_tuple() == (1, 0, 1)
         assert m.signature(1e-15).as_tuple() == (2, 0, 0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf,
+                                     pytest.param(10 ** 400, id="int-past-float-max")])
     def test_rejects_non_finite_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             Signature.of(np.array([1.0, -1.0]), tol)
