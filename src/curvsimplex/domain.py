@@ -25,7 +25,7 @@ from .errors import (
     OutsideLightCone,
     WrongModel,
 )
-from .symmat import SymMatrix, _floats, _vertex, _without
+from .symmat import SymMatrix, _floats, _shown, _vertex, _without
 
 BARYCENTRIC_SUM_TOL = 1e-6
 # Largest |a_ij - a_ji| an edge-length matrix may have, relative to max(1, largest |entry|).
@@ -55,7 +55,7 @@ class CurvatureSpec:
 
     def __post_init__(self):
         if not abs(self.kappa) <= sys.float_info.max:  # NaN, infinite or an int past the float max
-            raise ValueError(f"curvature must be finite, got {self.kappa}")
+            raise ValueError(f"curvature must be finite, got {_shown(self.kappa)}")
         object.__setattr__(self, "sign", math.copysign(1.0, self.kappa) if self.kappa else 0.0)
         object.__setattr__(self, "scale", math.sqrt(abs(self.kappa)))
 
@@ -173,6 +173,10 @@ class EdgeLengths:
         idx = [_vertex(v, k) - 1 for v in order]
         if sorted(idx) != list(range(k)):
             raise ValueError("order must be a permutation of 1..num_vertices")
+        return self._relabeled(idx)
+
+    def _relabeled(self, idx: list[int]) -> "EdgeLengths":
+        """New vertex i is old vertex idx[i], idx a permutation of range(num_vertices)."""
         return self._derived(self.gamma.take(idx, 0).take(idx, 1), self.shortest, self.longest)
 
     def restricted(self, vertices) -> "EdgeLengths":
@@ -250,8 +254,12 @@ class BarycentricPoint:
     @classmethod
     def hull(cls, coords) -> "BarycentricPoint":
         """Raw hull-frame coefficients; no sum-to-1 normalization, but one vector of >= 2."""
+        return cls._wrap(_vector(coords))
+
+    @classmethod
+    def _wrap(cls, c: np.ndarray) -> "BarycentricPoint":
+        """Wrap a fresh float vector of >= 2 coordinates read-only, without a copy or a check."""
         obj = object.__new__(cls)
-        c = _vector(coords)
         c.setflags(write=False)
         object.__setattr__(obj, "coords", c)
         return obj
@@ -261,7 +269,8 @@ class BarycentricPoint:
         """The i-th vertex (1-based) as a barycentric point."""
         c = np.zeros(num_vertices)
         c[_vertex(i, num_vertices) - 1] = 1.0
-        return cls.hull(c)  # a one-hot sums to exactly 1: nothing to normalize
+        # A one-hot sums to exactly 1: nothing to normalize; hull rejects a single vertex.
+        return cls._wrap(c) if num_vertices > 1 else cls.hull(c)
 
     def __repr__(self) -> str:
         return f"BarycentricPoint.hull({self.coords.tolist()!r})"  # hull keeps the stored bits
@@ -291,7 +300,7 @@ class GramMatrix:
             raise WrongModel("a Gram matrix at curvature 0 needs an apex")
         if self.apex is not None and self.curvature.kappa != 0:
             raise WrongModel(f"a Gram matrix at kappa={self.curvature.kappa} has no apex, "
-                             f"got apex={self.apex}")
+                             f"got apex={_shown(self.apex)}")
         if self.apex is not None:
             object.__setattr__(self, "apex", _vertex(self.apex, self.half_chords.dim))
 
@@ -393,4 +402,4 @@ def lift_to_model(q: GramMatrix, x: BarycentricPoint) -> BarycentricPoint:
         raise _MODEL[sign][1](f"<x,x> = {s} is not {'negative' if sign < 0 else 'positive'}")
     if not math.isfinite(s):
         raise GramOverflow(f"<x,x> = {s} leaves float64")
-    return BarycentricPoint.hull(x.coords * (1.0 / math.sqrt(abs(s))))
+    return BarycentricPoint._wrap(x.coords * (1.0 / math.sqrt(abs(s))))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     OutsideLightCone,
 )
 from .realizability import Verdict, check
-from .symmat import DEFAULT_TOL
+from .symmat import DEFAULT_TOL, _vertex
 
 GRID_POINT_BUDGET = 20_000
 
@@ -175,9 +174,8 @@ def brute_project(emb: Embedding, vertex: int) -> BarycentricPoint:
     Nelder-Mead polish of the model distance with negative coordinates
     penalized.  Serves as ground truth for the closed-form projections.
     """
-    k, vertex = emb.num_vertices, operator.index(vertex)  # TypeError unless an integer
-    if not 1 <= vertex <= k:
-        raise IndexError(f"vertex {vertex} out of range 1..{k}")
+    k = emb.num_vertices
+    vertex = _vertex(vertex, k)
     face = [i for i in range(k) if i != vertex - 1]
     apex = emb.vertices[vertex - 1]
     face_verts = emb.vertices[face]

@@ -104,7 +104,7 @@ def _foot(k: int, face: list[int], quotient: np.ndarray) -> BarycentricPoint:
             f"foot is not determined: barycentric coordinates sum to {s}, not 1")
     coords = np.zeros(k)
     coords[face] = quotient
-    return BarycentricPoint.hull(coords)
+    return BarycentricPoint._wrap(coords)
 
 
 def euclidean_volume(e: EdgeLengths, tol: float = DEFAULT_TOL) -> float:
@@ -160,15 +160,17 @@ def _curved_foot(e: EdgeLengths, c: CurvatureSpec,
     """
     k = e.num_vertices
     face = _other_vertices(k, vertex)
-    m = _bordered(curved_gram(e.permuted([vertex] + [i + 1 for i in face]), c))
+    m = _bordered(curved_gram(e._relabeled([vertex - 1, *face]), c))
     d = np.ldexp(1.0, -((np.frexp(np.abs(m).max(axis=1))[1] - 1) // 2))
-    m = SymMatrix._exact(m * d[:, None] * d)
+    m *= d[:, None]
+    m *= d
+    m = SymMatrix._exact(m)
     signed = d[1:k] * [-m.minor(1, i) if i % 2 == 0 else m.minor(1, i) for i in range(2, k + 1)]
     denom = float(signed.sum())
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise ProjectionDegenerate("signed first-row minors sum to zero")
     foot = _foot(k, face, signed / denom)
-    point = foot if denom > 0 else BarycentricPoint.hull(0.0 - foot.coords)  # keeps a +0.0
+    point = foot if denom > 0 else BarycentricPoint._wrap(0.0 - foot.coords)  # keeps a +0.0
     q = curved_gram(e, c)
     try:  # a flat set checked at a tiny tol can leave noise minors here
         lift = lift_to_model(q, point)

@@ -25,11 +25,19 @@ def _floats(values, message: str) -> np.ndarray:
         raise ValueError(message) from exc
 
 
+def _shown(value) -> str:
+    """A rejected value as its error message shows it; an int too long for ``str`` by its type."""
+    try:
+        return f"{value}"
+    except ValueError:  # an int of more digits than sys.get_int_max_str_digits() allows
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _vertex(i, k: int) -> int:
     """Vertex number i as an int: TypeError if it is no integer, IndexError outside 1..k."""
     i = operator.index(i)
     if not 1 <= i <= k:
-        raise IndexError(f"vertex {i} out of range 1..{k}")
+        raise IndexError(f"vertex {_shown(i)} out of range 1..{k}")
     return i
 
 
@@ -71,7 +79,7 @@ class Signature:
         verdict does not change when the matrix is scaled.
         """
         if not 0 <= tol <= sys.float_info.max:  # NaN, inf and an int past the float max fail
-            raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+            raise ValueError(f"tol must be finite and nonnegative, got {_shown(tol)}")
         values = eig.tolist()  # plain floats: a few values classify faster than numpy reduces
         cutoff = tol * max(map(abs, values), default=0.0)
         n_plus = n_minus = n_zero = 0

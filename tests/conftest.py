@@ -174,6 +174,27 @@ def symmetric_elimination(m: list) -> tuple[tuple[int, int, int], object]:
     return (plus, minus, zero), det
 
 
+def exact_feet(half_chords: list) -> list[tuple[list, Fraction]]:
+    """Foot and squared altitude of every vertex of the kappa = 0 simplex whose half squared
+    chords E are given as rows of ``Fraction``, exactly.
+
+    One Gauss-Jordan elimination of [M | I], M = [[-E, 1], [1^T, 0]], solves M y = e_v for
+    every vertex v at once; the foot is y / -y_v off v (0 at v) and the squared altitude 1 / y_v.
+    """
+    k = len(half_chords)
+    rows = [[-x for x in row] + [Fraction(1)] for row in half_chords] + [[Fraction(1)] * k + [0]]
+    m = [row + [Fraction(int(i == j)) for j in range(k + 1)] for i, row in enumerate(rows)]
+    for col in range(k + 1):
+        p = next(r for r in range(col, k + 1) if m[r][col])
+        m[col], m[p] = m[p], m[col]
+        pivot = [x / m[col][col] for x in m[col]]
+        m = [pivot if r == col else [a - row[col] * b for a, b in zip(row, pivot)]
+             for r, row in enumerate(m)]
+    y = [row[k + 1:] for row in m]  # M^-1, symmetric: row v is the solution for e_v
+    return [([Fraction(0) if i == v else y[v][i] / -y[v][v] for i in range(k)], 1 / y[v][v])
+            for v in range(k)]
+
+
 def exact_apex_gram(e: EdgeLengths, apex: int | None = None) -> list:
     """The classical apex Gram (g_ia^2 + g_ja^2 - g_ij^2) / 2 of the float64 edges at
     ``apex`` a (default the last vertex), over the other vertices, in ``Fraction``."""

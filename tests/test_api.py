@@ -131,7 +131,8 @@ class TestDeferredNames:
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf,
-                                 pytest.param(10 ** 400, id="int-past-float-max")])
+                                 pytest.param(10 ** 400, id="int-past-float-max"),
+                                 pytest.param(10 ** 5000, id="int-past-str-limit")])
 @pytest.mark.parametrize("edges, call", [
     pytest.param(TABLE_3SIMPLEX, lambda e, tol: check(e, HYPERBOLIC, tol), id="check"),
     pytest.param(TABLE_3SIMPLEX, lambda e, tol: project(e, EUCLIDEAN, 1, tol), id="project"),
@@ -152,6 +153,11 @@ NOT_AN_INTEGER = (TypeError, "cannot be interpreted as an integer")
 
 def out_of_range(i, k=3):
     return IndexError, rf"^vertex {i} out of range 1\.\.{k}$"
+
+
+# An int too long for str (over 4300 digits): the message shows its type, not Python's error.
+HUGE = 10 ** 5000
+TOO_LONG = out_of_range("<int too long to print>")
 
 
 @pytest.mark.parametrize("call, error", [
@@ -179,6 +185,11 @@ def out_of_range(i, k=3):
                  id="minor-float"),
     pytest.param(lambda e: euclidean_gram(e, 3).matrix.minor(1, 3), out_of_range(3, 2),
                  id="minor-3"),
+    pytest.param(lambda e: e.length(HUGE, 1), TOO_LONG, id="length-huge"),
+    pytest.param(lambda e: project(e, EUCLIDEAN, HUGE), TOO_LONG, id="project-huge"),
+    pytest.param(lambda e: BarycentricPoint.vertex(HUGE, 3), TOO_LONG, id="vertex-huge"),
+    pytest.param(lambda e: e.permuted([HUGE, 1, 2]), TOO_LONG, id="permuted-huge"),
+    pytest.param(lambda e: euclidean_gram(e, HUGE), TOO_LONG, id="euclidean_gram-huge"),
 ])
 def test_bad_vertex_number_is_rejected(call, error):
     with pytest.raises(error[0], match=error[1]):

@@ -146,7 +146,8 @@ class TestEdgeLengths:
 
 class TestCurvatureSpec:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
-                                     pytest.param(10 ** 400, id="int-past-float-max")])
+                                     pytest.param(10 ** 400, id="int-past-float-max"),
+                                     pytest.param(10 ** 5000, id="int-past-str-limit")])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             CurvatureSpec(bad)
@@ -220,6 +221,9 @@ class TestBarycentricPoint:
     def test_vertex(self):
         v = BarycentricPoint.vertex(2, 4)
         assert np.allclose(v.coords, [0, 1, 0, 0])
+        assert not v.coords.flags.writeable
+        with pytest.raises(ValueError, match="coords must be a vector of length >= 2"):
+            BarycentricPoint.vertex(1, 1)
 
     @pytest.mark.parametrize("i", [0, -1, 4])
     def test_vertex_out_of_range(self, i):
@@ -911,6 +915,8 @@ class TestGramMatrixInvariant:
     def test_curved_gram_with_apex_refused(self):
         with pytest.raises(WrongModel, match="has no apex"):
             GramMatrix(SymMatrix(-np.eye(3)), HYPERBOLIC, apex=2)
+        with pytest.raises(WrongModel, match="got apex=<int too long to print>$"):
+            GramMatrix(SymMatrix(-np.eye(3)), HYPERBOLIC, apex=10 ** 5000)
 
     @pytest.mark.parametrize("apex, stored", [(np.int64(2), 2), (True, 1), (3, 3)])
     def test_apex_is_stored_as_an_int(self, table_simplex, apex, stored):
@@ -981,6 +987,7 @@ class TestLiftToModel:
         v = BarycentricPoint.vertex(1, 4)
         lifted = lift_to_model(q, v)
         assert np.allclose(lifted.coords, v.coords)
+        assert not lifted.coords.flags.writeable
 
     def test_reference_foot_lift(self, table_simplex):
         q = curved_gram(table_simplex, HYPERBOLIC)

@@ -49,6 +49,7 @@ from conftest import (
     corpus_euclidean_sets,
     edges_from_points,
     exact_apex_gram,
+    exact_feet,
     random_euclidean,
     random_hyperbolic,
     random_interior_point,
@@ -410,6 +411,8 @@ class TestHyperbolicProject:
                            [0.0, 0.22222, 0.04212, 0.01293], atol=1e-4)
         assert res.altitude == pytest.approx(1.0575, abs=1e-3)
         assert res.inside_face
+        assert not res.foot.coords.flags.writeable
+        assert not res.foot_model.coords.flags.writeable
 
     def test_equilateral_symmetry(self):
         e = EdgeLengths(1.3 * (1 - np.eye(3)))
@@ -737,6 +740,7 @@ class TestFootSheet:
         assert hull_inner_product(q, v4, res.foot_model) < 0  # the vertex's sheet
         assert not res.inside_face
         assert res.foot.coords.sum() == pytest.approx(1.0, abs=1e-12)
+        assert not res.foot_model.coords.flags.writeable  # lifted from the mirrored foot
 
     def test_antipode_4simplex(self):
         e = EdgeLengths(ANTIPODE_4SIMPLEX)
@@ -839,3 +843,31 @@ class TestEuclideanFootHighPrecision:
             res = project(e, EUCLIDEAN, vertex)
             assert np.abs(res.foot.coords - reference).max() <= 1e-13 * np.abs(reference).max()
             assert res.altitude == pytest.approx(altitude, rel=1e-13, abs=0.0)
+
+    def test_corpus_feet_match_exact_solves(self):
+        # Every foot and squared altitude of the corpus's realizable kappa = 0 sets against
+        # the exact solve of M y = e_v on the float64 edges (``exact_feet``), within twice
+        # its data error (the same solve on the float64 E = fl(gamma^2 / 2)), floored at
+        # 1e-13: the foot relative to its largest coordinate.  The worst ratio is 1.03, for
+        # a foot and an altitude of k=0.0 n=10 real0.
+        feet = 0
+        for label, e in corpus_euclidean_sets():
+            try:
+                if check(e, EUCLIDEAN).verdict is not Verdict.REALIZABLE:
+                    continue
+            except GramOverflow:
+                continue
+            g = [[Fraction(v) for v in row] for row in e.gamma.tolist()]
+            exact = exact_feet([[x * x / 2 for x in row] for row in g])
+            rounded = exact_feet([[Fraction(v) for v in row]
+                                  for row in (0.5 * e.gamma ** 2).tolist()])
+            for vertex, ((foot, a2), (foot_r, a2_r)) in enumerate(zip(exact, rounded), 1):
+                res = project(e, EUCLIDEAN, vertex)
+                scale = max(map(abs, foot))
+                error = max(abs(Fraction(x) - f) for x, f in zip(res.foot.coords.tolist(), foot))
+                data_error = max(abs(r - f) for r, f in zip(foot_r, foot))
+                assert error <= 2 * max(data_error, scale / 10 ** 13), (label, vertex)
+                error, data_error = abs(Fraction(res.altitude) ** 2 / a2 - 1), abs(a2_r / a2 - 1)
+                assert error <= 2 * max(data_error, Fraction(1, 10 ** 13)), (label, vertex)
+                feet += 1
+        assert feet >= 81

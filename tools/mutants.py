@@ -12,9 +12,9 @@ functions included), each of these statements is replaced in turn by ``pass``:
 - ``expr``: an expression statement that is not a docstring.
 
 Module-level and class-level statements are left alone.  Each mutant runs on
-a scratch copy of ``src/``, ``tests/``, ``tools/`` and ``pyproject.toml``,
-never in place, under the tier-1 suite with ``-x``.  A failing run kills the
-mutant, and so does a run past ``TIMEOUT_S``.  One worker per CPU runs the
+a scratch copy of ``src/``, ``tests/``, ``tools/``, ``bench/`` and
+``pyproject.toml``, never in place, under the tier-1 suite with ``-x``.  A
+failing run kills the mutant, and so does a run past ``TIMEOUT_S``.  One worker per CPU runs the
 mutants, each in its own copy.
 
 The tool prints each surviving mutant (module:line, kind, statement) and a
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "curvsimplex"
-COPIED = ("src", "tests", "tools", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "bench", "pyproject.toml")
 TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 TIMEOUT_S = 120
 
